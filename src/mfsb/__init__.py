@@ -60,8 +60,6 @@ from .kolmogorov import (
     integrate_backward,
     integrate_forward,
     propagate_density,
-    step_backward,
-    step_forward,
 )
 from .sinkhorn import (
     FrozenProblem,
@@ -87,7 +85,6 @@ from .solver import (
     fit_geometric_rate,
     optimal_control,
     solve,
-    update_pair,
 )
 from .particles import (
     ParticleEnsemble,
@@ -117,7 +114,6 @@ __all__ = [
     "reaction_term_path",
     "DiscreteGenerator", "TransportOperators", "build_generator",
     "integrate_backward", "integrate_forward", "propagate_density",
-    "step_backward", "step_forward",
     "FrozenProblem", "InnerTrace", "PairPath", "boundary_factors",
     "boundary_update_final", "boundary_update_initial", "freeze_problem",
     "inner_sinkhorn",
@@ -125,7 +121,7 @@ __all__ = [
     "ConvergenceTrace", "Solution", "SolverConfig", "classical_bridge_init",
     "contraction_constants", "contraction_rate", "control_energy",
     "damped_update", "density_from_pair", "fit_geometric_rate",
-    "optimal_control", "solve", "update_pair",
+    "optimal_control", "solve",
     "ParticleEnsemble", "empirical_density", "sampling_noise_l1", "simulate",
     "terminal_residual",
     "example_config_path", "load_config", "parse_config", "resolve_config_path",

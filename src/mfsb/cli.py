@@ -213,14 +213,7 @@ def run(
             "last_distance": exc.last_distance,
         }
         trace = exc.trace
-        partial = exc.partial if isinstance(exc.partial, dict) else {}
-        p_path = partial.get("p")
-        pair = partial.get("pair")
-        if p_path is None or pair is None:
-            raise ConfigError(
-                "no partial iterate available to serialize; "
-                "inner loop diverged before the first outer update"
-            ) from exc
+        p_path, pair = exc.partial["p"], exc.partial["pair"]
         u_path = optimal_control(pair, cfg.sigma, cfg.sgrid)
         cost = control_energy(u_path, p_path, cfg.sgrid, cfg.tgrid)
     solve_seconds = time.perf_counter() - t0

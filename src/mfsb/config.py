@@ -19,7 +19,7 @@ from .solver import SolverConfig
 
 _KNOWN_KEYS = {
     "domain", "n_x", "n_t", "sigma2", "theta", "tol",
-    "N1", "N2", "N3", "seed", "init_tol",
+    "N1", "N3", "seed", "init_tol",
     "potential.kind", "potential.beta", "potential.c", "potential.alpha",
     "potential.epsilon", "potential.a", "potential.s", "potential.file",
     "potential_is_prescaled",
@@ -166,7 +166,6 @@ def solver_config_from(raw: dict[str, str]) -> SolverConfig:
         n_x=_as_int(raw, "n_x", 301),
         n_t=_as_int(raw, "n_t", 100),
         n1=_as_int(raw, "N1", 200),
-        n2=_as_int(raw, "N2", 50),
         n3=_as_int(raw, "N3", 500),
         potential_is_prescaled=_as_bool(raw, "potential_is_prescaled", True),
         seed=_as_int(raw, "seed", 0),

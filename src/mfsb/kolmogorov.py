@@ -7,8 +7,9 @@ The linear operator discretized here is
 with monotone (upwind) advection and a no-flux closure at the domain ends:
 off-diagonal entries of A are nonnegative and every row sums to zero, so
 I - dt * A is a strictly diagonally dominant M-matrix. Each step of the two
-sweeps splits the reaction off the transport: solve (I - dt A) once, then
-multiply by exp(-dt sigma^2 q) slice-wise. First order in dt, unconditionally
+sweeps splits the reaction off the transport: solve (I - dt A) once with the
+LU factors cached in :class:`TransportOperators`, then multiply by the
+slice's decay factor exp(-dt sigma^2 q). First order in dt, unconditionally
 stable, positivity preserving.
 
 Density propagation uses the conservative finite-volume form of the adjoint
@@ -23,13 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
-try:  # pragma: no cover - exercised through TransportOperators
-    from scipy.linalg.lapack import dgttrf as _gttrf, dgttrs as _gttrs
-except ImportError:  # pragma: no cover
-    _gttrf = _gttrs = None
-
-from .errors import CFLWarning, PositivityError, ShapeError, SolveError
+from .errors import CFLWarning, PositivityError, SolveError
 from .grid import SpatialGrid, TimeGrid, check_field, check_path
 from .potentials import PotentialSpec, PotentialTable, eval_potential, mean_field_drift
 
@@ -54,15 +51,6 @@ class DiscreteGenerator:
         out[:-1] += self.up * f[1:]
         out[1:] += self.low * f[:-1]
         return out
-
-    def implicit_banded(self, dt: float) -> np.ndarray:
-        """(I - dt A) in solve_banded's (3, n_x) ordered-diagonal layout."""
-        n = self.grid.n_x
-        ab = np.zeros((3, n))
-        ab[0, 1:] = -dt * self.up
-        ab[1, :] = 1.0 - dt * self.diag
-        ab[2, :-1] = -dt * self.low
-        return ab
 
 
 def build_generator(
@@ -112,42 +100,12 @@ def _bernoulli(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _reaction_factor(q: np.ndarray, sigma: float, dt: float) -> np.ndarray:
-    return np.exp(-dt * sigma * sigma * np.asarray(q, dtype=float))
-
-
-def step_backward(
-    phi_next: np.ndarray, gen: DiscreteGenerator, q: np.ndarray, dt: float
-) -> np.ndarray:
-    """One implicit step of the backward sweep: transport solve then reaction.
-
-    ``phi_next`` is the slice at time (l+1) dt; the result is the slice at
-    l dt, using the generator and reaction profile of the target slice.
-    """
-    phi_next = check_field(phi_next, gen.grid)
-    if np.any(phi_next <= 0.0) or not np.all(np.isfinite(phi_next)):
-        raise PositivityError("backward step needs a strictly positive input slice")
-    star = _banded_solve(gen.implicit_banded(dt), phi_next)
-    return _reaction_factor(q, gen.sigma, dt) * star
-
-
-def step_forward(
-    phihat_prev: np.ndarray, gen: DiscreteGenerator, q: np.ndarray, dt: float
-) -> np.ndarray:
-    """One implicit step of the forward sweep (same split, mirrored direction)."""
-    phihat_prev = check_field(phihat_prev, gen.grid)
-    if np.any(phihat_prev <= 0.0) or not np.all(np.isfinite(phihat_prev)):
-        raise PositivityError("forward step needs a strictly positive input slice")
-    star = _banded_solve(gen.implicit_banded(dt), phihat_prev)
-    return _reaction_factor(q, gen.sigma, dt) * star
-
-
 class TransportOperators:
-    """Per-slice generators with cached LU factors of (I - dt A_l).
+    """Per-slice LU factors of (I - dt A_l) for one drift path.
 
     The solver sweeps the same drift path hundreds of times per outer
-    iteration, so the tridiagonal factorizations are computed once here and
-    reused (LAPACK gttrf/gttrs when available, solve_banded otherwise).
+    iteration, so the tridiagonal factorizations (LAPACK gttrf) are computed
+    once here and reused by every sweep (gttrs).
     """
 
     def __init__(
@@ -161,100 +119,63 @@ class TransportOperators:
         self.sigma = float(sigma)
         self.sgrid = sgrid
         self.tgrid = tgrid
-        self.generators = [
-            build_generator(b_path[l], sigma, sgrid) for l in range(tgrid.n_t + 1)
-        ]
         dt = tgrid.dt
-        self._factors = None
-        self._bands = None
-        if _gttrf is not None:
-            factors = []
-            for gen in self.generators:
-                dl = -dt * gen.low
-                d = 1.0 - dt * gen.diag
-                du = -dt * gen.up
-                dl_f, d_f, du_f, du2, ipiv, info = _gttrf(dl, d, du)
-                if info != 0:  # pragma: no cover
-                    raise SolveError(f"gttrf failed with info={info}")
-                factors.append((dl_f, d_f, du_f, du2, ipiv))
-            self._factors = factors
-        else:  # pragma: no cover - scipy always ships gttrf
-            self._bands = [gen.implicit_banded(dt) for gen in self.generators]
+        self._factors = []
+        for b in b_path:
+            gen = build_generator(b, sigma, sgrid)
+            dl_f, d_f, du_f, du2, ipiv, info = dgttrf(
+                -dt * gen.low, 1.0 - dt * gen.diag, -dt * gen.up
+            )
+            if info != 0:  # pragma: no cover - the matrix is an M-matrix
+                raise SolveError(f"gttrf failed with info={info}")
+            self._factors.append((dl_f, d_f, du_f, du2, ipiv))
 
     def solve(self, l: int, rhs: np.ndarray) -> np.ndarray:
         """Apply (I - dt A_l)^{-1} to a slice."""
-        if self._factors is not None:
-            dl_f, d_f, du_f, du2, ipiv = self._factors[l]
-            x, info = _gttrs(dl_f, d_f, du_f, du2, ipiv, rhs)
-            if info != 0:  # pragma: no cover
-                raise SolveError(f"gttrs failed with info={info}")
-            return x
-        return _banded_solve(self._bands[l], rhs)  # pragma: no cover
+        x, info = dgttrs(*self._factors[l], rhs)
+        if info != 0:  # pragma: no cover
+            raise SolveError(f"gttrs failed with info={info}")
+        return x
 
 
-def _check_sweep_inputs(boundary, b_path, q_path, sgrid, tgrid):
-    boundary = check_field(boundary, sgrid)
+def _check_sweep_inputs(
+    boundary: np.ndarray, decay: np.ndarray, ops: TransportOperators
+) -> tuple[np.ndarray, np.ndarray]:
+    boundary = check_field(boundary, ops.sgrid)
     if np.any(boundary <= 0.0) or not np.all(np.isfinite(boundary)):
         raise PositivityError("sweep boundary data must be strictly positive")
-    b_path = check_path(b_path, sgrid, tgrid)
-    q_path = check_path(q_path, sgrid, tgrid)
-    return boundary, b_path, q_path
+    return boundary, check_path(decay, ops.sgrid, ops.tgrid)
 
 
 def integrate_backward(
-    phi_terminal: np.ndarray,
-    b_path: np.ndarray,
-    q_path: np.ndarray,
-    sigma: float,
-    sgrid: SpatialGrid,
-    tgrid: TimeGrid,
-    ops: TransportOperators | None = None,
+    phi_terminal: np.ndarray, decay: np.ndarray, ops: TransportOperators
 ) -> np.ndarray:
     """Sweep the backward equation from t = 1 down to t = 0.
 
-    Returns the full (n_t + 1, n_x) path with path[n_t] = phi_terminal.
+    ``decay`` holds the per-slice reaction factors exp(-dt sigma^2 q). Returns
+    the full (n_t + 1, n_x) path with path[n_t] = phi_terminal.
     """
-    phi_terminal, b_path, q_path = _check_sweep_inputs(
-        phi_terminal, b_path, q_path, sgrid, tgrid
-    )
-    dt = tgrid.dt
-    path = np.empty((tgrid.n_t + 1, sgrid.n_x))
-    path[tgrid.n_t] = phi_terminal
-    for l in range(tgrid.n_t - 1, -1, -1):
-        if ops is not None:
-            star = ops.solve(l, path[l + 1])
-        else:
-            gen = build_generator(b_path[l], sigma, sgrid)
-            star = _banded_solve(gen.implicit_banded(dt), path[l + 1])
-        path[l] = _reaction_factor(q_path[l], sigma, dt) * star
+    phi_terminal, decay = _check_sweep_inputs(phi_terminal, decay, ops)
+    n_t = ops.tgrid.n_t
+    path = np.empty(decay.shape)
+    path[n_t] = phi_terminal
+    for l in range(n_t - 1, -1, -1):
+        path[l] = decay[l] * ops.solve(l, path[l + 1])
     if path.min() <= 0.0 or not np.all(np.isfinite(path)):
         raise PositivityError("backward sweep lost positivity")
     return path
 
 
 def integrate_forward(
-    phihat_initial: np.ndarray,
-    b_path: np.ndarray,
-    q_path: np.ndarray,
-    sigma: float,
-    sgrid: SpatialGrid,
-    tgrid: TimeGrid,
-    ops: TransportOperators | None = None,
+    phihat_initial: np.ndarray, decay: np.ndarray, ops: TransportOperators
 ) -> np.ndarray:
-    """Sweep the forward equation from t = 0 up to t = 1."""
-    phihat_initial, b_path, q_path = _check_sweep_inputs(
-        phihat_initial, b_path, q_path, sgrid, tgrid
-    )
-    dt = tgrid.dt
-    path = np.empty((tgrid.n_t + 1, sgrid.n_x))
+    """Sweep the forward equation from t = 0 up to t = 1 (same split,
+    mirrored direction: each step uses the operator of its target slice)."""
+    phihat_initial, decay = _check_sweep_inputs(phihat_initial, decay, ops)
+    path = np.empty(decay.shape)
     path[0] = phihat_initial
-    for l in range(tgrid.n_t):
-        if ops is not None:
-            star = ops.solve(l + 1, path[l])
-        else:
-            gen = build_generator(b_path[l + 1], sigma, sgrid)
-            star = _banded_solve(gen.implicit_banded(dt), path[l])
-        path[l + 1] = _reaction_factor(q_path[l + 1], sigma, dt) * star
+    for l in range(ops.tgrid.n_t):
+        path[l + 1] = decay[l + 1] * ops.solve(l + 1, path[l])
     if path.min() <= 0.0 or not np.all(np.isfinite(path)):
         raise PositivityError("forward sweep lost positivity")
     return path

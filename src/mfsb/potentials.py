@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.signal import fftconvolve
 
 from .errors import DomainError, PositivityError, ShapeError
 from .grid import SpatialGrid, check_field, gradient, gradient_path
@@ -176,6 +174,10 @@ def _tabulated_tables(spec: PotentialSpec, r: np.ndarray):
         )
     if np.any(np.diff(rs) <= 0.0):
         raise DomainError("tabulated displacements must be strictly increasing")
+    # imported on use: only tabulated kernels need scipy.interpolate, whose
+    # import takes longer than the rest of the package's
+    from scipy.interpolate import CubicSpline
+
     spline = CubicSpline(rs, ws)
     return spline(r), spline(r, 1), spline(r, 2)
 
@@ -239,8 +241,26 @@ def _convolve_rows(kernel: np.ndarray, rows: np.ndarray, grid: SpatialGrid):
             f"kernel must live on the displacement grid ({2 * n - 1},), "
             f"got {kernel.shape}"
         )
-    full = fftconvolve(rows, kernel[None, :], axes=1)
+    size = _fast_length(3 * n - 2)  # the full linear convolution, zero-padded
+    spectrum = np.fft.rfft(rows, size, axis=1) * np.fft.rfft(kernel, size)
+    full = np.fft.irfft(spectrum, size, axis=1)
     return grid.h * full[:, n - 1 : 2 * n - 1]
+
+
+def _fast_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: an FFT length with only small prime factors."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def mean_field_drift(

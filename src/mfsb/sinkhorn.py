@@ -15,15 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoConvergence, PositivityError, ShapeError
-from .grid import SpatialGrid, TimeGrid, check_field, check_path
+from .grid import SpatialGrid, check_field, check_path
 from .kolmogorov import TransportOperators, integrate_backward, integrate_forward
 from .metrics import hilbert_distance, l1_distance
-from .potentials import (
-    PotentialTable,
-    convolve,
-    mean_field_drift_path,
-    reaction_term_path,
-)
+from .potentials import PotentialTable, convolve, reaction_term_path
 
 
 @dataclass(frozen=True)
@@ -53,11 +48,16 @@ class PairPath:
 
 @dataclass(frozen=True)
 class FrozenProblem:
-    """Everything the inner loop needs, with drift and reaction held fixed."""
+    """Everything the inner loop needs, with drift and reaction held fixed.
 
-    b_path: np.ndarray
-    q_phi: np.ndarray
-    q_phihat: np.ndarray
+    ``ops`` carries the drift (as cached LU factors) and the grids; the
+    reaction enters through the per-slice decay factors exp(-dt sigma^2 q)
+    of each sweep, computed once per freeze.
+    """
+
+    ops: TransportOperators
+    decay_phi: np.ndarray
+    decay_phihat: np.ndarray
     p_in: np.ndarray
     p_fin: np.ndarray
     # exp(+/- 2 (W * marginal)) evaluated once; the + factors enter the anchor
@@ -66,10 +66,6 @@ class FrozenProblem:
     exp_in_minus: np.ndarray
     exp_fin_plus: np.ndarray
     exp_fin_minus: np.ndarray
-    sigma: float
-    sgrid: SpatialGrid
-    tgrid: TimeGrid
-    ops: TransportOperators | None = None
 
 
 @dataclass
@@ -101,34 +97,32 @@ def freeze_problem(
     table: PotentialTable,
     p_in: np.ndarray,
     p_fin: np.ndarray,
-    sigma: float,
-    sgrid: SpatialGrid,
-    tgrid: TimeGrid,
+    ops: TransportOperators,
     *,
-    b_path: np.ndarray | None = None,
-    ops: TransportOperators | None = None,
     factors=None,
 ) -> FrozenProblem:
-    """Freeze drift and reaction profiles at the given density and pair."""
-    p_path = check_path(p_path, sgrid, tgrid)
-    if b_path is None:
-        b_path = mean_field_drift_path(table, p_path, sgrid)
+    """Freeze the reaction profiles at the given density and pair.
+
+    ``ops`` holds the transport operators of the drift frozen at the same
+    density; ``factors`` are the boundary factors, when already computed.
+    """
+    sgrid = ops.sgrid
+    p_path = check_path(p_path, sgrid, ops.tgrid)
     if factors is None:
         factors = boundary_factors(table, p_in, p_fin, sgrid)
+    rate = -ops.tgrid.dt * ops.sigma**2
     return FrozenProblem(
-        b_path=b_path,
-        q_phi=reaction_term_path(table, pair.phi, p_path, sgrid),
-        q_phihat=reaction_term_path(table, pair.phihat, p_path, sgrid),
+        ops=ops,
+        decay_phi=np.exp(rate * reaction_term_path(table, pair.phi, p_path, sgrid)),
+        decay_phihat=np.exp(
+            rate * reaction_term_path(table, pair.phihat, p_path, sgrid)
+        ),
         p_in=check_field(p_in, sgrid),
         p_fin=check_field(p_fin, sgrid),
         exp_in_plus=factors[0],
         exp_in_minus=factors[1],
         exp_fin_plus=factors[2],
         exp_fin_minus=factors[3],
-        sigma=sigma,
-        sgrid=sgrid,
-        tgrid=tgrid,
-        ops=ops,
     )
 
 
@@ -168,19 +162,15 @@ def inner_sinkhorn(
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    sg, tg = problem.sgrid, problem.tgrid
+    sg = problem.ops.sgrid
     phi1 = check_field(np.array(start.phi[-1], dtype=float), sg)
     phihat0_prev = check_field(np.array(start.phihat[0], dtype=float), sg)
     trace = InnerTrace()
     phi = phihat = None
     for i in range(max_iter):
-        phi = integrate_backward(
-            phi1, problem.b_path, problem.q_phi, problem.sigma, sg, tg, problem.ops
-        )
+        phi = integrate_backward(phi1, problem.decay_phi, problem.ops)
         phihat0 = boundary_update_initial(phi[0], problem.p_in, problem.exp_in_plus)
-        phihat = integrate_forward(
-            phihat0, problem.b_path, problem.q_phihat, problem.sigma, sg, tg, problem.ops
-        )
+        phihat = integrate_forward(phihat0, problem.decay_phihat, problem.ops)
         phi1_new = boundary_update_final(
             phihat[-1], problem.p_fin, problem.exp_fin_plus
         )

@@ -1,15 +1,18 @@
 """Outer fixed-point loop over the interaction density, plus analysis helpers.
 
-The solver alternates three nested loops. Innermost: the sweep/anchor loop of
-:mod:`mfsb.sinkhorn` with everything nonlinear frozen. Middle: refreeze the
-reaction profiles at the latest pair and rerun the inner loop until the pair
-stops moving. Outer: rebuild the drift from the current density, run the
-middle loop, refine the density from the converged pair,
+The solver runs two nested loops. Inner: the sweep/anchor loop of
+:mod:`mfsb.sinkhorn` with everything nonlinear frozen. Outer: rebuild the
+drift from the current density, freeze the reaction profiles once at the
+current density and pair, run the inner loop to tol / 10, refine the density
+from the new pair,
 
     refined_t = normalize( e^{-2 (W * p_t)} phi_t phihat_t ),
 
-damp it towards the previous iterate, and repeat until the sup-over-time
-Hilbert distance between consecutive densities drops below tol. With the
+and damp it towards the previous iterate. The density map and the pair map
+share one fixed point, so one refreeze per outer step suffices: the loop
+stops when both the sup-over-time Hilbert distance between consecutive
+densities and the distance the refreeze moved the pair drop below tol, which
+leaves the returned pair stationary under refreezing to tol. With the
 interaction switched off the whole nest collapses to the classical bridge
 computed by :func:`classical_bridge_init`, which also provides the starting
 point in the general case.
@@ -62,6 +65,10 @@ from .sinkhorn import (
 
 logger = logging.getLogger("mfsb")
 
+# the inner loop runs to this fraction of tol: its own error must sit below
+# the outer step distances it feeds, or those stop decreasing near tol
+INNER_TOL_FRACTION = 0.1
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -78,7 +85,6 @@ class SolverConfig:
     n_x: int = 301
     n_t: int = 100
     n1: int = 200
-    n2: int = 50
     n3: int = 500
     potential_is_prescaled: bool = True
     seed: int = 0
@@ -92,7 +98,7 @@ class SolverConfig:
             raise ConfigError(f"theta must lie in (0, 1], got {self.theta}")
         if not (np.isfinite(self.tol) and self.tol > 0.0):
             raise ConfigError(f"tol must be positive, got {self.tol}")
-        for name in ("n1", "n2", "n3"):
+        for name in ("n1", "n3"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
         if self.n_x < 8:
@@ -131,7 +137,12 @@ class SolverConfig:
 
 @dataclass
 class ConvergenceTrace:
-    """Everything the nested iteration did, one entry per loop event."""
+    """Everything the nested iteration did, one entry per loop event.
+
+    ``middle_dh[k]`` holds the distance the refreeze of outer step k moved
+    the pair; it, ``inner_iterations[k]`` and ``inner_dh[k]`` are one-entry
+    lists, one refreeze per outer step, which keeps the trace.json layout.
+    """
 
     init_dh: list[float] = field(default_factory=list)
     init_iterations: int = 0
@@ -217,19 +228,15 @@ def classical_bridge_init(
     zeros = np.zeros(shape)
     ones = np.ones(sgrid.n_x)
     problem = FrozenProblem(
-        b_path=zeros,
-        q_phi=zeros,
-        q_phihat=zeros,
+        ops=TransportOperators(zeros, sigma, sgrid, tgrid),
+        decay_phi=np.ones(shape),
+        decay_phihat=np.ones(shape),
         p_in=p_in,
         p_fin=p_fin,
         exp_in_plus=ones,
         exp_in_minus=ones,
         exp_fin_plus=ones,
         exp_fin_minus=ones,
-        sigma=sigma,
-        sgrid=sgrid,
-        tgrid=tgrid,
-        ops=TransportOperators(zeros, sigma, sgrid, tgrid),
     )
     start = PairPath(phi=np.ones(shape), phihat=np.tile(p_in, (tgrid.n_t + 1, 1)))
     pair, iterations, trace = inner_sinkhorn(problem, start, tol, max_iter)
@@ -264,27 +271,6 @@ def density_from_pair(
         else eval_potential(potential, sgrid)
     )
     return _refined_density(np.asarray(p_path, dtype=float), pair, table, sgrid)[0]
-
-
-def update_pair(
-    p_path: np.ndarray,
-    pair: PairPath,
-    cfg: SolverConfig,
-) -> PairPath:
-    """One middle-loop step: refreeze reaction at the pair and re-solve the sweeps."""
-    sgrid, tgrid = cfg.sgrid, cfg.tgrid
-    p_path = check_path(p_path, sgrid, tgrid)
-    table = _scaled_table(cfg)
-    p_in = build_marginals(cfg.marginal_in, sgrid)
-    p_fin = build_marginals(cfg.marginal_fin, sgrid)
-    b_path = mean_field_drift_path(table, p_path, sgrid)
-    problem = freeze_problem(
-        p_path, pair, table, p_in, p_fin, cfg.sigma, sgrid, tgrid,
-        b_path=b_path,
-        ops=TransportOperators(b_path, cfg.sigma, sgrid, tgrid),
-    )
-    new_pair, _, _ = inner_sinkhorn(problem, pair, cfg.tol, cfg.n3)
-    return new_pair
 
 
 def damped_update(
@@ -342,10 +328,10 @@ def _warm_start_density(
 
 
 def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
-    """Run the full nested iteration to convergence.
+    """Run the two-level iteration to convergence.
 
-    Raises NoConvergence (with trace and partial iterates attached) when any
-    of the three loop budgets n1/n2/n3 is exhausted.
+    Raises NoConvergence when the outer budget n1 or an inner budget n3 is
+    exhausted, with the trace and the current {"p", "pair"} attached.
     """
     sgrid, tgrid = cfg.sgrid, cfg.tgrid
     p_in = build_marginals(cfg.marginal_in, sgrid)
@@ -355,11 +341,21 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
     trace = ConvergenceTrace()
 
     if warm_pair is None:
-        p_path, pair, init_trace = classical_bridge_init(
-            p_in, p_fin, sigma, sgrid, tgrid,
-            tol=cfg.resolved_init_tol,
-            max_iter=max(cfg.n3, 2000),
-        )
+        try:
+            p_path, pair, init_trace = classical_bridge_init(
+                p_in, p_fin, sigma, sgrid, tgrid,
+                tol=cfg.resolved_init_tol,
+                max_iter=max(cfg.n3, 2000),
+            )
+        except NoConvergence as exc:
+            trace.init_dh = list(exc.trace.boundary_dh)
+            trace.init_iterations = len(trace.init_dh)
+            exc.trace = trace
+            exc.partial = {
+                "p": normalize_path(exc.partial.product, sgrid),
+                "pair": exc.partial,
+            }
+            raise
         trace.init_dh = list(init_trace.boundary_dh)
         trace.init_iterations = len(init_trace.boundary_dh)
     else:
@@ -371,52 +367,37 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
     trace.min_phi = float(pair.phi.min())
     trace.min_phihat = float(pair.phihat.min())
     trace.min_density = float(p_path.min())
+    inner_tol = INNER_TOL_FRACTION * cfg.tol
 
     for k in range(cfg.n1):
         tick = time.perf_counter()
         b_path = mean_field_drift_path(table, p_path, sgrid)
         ops = TransportOperators(b_path, sigma, sgrid, tgrid)
-
-        # middle loop: refreeze the reaction at the latest pair and re-solve.
-        # Exhausting n2 is not an error: far from the fixed point this map
-        # need not contract, and the damped outer update is what stabilizes
-        # the iteration; the loop simply hands the last pair to the outer step.
-        pair_k = pair
-        middle: list[float] = []
-        counts: list[int] = []
-        inner_seqs: list[list[float]] = []
-        for j in range(cfg.n2):
-            problem = freeze_problem(
-                p_path, pair_k, table, p_in, p_fin, sigma, sgrid, tgrid,
-                b_path=b_path, ops=ops, factors=factors,
+        problem = freeze_problem(
+            p_path, pair, table, p_in, p_fin, ops, factors=factors
+        )
+        try:
+            new_pair, n_inner, itrace = inner_sinkhorn(
+                problem, pair, inner_tol, cfg.n3
             )
-            try:
-                new_pair, n_inner, itrace = inner_sinkhorn(
-                    problem, pair_k, cfg.tol, cfg.n3
-                )
-            except NoConvergence as exc:
-                exc.indices = (k, j) + exc.indices
-                exc.trace = trace
-                raise
-            counts.append(n_inner)
-            inner_seqs.append(list(itrace.boundary_dh))
-            d_pair = pair_distance(new_pair, pair_k)
-            middle.append(d_pair)
-            pair_k = new_pair
-            trace.min_phi = min(trace.min_phi, float(pair_k.phi.min()))
-            trace.min_phihat = min(trace.min_phihat, float(pair_k.phihat.min()))
-            if d_pair < cfg.tol:
-                break
-        pair = pair_k
+        except NoConvergence as exc:
+            exc.indices = (k,) + exc.indices
+            exc.trace = trace
+            exc.partial = {"p": p_path, "pair": exc.partial}
+            raise
+        d_pair = pair_distance(new_pair, pair)
+        pair = new_pair
+        trace.min_phi = min(trace.min_phi, float(pair.phi.min()))
+        trace.min_phihat = min(trace.min_phihat, float(pair.phihat.min()))
 
         refined, mass_dev = _refined_density(p_path, pair, table, sgrid)
         d_raw = path_distance(refined, p_path)
         p_next = damped_update(refined, p_path, cfg.theta)
         d_outer = path_distance(p_next, p_path)
 
-        trace.middle_dh.append(middle)
-        trace.inner_iterations.append(counts)
-        trace.inner_dh.append(inner_seqs)
+        trace.middle_dh.append([d_pair])
+        trace.inner_iterations.append([n_inner])
+        trace.inner_dh.append([list(itrace.boundary_dh)])
         trace.outer_dh.append(d_outer)
         trace.outer_dh_raw.append(d_raw)
         trace.slice_mass_dev.append(mass_dev)
@@ -426,21 +407,22 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
         trace.wall_times.append(time.perf_counter() - tick)
         p_path = p_next
         logger.debug(
-            "outer %d: d_outer=%.3e refreezes=%d inner=%s dt=%.2fs",
-            k, d_outer, len(middle), counts, trace.wall_times[-1],
+            "outer %d: d_outer=%.3e d_pair=%.3e inner=%d dt=%.2fs",
+            k, d_outer, d_pair, n_inner, trace.wall_times[-1],
         )
-        if d_outer < cfg.tol:
+        if max(d_outer, d_pair) < cfg.tol:
             trace.converged = True
             trace.outer_iterations = k + 1
             break
     else:
         trace.outer_iterations = cfg.n1
+        last = max(trace.outer_dh[-1], trace.middle_dh[-1][0])
         raise NoConvergence(
             f"outer loop did not reach tol={cfg.tol} in {cfg.n1} iterations "
-            f"(last density distance {trace.outer_dh[-1]:.3e})",
+            f"(last density or pair distance {last:.3e})",
             level="outer",
             indices=(cfg.n1,),
-            last_distance=trace.outer_dh[-1],
+            last_distance=last,
             trace=trace,
             partial={"p": p_path, "pair": pair},
         )
@@ -479,8 +461,6 @@ def contraction_rate(trace, level: str = "outer") -> float:
         return fit_geometric_rate(trace)
     if level == "outer":
         seq = trace.outer_dh
-    elif level == "middle":
-        seq = max(trace.middle_dh, key=len, default=[])
     elif level == "inner":
         flat = [s for group in trace.inner_dh for s in group]
         seq = max(flat, key=len, default=[])

@@ -79,6 +79,47 @@ def direct_pair_density(kernel_w: np.ndarray, p_path: np.ndarray,
     return out
 
 
+def dense_generator(b: np.ndarray, sigma: float, h: float) -> np.ndarray:
+    """Upwind advection + central diffusion generator as a dense matrix.
+
+    Off-diagonal entries carry the diffusion sigma^2 / (2 h^2) plus the
+    upwind advection |v| / h, v = sigma^2 b; at the two reflecting ends the
+    only neighbour is the inward one and takes both. Each diagonal entry is
+    minus the sum of its row's off-diagonal entries.
+    """
+    n = b.shape[0]
+    diffusion = 0.5 * sigma * sigma / (h * h)
+    a = np.zeros((n, n))
+    for i in range(n):
+        v = sigma * sigma * b[i]
+        if i == 0:
+            a[0, 1] = diffusion + abs(v) / h
+        elif i == n - 1:
+            a[i, i - 1] = diffusion + abs(v) / h
+        else:
+            a[i, i - 1] = diffusion + max(-v, 0.0) / h
+            a[i, i + 1] = diffusion + max(v, 0.0) / h
+        a[i, i] = -sum(a[i, j] for j in range(n) if j != i)
+    return a
+
+
+def direct_sweep(boundary: np.ndarray, b_path: np.ndarray, q_path: np.ndarray,
+                 sigma: float, h: float, dt: float, backward: bool) -> np.ndarray:
+    """Implicit Euler sweep with a dense solve per step, then the reaction
+    factor exp(-dt sigma^2 q) of the slice being filled."""
+    n_slices, n = b_path.shape
+    eye = np.eye(n)
+    path = np.empty((n_slices, n))
+    order = range(n_slices - 1, 0, -1) if backward else range(n_slices - 1)
+    path[n_slices - 1 if backward else 0] = boundary
+    for l in order:
+        src, dst = (l, l - 1) if backward else (l, l + 1)
+        a = dense_generator(b_path[dst], sigma, h)
+        step = np.linalg.solve(eye - dt * a, path[src])
+        path[dst] = np.exp(-dt * sigma * sigma * q_path[dst]) * step
+    return path
+
+
 def gaussian_density(x: np.ndarray, mean: float, variance: float) -> np.ndarray:
     """Normalized Gaussian evaluated on nodes (analytic normalizer)."""
     return np.exp(-((x - mean) ** 2) / (2.0 * variance)) / math.sqrt(

@@ -74,6 +74,7 @@ def test_parse_skips_comments_and_blank_lines(tmp_path):
     [
         ("sigma2 0.5\n", "key = value"),
         ("made_up_key = 3\n", "unknown key"),
+        ("N2 = 50\n", "unknown key"),  # the middle loop and its budget are gone
         ("sigma2 = 1\nsigma2 = 2\n", "duplicate key"),
         ("sigma2 =\n", "empty value"),
     ],
@@ -97,7 +98,7 @@ def test_bundled_example_round_trips_every_field():
     assert cfg.tol == 1e-6
     assert (cfg.x_min, cfg.x_max) == (-2.0, 2.0)
     assert (cfg.n_x, cfg.n_t) == (301, 100)
-    assert (cfg.n1, cfg.n2, cfg.n3) == (200, 50, 500)
+    assert (cfg.n1, cfg.n3) == (200, 500)
     assert cfg.potential.kind == "power_repulsive"
     assert (cfg.potential.c, cfg.potential.alpha) == (5.0, 0.2)
     assert cfg.potential.epsilon == 0.01
@@ -316,6 +317,31 @@ def test_cli_budget_exhaustion_exits_two(tmp_path, capsys):
     assert manifest["status"] == "no_convergence"
     assert manifest["error"]["level"] == "outer"
     assert (tmp_path / "o" / "densities.csv").is_file()
+
+
+@pytest.mark.parametrize("budget, level", [("N1 = 1", "outer"), ("N3 = 2", "inner")])
+def test_cli_each_exhausted_budget_exits_two_with_artifacts(tmp_path, capsys, budget, level):
+    # example2 as shipped, one loop budget cut short at a time
+    text = example_config_path("example2").read_text()
+    key = budget.split(" =")[0]
+    text = "\n".join(
+        line for line in text.splitlines() if not line.startswith(key + " ")
+    ) + f"\n{budget}\n"
+    path = tmp_path / "short.cfg"
+    path.write_text(text)
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out", str(out), "--no-verify"]) == 2
+    assert "no_convergence" in capsys.readouterr().out
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "no_convergence"
+    assert manifest["error"]["level"] == level
+    for name in ("densities.csv", "control.csv", "pair.csv", "trace.json"):
+        digest = manifest["files"][name]
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest["sha256"]
+    trace = json.loads((out / "trace.json").read_text())
+    assert trace["status"] == "no_convergence"
+    assert trace["error"]["level"] == level
+    assert np.isfinite(trace["cost"])
 
 
 def test_cli_bad_input_exits_one(tmp_path, capsys):

@@ -16,10 +16,8 @@ from mfsb import (
     integrate_backward,
     integrate_forward,
     propagate_density,
-    step_backward,
-    step_forward,
 )
-from oracles import field_variance, gaussian_density
+from oracles import direct_sweep, field_variance, gaussian_density
 
 
 def dense_matrix(gen):
@@ -46,19 +44,24 @@ def test_generator_row_sums_and_sign_structure(grid64, rng):
 
 
 def test_implicit_matrix_is_diagonally_dominant_m_matrix(grid64, rng):
-    gen = build_generator(rng.normal(size=grid64.n_x) * 5.0, 0.7, grid64)
-    dt = 0.01
-    ab = gen.implicit_banded(dt)
-    diag = ab[1]
-    upper = ab[0, 1:]
-    lower = ab[2, :-1]
+    tgrid = TimeGrid(100)
+    b = rng.normal(size=grid64.n_x) * 5.0
+    gen = build_generator(b, 0.7, grid64)
+    implicit = np.eye(grid64.n_x) - tgrid.dt * dense_matrix(gen)
+    diag = np.diag(implicit)
+    off = implicit - np.diag(diag)
     assert np.all(diag > 0.0)
-    assert np.all(upper <= 0.0)
-    assert np.all(lower <= 0.0)
-    offsum = np.zeros(grid64.n_x)
-    offsum[:-1] += np.abs(upper)
-    offsum[1:] += np.abs(lower)
-    assert np.all(diag >= offsum + 0.9)  # row sums of A vanish, so slack ~ 1
+    assert np.all(off <= 0.0)
+    assert np.all(diag >= np.abs(off).sum(axis=1) + 0.9)  # row sums of A vanish
+    # the cached factors invert it: an M-matrix has a nonnegative inverse,
+    # and (I - dt A) 1 = 1 makes every row of that inverse sum to one
+    ops = TransportOperators(np.tile(b, (tgrid.n_t + 1, 1)), 0.7, grid64, tgrid)
+    inverse = np.column_stack(
+        [ops.solve(0, unit) for unit in np.eye(grid64.n_x)]
+    )
+    np.testing.assert_allclose(implicit @ inverse, np.eye(grid64.n_x), atol=1e-12)
+    assert inverse.min() >= -1e-15
+    np.testing.assert_allclose(inverse.sum(axis=1), 1.0, rtol=1e-12)
 
 
 def test_generator_apply_matches_dense(grid64, rng):
@@ -69,26 +72,32 @@ def test_generator_apply_matches_dense(grid64, rng):
     )
 
 
+def drift_free(sigma, sgrid, tgrid):
+    """Transport operators of zero drift and the decay factors of zero reaction."""
+    ones = np.ones((tgrid.n_t + 1, sgrid.n_x))
+    return TransportOperators(0.0 * ones, sigma, sgrid, tgrid), ones
+
+
 def test_step_preserves_constants_without_reaction(grid64):
-    gen = build_generator(np.zeros(grid64.n_x), 0.5, grid64)
-    q = np.zeros(grid64.n_x)
+    ops, no_decay = drift_free(0.5, grid64, TimeGrid(100))
     c = np.full(grid64.n_x, 2.5)
-    np.testing.assert_allclose(step_backward(c, gen, q, 0.01), c, rtol=1e-12)
-    np.testing.assert_allclose(step_forward(c, gen, q, 0.01), c, rtol=1e-12)
+    np.testing.assert_allclose(integrate_backward(c, no_decay, ops), 2.5, rtol=1e-12)
+    np.testing.assert_allclose(integrate_forward(c, no_decay, ops), 2.5, rtol=1e-12)
 
 
 def test_step_rejects_nonpositive_slice(grid64):
-    gen = build_generator(np.zeros(grid64.n_x), 0.5, grid64)
+    ops, no_decay = drift_free(0.5, grid64, TimeGrid(100))
     bad = np.ones(grid64.n_x)
     bad[0] = -1.0
     with pytest.raises(PositivityError):
-        step_backward(bad, gen, np.zeros(grid64.n_x), 0.01)
+        integrate_backward(bad, no_decay, ops)
+    with pytest.raises(PositivityError):
+        integrate_forward(bad, no_decay, ops)
 
 
 def test_backward_sweep_of_ones_is_ones(grid301):
-    tgrid = TimeGrid(20)
-    zeros = np.zeros((21, 301))
-    path = integrate_backward(np.ones(301), zeros, zeros, 0.5, grid301, tgrid)
+    ops, no_decay = drift_free(0.5, grid301, TimeGrid(20))
+    path = integrate_backward(np.ones(301), no_decay, ops)
     np.testing.assert_allclose(path, 1.0, rtol=1e-12)
 
 
@@ -96,11 +105,9 @@ def test_backward_sweep_widens_gaussian(grid301):
     # drift-free reverse diffusion adds sigma^2 * (elapsed steps) * dt of variance
     sigma2 = 0.2
     tgrid = TimeGrid(100)
-    zeros = np.zeros((101, 301))
+    ops, no_decay = drift_free(np.sqrt(sigma2), grid301, tgrid)
     terminal = gaussian_density(grid301.nodes, 0.0, 0.04)
-    path = integrate_backward(
-        terminal, zeros, zeros, np.sqrt(sigma2), grid301, tgrid
-    )
+    path = integrate_backward(terminal, no_decay, ops)
     x, h = grid301.nodes, grid301.h
     for l, k_steps in ((50, 50), (0, 100)):
         want = 0.04 + sigma2 * k_steps * tgrid.dt
@@ -114,10 +121,8 @@ def test_backward_sweep_first_order_in_dt(grid301):
     terminal = gaussian_density(grid301.nodes, 0.3, 0.05)
     slices = {}
     for n_t in (64, 128, 256):
-        tgrid = TimeGrid(n_t)
-        zeros = np.zeros((n_t + 1, 301))
-        path = integrate_backward(terminal, zeros, zeros, sigma, grid301, tgrid)
-        slices[n_t] = path[0]
+        ops, no_decay = drift_free(sigma, grid301, TimeGrid(n_t))
+        slices[n_t] = integrate_backward(terminal, no_decay, ops)[0]
     coarse = np.max(np.abs(slices[64] - slices[128]))
     fine = np.max(np.abs(slices[128] - slices[256]))
     assert 1.7 <= coarse / fine <= 2.4
@@ -130,9 +135,9 @@ def test_forward_sweep_first_order_in_dt(grid301):
     for n_t in (64, 128, 256):
         tgrid = TimeGrid(n_t)
         b = np.tile(np.sin(grid301.nodes), (n_t + 1, 1))
-        zeros = np.zeros((n_t + 1, 301))
-        path = integrate_forward(initial, b, zeros, sigma, grid301, tgrid)
-        slices[n_t] = path[-1]
+        ops = TransportOperators(b, sigma, grid301, tgrid)
+        no_decay = np.ones((n_t + 1, 301))
+        slices[n_t] = integrate_forward(initial, no_decay, ops)[-1]
     coarse = np.max(np.abs(slices[64] - slices[128]))
     fine = np.max(np.abs(slices[128] - slices[256]))
     assert 1.7 <= coarse / fine <= 2.4
@@ -140,23 +145,23 @@ def test_forward_sweep_first_order_in_dt(grid301):
 
 def test_cached_operators_match_direct_solves(grid64, rng):
     tgrid = TimeGrid(8)
+    sigma = 0.6
     b_path = rng.normal(size=(9, grid64.n_x))
     q_path = np.abs(rng.normal(size=(9, grid64.n_x)))
+    decay = np.exp(-tgrid.dt * sigma * sigma * q_path)
     start = np.exp(rng.normal(size=grid64.n_x))
-    ops = TransportOperators(b_path, 0.6, grid64, tgrid)
-    direct = integrate_backward(start, b_path, q_path, 0.6, grid64, tgrid)
-    cached = integrate_backward(start, b_path, q_path, 0.6, grid64, tgrid, ops=ops)
-    np.testing.assert_allclose(cached, direct, rtol=1e-11)
-    direct_f = integrate_forward(start, b_path, q_path, 0.6, grid64, tgrid)
-    cached_f = integrate_forward(start, b_path, q_path, 0.6, grid64, tgrid, ops=ops)
-    np.testing.assert_allclose(cached_f, direct_f, rtol=1e-11)
+    ops = TransportOperators(b_path, sigma, grid64, tgrid)
+    for backward, sweep in ((True, integrate_backward), (False, integrate_forward)):
+        direct = direct_sweep(
+            start, b_path, q_path, sigma, grid64.h, tgrid.dt, backward
+        )
+        np.testing.assert_allclose(sweep(start, decay, ops), direct, rtol=1e-11)
 
 
 def test_sweeps_raise_on_nonpositive_boundary(grid64):
-    tgrid = TimeGrid(4)
-    zeros = np.zeros((5, grid64.n_x))
+    ops, no_decay = drift_free(0.5, grid64, TimeGrid(4))
     with pytest.raises(PositivityError):
-        integrate_backward(np.zeros(grid64.n_x), zeros, zeros, 0.5, grid64, tgrid)
+        integrate_backward(np.zeros(grid64.n_x), no_decay, ops)
 
 
 def test_propagate_pure_diffusion_widens_gaussian(grid301):

@@ -5,6 +5,7 @@ import pytest
 
 from mfsb.errors import NoConvergence, PositivityError, ShapeError
 from mfsb.grid import SpatialGrid, TimeGrid, check_path, integrate
+from mfsb.kolmogorov import TransportOperators
 from mfsb.metrics import hilbert_distance, l1_distance, pair_distance
 from mfsb.potentials import PotentialSpec, eval_potential
 from mfsb.sinkhorn import (
@@ -17,7 +18,7 @@ from mfsb.sinkhorn import (
     inner_sinkhorn,
 )
 
-from oracles import direct_convolution, gaussian_density
+from oracles import direct_convolution, direct_reaction, gaussian_density
 
 
 def flat_start(p_in, tgrid):
@@ -30,7 +31,8 @@ def classical_problem(p_in, p_fin, sigma, sgrid, tgrid):
     table = eval_potential(PotentialSpec.zero(), sgrid)
     pair = flat_start(p_in, tgrid)
     p_path = np.tile(p_in, (tgrid.n_t + 1, 1))
-    return freeze_problem(p_path, pair, table, p_in, p_fin, sigma, sgrid, tgrid)
+    ops = TransportOperators(np.zeros_like(p_path), sigma, sgrid, tgrid)
+    return freeze_problem(p_path, pair, table, p_in, p_fin, ops)
 
 
 @pytest.fixture
@@ -143,18 +145,43 @@ def test_freeze_problem_checks_path_shape(small_setup):
     sgrid, tgrid, p_in, p_fin = small_setup
     table = eval_potential(PotentialSpec.zero(), sgrid)
     pair = flat_start(p_in, tgrid)
+    ops = TransportOperators(np.zeros(pair.phi.shape), 0.5, sgrid, tgrid)
     with pytest.raises(ShapeError):
-        freeze_problem(
-            np.tile(p_in, (tgrid.n_t, 1)), pair, table, p_in, p_fin, 0.5, sgrid, tgrid
-        )
+        freeze_problem(np.tile(p_in, (tgrid.n_t, 1)), pair, table, p_in, p_fin, ops)
 
 
 def test_freeze_problem_zero_kernel_has_no_drift_or_reaction(small_setup):
     sgrid, tgrid, p_in, p_fin = small_setup
     problem = classical_problem(p_in, p_fin, 0.5, sgrid, tgrid)
-    assert not problem.b_path.any()
-    assert not problem.q_phi.any()
-    assert not problem.q_phihat.any()
+    # no reaction: every decay factor is exactly one
+    np.testing.assert_array_equal(problem.decay_phi, 1.0)
+    np.testing.assert_array_equal(problem.decay_phihat, 1.0)
+    # no drift: the transport step keeps constants
+    ones = np.ones(sgrid.n_x)
+    for l in range(tgrid.n_t + 1):
+        np.testing.assert_allclose(problem.ops.solve(l, ones), 1.0, rtol=1e-13)
+
+
+def test_freeze_problem_decay_factors_match_reaction(small_setup, rng):
+    # the frozen decay is exp(-dt sigma^2 q) with q the direct reaction
+    # quadrature of each leg at the frozen density
+    sgrid, tgrid, p_in, p_fin = small_setup
+    sigma = 0.5
+    table = eval_potential(PotentialSpec.gaussian_attractive(a=1.0, s=0.3), sgrid)
+    shape = (tgrid.n_t + 1, sgrid.n_x)
+    p_path = np.tile(p_in, (tgrid.n_t + 1, 1))
+    pair = PairPath(
+        phi=np.exp(rng.normal(size=shape) * 0.3),
+        phihat=np.exp(rng.normal(size=shape) * 0.3),
+    )
+    ops = TransportOperators(np.zeros(shape), sigma, sgrid, tgrid)
+    problem = freeze_problem(p_path, pair, table, p_in, p_fin, ops)
+    for decay, leg in ((problem.decay_phi, pair.phi), (problem.decay_phihat, pair.phihat)):
+        for l in (0, tgrid.n_t // 2, tgrid.n_t):
+            q = direct_reaction(table.grad_w, leg[l], p_path[l], sgrid.h)
+            np.testing.assert_allclose(
+                decay[l], np.exp(-tgrid.dt * sigma * sigma * q), rtol=1e-12
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ from mfsb.errors import (
     ShapeError,
 )
 from mfsb.grid import SpatialGrid, TimeGrid, integrate, normalize_path
-from mfsb.marginals import MarginalSpec
+from mfsb.kolmogorov import TransportOperators
+from mfsb.marginals import MarginalSpec, build_marginals
 from mfsb.metrics import l1_distance, pair_distance
-from mfsb.potentials import PotentialSpec, eval_potential
-from mfsb.sinkhorn import PairPath
+from mfsb.potentials import PotentialSpec, eval_potential, mean_field_drift_path
+from mfsb.sinkhorn import PairPath, freeze_problem, inner_sinkhorn
 from mfsb.solver import (
     ConvergenceTrace,
     SolverConfig,
@@ -27,7 +28,6 @@ from mfsb.solver import (
     fit_geometric_rate,
     optimal_control,
     solve,
-    update_pair,
 )
 
 from oracles import (
@@ -207,7 +207,21 @@ def test_control_energy_matches_direct_quadrature(rng):
 
 
 # ---------------------------------------------------------------------------
-# middle-loop map and full solve
+# pair map (one refreeze) and full solve
+
+
+def update_pair(p_path, pair, cfg):
+    """Refreeze drift and reaction at (p_path, pair) and rerun the inner loop."""
+    sgrid, tgrid = cfg.sgrid, cfg.tgrid
+    table = eval_potential(cfg.potential, sgrid)
+    b_path = mean_field_drift_path(table, p_path, sgrid)
+    problem = freeze_problem(
+        p_path, pair, table,
+        build_marginals(cfg.marginal_in, sgrid),
+        build_marginals(cfg.marginal_fin, sgrid),
+        TransportOperators(b_path, cfg.sigma, sgrid, tgrid),
+    )
+    return inner_sinkhorn(problem, pair, cfg.tol, cfg.n3)[0]
 
 
 def test_pair_update_without_interaction_is_start_independent(rng):
@@ -299,6 +313,39 @@ def test_solve_exhausting_outer_budget_raises_with_partial():
     assert len(exc.trace.outer_dh) == 1
 
 
+def test_solve_exhausting_inner_budget_raises_with_partial():
+    cfg = small_config(
+        potential=PotentialSpec.power_repulsive(c=5.0, alpha=0.2, epsilon=0.01),
+        theta=0.7,
+        n3=2,
+    )
+    with pytest.raises(NoConvergence) as info:
+        solve(cfg)
+    exc = info.value
+    assert exc.level == "inner"
+    assert exc.indices == (0, 2)  # outer step 0, after n3 inner iterations
+    assert set(exc.partial) == {"p", "pair"}
+    assert isinstance(exc.partial["pair"], PairPath)
+    assert exc.partial["p"].shape == (cfg.n_t + 1, cfg.n_x)
+    assert isinstance(exc.trace, ConvergenceTrace)
+    assert exc.trace.init_iterations >= 1
+    assert exc.trace.outer_dh == []
+
+
+def test_solve_exhausting_bridge_budget_attaches_normalized_product():
+    cfg = small_config(init_tol=1e-300)  # unreachable: the bridge start gives up
+    with pytest.raises(NoConvergence) as info:
+        solve(cfg)
+    exc = info.value
+    assert exc.level == "inner"
+    assert isinstance(exc.trace, ConvergenceTrace)
+    assert exc.trace.init_iterations == max(cfg.n3, 2000)
+    pair = exc.partial["pair"]
+    np.testing.assert_array_equal(
+        exc.partial["p"], normalize_path(pair.product, cfg.sgrid)
+    )
+
+
 def test_solver_config_validation():
     with pytest.raises(Exception, match="theta"):
         small_config(theta=1.5)
@@ -338,14 +385,15 @@ def test_geometric_rate_needs_three_points():
 def test_contraction_rate_selects_trace_level():
     trace = ConvergenceTrace()
     trace.outer_dh = [0.4, 0.2, 0.1, 0.05]
-    trace.middle_dh = [[0.3, 0.1], [0.9, 0.3, 0.1, 1.0 / 30.0]]
+    trace.middle_dh = [[0.3], [0.1]]
     trace.inner_dh = [[[0.5, 0.25]], [[0.8, 0.4, 0.2, 0.1, 0.05]]]
     assert contraction_rate(trace, level="outer") == pytest.approx(0.5, rel=1e-10)
-    assert contraction_rate(trace, level="middle") == pytest.approx(1.0 / 3.0, rel=1e-10)
     assert contraction_rate(trace, level="inner") == pytest.approx(0.5, rel=1e-10)
     assert contraction_rate([0.9, 0.81, 0.729]) == pytest.approx(0.9, rel=1e-10)
-    with pytest.raises(DomainError):
-        contraction_rate(trace, level="sideways")
+    # two loop levels: there is no middle loop left to fit
+    for level in ("middle", "sideways"):
+        with pytest.raises(DomainError):
+            contraction_rate(trace, level=level)
 
 
 # ---------------------------------------------------------------------------
