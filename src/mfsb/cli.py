@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import load_config, parse_config, resolve_config_path, solver_config_from
+from .config import load_config, read_key_values, resolve_config_path
 from .errors import ConfigError, MfsbError, NoConvergence
 from .grid import SpatialGrid, TimeGrid
 from .kolmogorov import propagate_density
@@ -114,18 +114,21 @@ def _digest(path: Path) -> dict:
     return {"sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob)}
 
 
-def _config_echo(cfg: SolverConfig) -> dict:
-    return dataclasses.asdict(cfg)
-
-
-def _write_artifacts(
+def _write_run(
     out: Path,
     cfg: SolverConfig,
+    status: str,
+    cost: float,
+    trace: dict | None,
     p_path: np.ndarray,
     u_path: np.ndarray,
     pair: PairPath,
-    trace_obj: dict,
-) -> dict:
+    timings: dict,
+    verification: dict | None = None,
+    error: dict | None = None,
+) -> RunManifest:
+    """Write the four data files and manifest.json; return the manifest."""
+    config = dataclasses.asdict(cfg)
     times = cfg.tgrid.times
     nodes = cfg.sgrid.nodes
     _write_columns(out / "densities.csv", "t,x,p", times, nodes, [p_path])
@@ -133,8 +136,26 @@ def _write_artifacts(
     _write_columns(
         out / "pair.csv", "t,x,phi,phihat", times, nodes, [pair.phi, pair.phihat]
     )
-    _dump_json(out / "trace.json", trace_obj)
-    return {name: _digest(out / name) for name in _FILES}
+    _dump_json(out / "trace.json", {
+        "status": status,
+        "config": config,
+        "cost": cost,
+        "trace": trace,
+        "verification": verification,
+        "error": error,
+    })
+    manifest = RunManifest(
+        status=status,
+        config=config,
+        version=__version__,
+        files={name: _digest(out / name) for name in _FILES},
+        timings=timings,
+        verification=verification,
+        error=error,
+        created_at=datetime.now(timezone.utc).isoformat(),
+    )
+    _dump_json(out / "manifest.json", dataclasses.asdict(manifest))
+    return manifest
 
 
 def _verify_solution(cfg: SolverConfig, sol: Solution) -> dict:
@@ -142,7 +163,7 @@ def _verify_solution(cfg: SolverConfig, sol: Solution) -> dict:
     solved control, both compared against the target marginal."""
     report: dict = {}
     pde_report: dict = {}
-    table = _scaled_table_for(cfg)
+    table = cfg.kernel_table
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         closed_loop = propagate_density(
@@ -165,16 +186,9 @@ def _verify_solution(cfg: SolverConfig, sol: Solution) -> dict:
     report["particles"] = {
         "n": cfg.verify_n,
         "seed": cfg.seed,
-        "method": ensemble.method,
         "terminal_l1": particle_l1,
     }
     return report
-
-
-def _scaled_table_for(cfg: SolverConfig):
-    from .solver import _scaled_table
-
-    return _scaled_table(cfg)
 
 
 def run(
@@ -223,30 +237,14 @@ def run(
         verification = _verify_solution(cfg, sol)
     verify_seconds = time.perf_counter() - t1
 
-    trace_obj = {
-        "status": status,
-        "config": _config_echo(cfg),
-        "cost": cost,
-        "trace": trace.to_dict() if trace is not None else None,
-        "verification": verification,
-        "error": error,
-    }
-    files = _write_artifacts(out, cfg, p_path, u_path, pair, trace_obj)
-    manifest = RunManifest(
-        status=status,
-        config=_config_echo(cfg),
-        version=__version__,
-        files=files,
-        timings={
-            "solve_seconds": solve_seconds,
-            "verify_seconds": verify_seconds,
-        },
+    return _write_run(
+        out, cfg, status, cost,
+        trace.to_dict() if trace is not None else None,
+        p_path, u_path, pair,
+        {"solve_seconds": solve_seconds, "verify_seconds": verify_seconds},
         verification=verification,
         error=error,
-        created_at=datetime.now(timezone.utc).isoformat(),
     )
-    _dump_json(out / "manifest.json", dataclasses.asdict(manifest))
-    return manifest
 
 
 def run_classic(config_path, out_dir) -> RunManifest:
@@ -264,32 +262,16 @@ def run_classic(config_path, out_dir) -> RunManifest:
     u_path = optimal_control(pair, cfg.sigma, cfg.sgrid)
     cost = control_energy(u_path, p_path, cfg.sgrid, cfg.tgrid)
     solve_seconds = time.perf_counter() - t0
-    trace_obj = {
-        "status": "converged",
-        "config": _config_echo(cfg),
-        "cost": cost,
-        "trace": {
-            "init_dh": list(itrace.boundary_dh),
-            "init_iterations": len(itrace.boundary_dh),
-            "residual_in": itrace.residual_in,
-            "residual_fin": itrace.residual_fin,
-        },
-        "verification": None,
-        "error": None,
+    trace = {
+        "init_dh": list(itrace.boundary_dh),
+        "init_iterations": len(itrace.boundary_dh),
+        "residual_in": itrace.residual_in,
+        "residual_fin": itrace.residual_fin,
     }
-    files = _write_artifacts(out, cfg, p_path, u_path, pair, trace_obj)
-    manifest = RunManifest(
-        status="converged",
-        config=_config_echo(cfg),
-        version=__version__,
-        files=files,
-        timings={"solve_seconds": solve_seconds, "verify_seconds": 0.0},
-        verification=None,
-        error=None,
-        created_at=datetime.now(timezone.utc).isoformat(),
+    return _write_run(
+        out, cfg, "converged", cost, trace, p_path, u_path, pair,
+        {"solve_seconds": solve_seconds, "verify_seconds": 0.0},
     )
-    _dump_json(out / "manifest.json", dataclasses.asdict(manifest))
-    return manifest
 
 
 def read_pair_csv(path, sgrid: SpatialGrid, tgrid: TimeGrid) -> PairPath:
@@ -313,24 +295,11 @@ def read_pair_csv(path, sgrid: SpatialGrid, tgrid: TimeGrid) -> PairPath:
 
 def _cmd_constants(path) -> int:
     raw: dict[str, float] = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return 1
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        if "=" not in body:
-            print(f"error: {path}:{lineno}: expected 'key = value'", file=sys.stderr)
-            return 1
-        key, value = (part.strip() for part in body.split("=", 1))
+    for key, value in read_key_values(path).items():
         try:
             raw[key] = float(value)
         except ValueError:
-            print(f"error: {path}:{lineno}: {value!r} is not a number", file=sys.stderr)
-            return 1
+            raise ConfigError(f"{path}: {key}: {value!r} is not a number") from None
     result = contraction_constants(raw)
     for key in sorted(result):
         value = result[key]

@@ -34,12 +34,15 @@ _TRUE = {"true", "1", "yes", "on"}
 _FALSE = {"false", "0", "no", "off"}
 
 
-def parse_config(path) -> dict[str, str]:
-    """Read a flat config file into a raw string mapping."""
+def read_key_values(path) -> dict[str, str]:
+    """Read a flat ``key = value`` file into a raw string mapping.
+
+    A malformed line, an empty value or a repeated key is a ConfigError.
+    """
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     out: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -48,13 +51,20 @@ def parse_config(path) -> dict[str, str]:
         if "=" not in body:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in body.split("=", 1))
-        if key not in _KNOWN_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in out:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         if not value:
             raise ConfigError(f"{path}:{lineno}: empty value for {key!r}")
         out[key] = value
+    return out
+
+
+def parse_config(path) -> dict[str, str]:
+    """Read a flat config file into a raw string mapping of known keys."""
+    out = read_key_values(path)
+    for key in out:
+        if key not in _KNOWN_KEYS:
+            raise ConfigError(f"{path}: unknown key {key!r}")
     return out
 
 

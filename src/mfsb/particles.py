@@ -1,11 +1,11 @@
 """Interacting-particle verification of a solved control field.
 
 Euler-Maruyama on N particles driven by the control plus the sampled
-interaction drift, with reflection at the domain ends. Small ensembles use
-the exact pairwise interaction sum; large ones bin the cloud onto the grid
-and reuse the same kernel convolution as the PDE side (the ensemble records
-which route was taken). The counter-based Philox generator makes runs
-reproducible from the seed alone.
+interaction drift, with reflection at the domain ends. The interaction is
+evaluated particle-in-cell: each step bins the cloud onto the grid and reuses
+the kernel convolution of the PDE side, so a step costs O(N + n_x log n_x).
+The counter-based Philox generator makes runs reproducible from the seed
+alone.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .grid import SpatialGrid, TimeGrid, check_field, check_path, normalize
 from .metrics import l1_distance
 from .potentials import PotentialSpec, PotentialTable, eval_potential, mean_field_drift
 
-PAIRWISE_LIMIT = 5000
 _RECOMMENDED_N = 10_000
 
 
@@ -30,7 +29,6 @@ class ParticleEnsemble:
 
     positions: np.ndarray
     seed: int
-    method: str  # "pairwise" | "binned"
     steps: int
 
     @property
@@ -52,18 +50,6 @@ def _reflect(x: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     return grid.x_min + np.minimum(y, 2.0 * span - y)
 
 
-def _pairwise_drift(
-    positions: np.ndarray, table: PotentialTable, chunk: int = 512
-) -> np.ndarray:
-    """-(1/N) sum_j W'(x_i - x_j), W' linearly interpolated from its table."""
-    r = table.grid.nodes
-    out = np.empty_like(positions)
-    for start in range(0, positions.size, chunk):
-        block = positions[start : start + chunk, None] - positions[None, :]
-        out[start : start + chunk] = -np.interp(block, r, table.grad_w).mean(axis=1)
-    return out
-
-
 def _histogram(positions: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     counts, _ = np.histogram(positions, bins=grid.cell_edges)
     return normalize(counts / (positions.size * grid.weights), grid)
@@ -78,14 +64,14 @@ def simulate(
     seed: int,
     sgrid: SpatialGrid,
     tgrid: TimeGrid,
-    pairwise_limit: int = PAIRWISE_LIMIT,
     table: PotentialTable | None = None,
 ) -> ParticleEnsemble:
     """Run N particles under the control field from t = 0 to t = 1.
 
-    The control is interpolated linearly in space and held at the left time
-    slice over each step. Positions reflect at the domain ends. Pass ``table``
-    to override the kernel tables (e.g. when the kernel is not prescaled).
+    The control is interpolated linearly in space and, as in the closed-loop
+    PDE, sampled over each step as the mean of its two endpoint slices.
+    Positions reflect at the domain ends. Pass ``table`` to override the
+    kernel tables (e.g. when the kernel is not prescaled).
     """
     if n < 100:
         raise DomainError(f"need at least 100 particles, got {n}")
@@ -94,22 +80,17 @@ def simulate(
     rng = np.random.Generator(np.random.Philox(seed))
     if table is None:
         table = eval_potential(spec, sgrid)
-    method = "pairwise" if n <= pairwise_limit else "binned"
     nodes = sgrid.nodes
     dt = tgrid.dt
     root_dt = np.sqrt(dt)
     x = _sample_initial(p_init, sgrid, rng, n)
     for l in range(tgrid.n_t):
-        if method == "pairwise":
-            interaction = _pairwise_drift(x, table)
-        else:
-            interaction = np.interp(
-                x, nodes, mean_field_drift(table, _histogram(x, sgrid), sgrid)
-            )
-        drift = sigma * np.interp(x, nodes, u_path[l]) + sigma * sigma * interaction
+        u_step = 0.5 * (u_path[l] + u_path[l + 1])
+        b = mean_field_drift(table, _histogram(x, sgrid), sgrid)
+        drift = np.interp(x, nodes, sigma * u_step + sigma * sigma * b)
         x = x + drift * dt + sigma * root_dt * rng.standard_normal(n)
         x = _reflect(x, sgrid)
-    return ParticleEnsemble(positions=x, seed=seed, method=method, steps=tgrid.n_t)
+    return ParticleEnsemble(positions=x, seed=seed, steps=tgrid.n_t)
 
 
 def empirical_density(ensemble: ParticleEnsemble, grid: SpatialGrid) -> np.ndarray:

@@ -126,6 +126,15 @@ class SolverConfig:
     def sigma(self) -> float:
         return math.sqrt(self.sigma2)
 
+    @cached_property
+    def kernel_table(self) -> PotentialTable:
+        """Kernel tables the solver and the verification use: divided by
+        sigma2 unless the kernel is prescaled."""
+        table = eval_potential(self.potential, self.sgrid)
+        if not self.potential_is_prescaled:
+            table = table.scaled(1.0 / self.sigma2)
+        return table
+
     @property
     def resolved_init_tol(self) -> float:
         # the starting bridge is converged well below tol so that rerunning it
@@ -157,14 +166,13 @@ class ConvergenceTrace:
     min_phi: float = float("inf")
     min_phihat: float = float("inf")
     min_density: float = float("inf")
-    wall_times: list[float] = field(default_factory=list)
     converged: bool = False
     outer_iterations: int = 0
 
-    def to_dict(self, include_wall_times: bool = False) -> dict:
-        """JSON-ready view. Wall times are opt-in so serialized traces stay
+    def to_dict(self) -> dict:
+        """JSON-ready view; it holds no timings, so serialized traces stay
         byte-identical across reruns of the same config."""
-        out = {
+        return {
             "init_dh": self.init_dh,
             "init_iterations": self.init_iterations,
             "outer_dh": self.outer_dh,
@@ -181,9 +189,6 @@ class ConvergenceTrace:
             "converged": self.converged,
             "outer_iterations": self.outer_iterations,
         }
-        if include_wall_times:
-            out["wall_times"] = self.wall_times
-        return out
 
 
 @dataclass(frozen=True)
@@ -304,26 +309,25 @@ def control_energy(
     return 0.5 * float(np.trapezoid(per_slice, dx=tgrid.dt))
 
 
-def _scaled_table(cfg: SolverConfig) -> PotentialTable:
-    table = eval_potential(cfg.potential, cfg.sgrid)
-    if not cfg.potential_is_prescaled:
-        table = table.scaled(1.0 / cfg.sigma2)
-    return table
-
-
 def _warm_start_density(
+    cfg: SolverConfig,
     pair: PairPath,
-    table: PotentialTable,
     p_in: np.ndarray,
     p_fin: np.ndarray,
-    sgrid: SpatialGrid,
 ) -> np.ndarray:
-    """Density iterate matching a restored pair: one refinement pass applied
-    to the plain product, endpoints pinned to the exact marginals."""
-    product = normalize_path(pair.product, sgrid)
-    p_path = _refined_density(product, pair, table, sgrid)[0]
-    p_path[0] = p_in
-    p_path[-1] = p_fin
+    """Density iterate matching a restored pair: the solver's damped density
+    map at that pair, endpoints pinned to the exact marginals, iterated from
+    the normalized product until a step is below tol (at most n1 passes)."""
+    p_path = normalize_path(pair.product, cfg.sgrid)
+    for _ in range(cfg.n1):
+        refined = _refined_density(p_path, pair, cfg.kernel_table, cfg.sgrid)[0]
+        p_next = damped_update(refined, p_path, cfg.theta)
+        p_next[0] = p_in
+        p_next[-1] = p_fin
+        step = path_distance(p_next, p_path)
+        p_path = p_next
+        if step < cfg.tol:
+            break
     return p_path
 
 
@@ -336,7 +340,7 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
     sgrid, tgrid = cfg.sgrid, cfg.tgrid
     p_in = build_marginals(cfg.marginal_in, sgrid)
     p_fin = build_marginals(cfg.marginal_fin, sgrid)
-    table = _scaled_table(cfg)
+    table = cfg.kernel_table
     sigma = cfg.sigma
     trace = ConvergenceTrace()
 
@@ -361,7 +365,7 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
     else:
         check_path(warm_pair.phi, sgrid, tgrid)
         pair = warm_pair
-        p_path = _warm_start_density(pair, table, p_in, p_fin, sgrid)
+        p_path = _warm_start_density(cfg, pair, p_in, p_fin)
 
     factors = boundary_factors(table, p_in, p_fin, sgrid)
     trace.min_phi = float(pair.phi.min())
@@ -404,11 +408,10 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
         trace.endpoint_l1_in.append(l1_distance(p_next[0], p_in, sgrid))
         trace.endpoint_l1_fin.append(l1_distance(p_next[-1], p_fin, sgrid))
         trace.min_density = min(trace.min_density, float(p_next.min()))
-        trace.wall_times.append(time.perf_counter() - tick)
         p_path = p_next
         logger.debug(
             "outer %d: d_outer=%.3e d_pair=%.3e inner=%d dt=%.2fs",
-            k, d_outer, d_pair, n_inner, trace.wall_times[-1],
+            k, d_outer, d_pair, n_inner, time.perf_counter() - tick,
         )
         if max(d_outer, d_pair) < cfg.tol:
             trace.converged = True

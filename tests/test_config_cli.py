@@ -366,6 +366,11 @@ def test_cli_constants_subcommand(tmp_path, capsys):
     assert main(["constants", str(path)]) == 1
     assert "precondition" in capsys.readouterr().err
 
+    # a repeated key is rejected, not silently overridden by the later value
+    path.write_text(path.read_text().replace("beta = 100", "beta = 0.01\nbeta = 100"))
+    assert main(["constants", str(path)]) == 1
+    assert "duplicate key 'beta'" in capsys.readouterr().err
+
 
 def test_cli_classic_exits_zero(mini_config_path, tmp_path, capsys):
     assert main(["classic", str(mini_config_path),

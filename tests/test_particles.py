@@ -57,9 +57,7 @@ def test_free_diffusion_adds_the_right_variance(sim_grids):
 def test_empirical_density_of_a_one_cell_cloud():
     sgrid = SpatialGrid(-2.0, 2.0, 41)
     node = sgrid.nodes[13]
-    ens = ParticleEnsemble(
-        positions=np.full(500, node), seed=0, method="pairwise", steps=1
-    )
+    ens = ParticleEnsemble(positions=np.full(500, node), seed=0, steps=1)
     dens = empirical_density(ens, sgrid)
     assert integrate(dens, sgrid) == pytest.approx(1.0, rel=1e-12)
     mask = np.zeros(sgrid.n_x, dtype=bool)
@@ -73,7 +71,7 @@ def test_histogram_of_many_gaussian_draws_recovers_the_density():
     variance = 0.04
     rng = np.random.Generator(np.random.Philox(42))
     positions = rng.normal(0.0, np.sqrt(variance), size=1_000_000)
-    ens = ParticleEnsemble(positions=positions, seed=42, method="binned", steps=0)
+    ens = ParticleEnsemble(positions=positions, seed=42, steps=0)
     p = gaussian_density(sgrid.nodes, 0.0, variance)
     residual = terminal_residual(ens, p, sgrid)
     assert residual <= 0.01
@@ -92,7 +90,7 @@ def test_noise_model_predicts_mean_histogram_error():
         for _ in range(30):
             ens = ParticleEnsemble(
                 positions=rng.normal(0.0, np.sqrt(variance), size=n),
-                seed=99, method="binned", steps=0,
+                seed=99, steps=0,
             )
             residuals.append(terminal_residual(ens, p, sgrid))
     ratio = np.mean(residuals) / sampling_noise_l1(p, sgrid, n)
@@ -162,18 +160,23 @@ def test_same_seed_reproduces_positions_bitwise():
     assert not np.array_equal(a.positions, c.positions)
 
 
-def test_interaction_route_depends_on_ensemble_size(sim_grids):
-    sgrid, tgrid = sim_grids
-    p0 = gaussian_density(sgrid.nodes, 0.0, 0.04)
-    u = zero_control(sgrid, tgrid)
-    spec = PotentialSpec.zero()
-    small = simulate(u, spec, p0, 0.447, 200, 0, sgrid, tgrid)
-    assert small.method == "pairwise"
-    forced = simulate(u, spec, p0, 0.447, 200, 0, sgrid, tgrid, pairwise_limit=100)
-    assert forced.method == "binned"
-    # with the kernel switched off the two routes integrate identical paths
-    np.testing.assert_array_equal(small.positions, forced.positions)
-    assert small.steps == tgrid.n_t
+def test_control_is_sampled_at_the_step_midpoint():
+    # spatially uniform control linear in t, no kernel: the mean displacement
+    # is sigma * int_0^1 u dt, which the mean of the two endpoint slices of
+    # each step integrates exactly (the left slice alone falls short by
+    # sigma * b * dt / 2, here over 60 standard errors)
+    sgrid = SpatialGrid(-2.0, 2.0, 301)
+    tgrid = TimeGrid(4)
+    sigma, a, b = 0.2, 0.5, 4.0
+    u = np.repeat((a + b * tgrid.times)[:, None], sgrid.n_x, axis=1)
+    p0 = gaussian_density(sgrid.nodes, -0.2, 0.01)
+    n = 20_000
+    ens = simulate(u, PotentialSpec.zero(), p0, sigma, n, 4, sgrid, tgrid)
+    assert ens.steps == tgrid.n_t
+    start_mean = float(np.sum(sgrid.nodes * p0 * sgrid.weights))
+    expected = start_mean + sigma * (a + 0.5 * b)
+    std_err = np.sqrt(0.01 + sigma**2) / np.sqrt(n)
+    assert abs(ens.positions.mean() - expected) <= 4.0 * std_err
 
 
 def test_kernel_sign_moves_ensemble_spread():
@@ -199,7 +202,7 @@ def test_reflection_keeps_particles_inside_the_domain():
     p0 = np.ones(sgrid.n_x) / (sgrid.x_max - sgrid.x_min)
     ens = simulate(
         zero_control(sgrid, tgrid), PotentialSpec.zero(), p0,
-        3.0, 5000, 21, sgrid, tgrid, pairwise_limit=100,
+        3.0, 5000, 21, sgrid, tgrid,
     )
     assert np.all(np.isfinite(ens.positions))
     assert ens.positions.min() >= sgrid.x_min

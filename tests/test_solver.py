@@ -13,7 +13,7 @@ from mfsb.errors import (
 from mfsb.grid import SpatialGrid, TimeGrid, integrate, normalize_path
 from mfsb.kolmogorov import TransportOperators
 from mfsb.marginals import MarginalSpec, build_marginals
-from mfsb.metrics import l1_distance, pair_distance
+from mfsb.metrics import l1_distance, pair_distance, path_distance
 from mfsb.potentials import PotentialSpec, eval_potential, mean_field_drift_path
 from mfsb.sinkhorn import PairPath, freeze_problem, inner_sinkhorn
 from mfsb.solver import (
@@ -293,6 +293,21 @@ def test_solve_matches_classical_bridge_without_interaction():
         l1_distance(sol.p[l], p_path[l], cfg.sgrid) for l in range(cfg.n_t + 1)
     )
     assert worst <= 1e-8
+
+
+@pytest.mark.parametrize("run_fixture", ["example1_run", "example2_run"])
+def test_warm_start_from_a_converged_pair_stays_at_the_fixed_point(
+    request, run_fixture
+):
+    # the restored density is rebuilt at the fixed point of the density map,
+    # so the resumed solve only confirms it
+    sol, _ = request.getfixturevalue(run_fixture)
+    cfg = sol.config
+    warm = solve(cfg, warm_pair=sol.pair)
+    assert warm.trace.init_iterations == 0
+    assert warm.trace.outer_iterations <= 2
+    assert path_distance(warm.p, sol.p) <= 10.0 * cfg.tol
+    assert abs(warm.cost - sol.cost) / abs(sol.cost) <= 10.0 * cfg.tol
 
 
 def test_solve_exhausting_outer_budget_raises_with_partial():
