@@ -167,8 +167,8 @@ def _verify_solution(cfg: SolverConfig, sol: Solution) -> dict:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         closed_loop = propagate_density(
-            sol.p_in, sol.u, cfg.potential, cfg.sigma, cfg.sgrid, cfg.tgrid,
-            table=table, report=pde_report,
+            sol.p_in, sol.u, table, cfg.sigma, cfg.sgrid, cfg.tgrid,
+            report=pde_report,
         )
     report["pde"] = {
         "terminal_l1": l1_distance(closed_loop[-1], sol.p_fin, cfg.sgrid),
@@ -177,8 +177,8 @@ def _verify_solution(cfg: SolverConfig, sol: Solution) -> dict:
         "warnings": [str(w.message) for w in caught],
     }
     ensemble = simulate(
-        sol.u, cfg.potential, sol.p_in, cfg.sigma,
-        cfg.verify_n, cfg.seed, cfg.sgrid, cfg.tgrid, table=table,
+        sol.u, table, sol.p_in, cfg.sigma,
+        cfg.verify_n, cfg.seed, cfg.sgrid, cfg.tgrid,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)

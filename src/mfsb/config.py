@@ -163,7 +163,6 @@ def solver_config_from(raw: dict[str, str]) -> SolverConfig:
         x_min, x_max = ends
     else:
         x_min, x_max = -2.0, 2.0
-    init_tol = _as_float(raw, "init_tol", -1.0)
     return SolverConfig(
         sigma2=_as_float(raw, "sigma2"),
         theta=_as_float(raw, "theta"),
@@ -180,7 +179,7 @@ def solver_config_from(raw: dict[str, str]) -> SolverConfig:
         potential_is_prescaled=_as_bool(raw, "potential_is_prescaled", True),
         seed=_as_int(raw, "seed", 0),
         verify_n=_as_int(raw, "verify.N", 100_000),
-        init_tol=None if init_tol <= 0.0 else init_tol,
+        init_tol=_as_float(raw, "init_tol") if "init_tol" in raw else None,
     )
 
 

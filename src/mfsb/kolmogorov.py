@@ -26,9 +26,9 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .errors import CFLWarning, PositivityError, SolveError
+from .errors import CFLWarning, PositivityError, ShapeError, SolveError
 from .grid import SpatialGrid, TimeGrid, check_field, check_path
-from .potentials import PotentialSpec, PotentialTable, eval_potential, mean_field_drift
+from .potentials import PotentialTable, mean_field_drift
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,7 @@ class DiscreteGenerator:
     """Tridiagonal transport generator tied to one drift field.
 
     ``low[i]`` is A[i+1, i], ``up[i]`` is A[i, i+1]; both length n_x - 1.
+    Built from a drift path, the bands carry one leading row per time slice.
     """
 
     low: np.ndarray
@@ -48,8 +49,8 @@ class DiscreteGenerator:
     def apply(self, f: np.ndarray) -> np.ndarray:
         f = check_field(f, self.grid)
         out = self.diag * f
-        out[:-1] += self.up * f[1:]
-        out[1:] += self.low * f[:-1]
+        out[..., :-1] += self.up * f[1:]
+        out[..., 1:] += self.low * f[:-1]
         return out
 
 
@@ -58,25 +59,32 @@ def build_generator(
 ) -> DiscreteGenerator:
     """Assemble the upwind advection + central diffusion generator.
 
-    At the two boundary rows the advection uses the inward difference with
-    speed |v| (even-reflection ghost), which keeps the off-diagonals
-    nonnegative and the row sums exactly zero for either drift sign.
+    ``b`` is one drift field (n_x,) or a drift path (n_t + 1, n_x); a path
+    gives one generator per slice, stacked along the leading axis. At the two
+    boundary rows the advection uses the inward difference with speed |v|
+    (even-reflection ghost), which keeps the off-diagonals nonnegative and
+    the row sums exactly zero for either drift sign.
     """
-    b = check_field(b, grid)
+    b = np.asarray(b, dtype=float)
+    if b.ndim not in (1, 2) or b.shape[-1] != grid.n_x:
+        raise ShapeError(
+            f"expected drift of shape ({grid.n_x},) or (*, {grid.n_x}), got {b.shape}"
+        )
     h = grid.h
     n = grid.n_x
+    lead = b.shape[:-1]
     dcoef = 0.5 * sigma * sigma / (h * h)
     v = sigma * sigma * b
     vp = np.maximum(v, 0.0)
     vm = np.minimum(v, 0.0)
-    vp[0], vm[0] = abs(v[0]), 0.0
-    vp[-1], vm[-1] = 0.0, -abs(v[-1])
+    vp[..., 0], vm[..., 0] = np.abs(v[..., 0]), 0.0
+    vp[..., -1], vm[..., -1] = 0.0, -np.abs(v[..., -1])
 
-    diag = np.full(n, -2.0 * dcoef)
-    diag[0] = diag[-1] = -dcoef
+    diag = np.full(lead + (n,), -2.0 * dcoef)
+    diag[..., 0] = diag[..., -1] = -dcoef
     diag -= (vp - vm) / h
-    up = np.full(n - 1, dcoef) + vp[:-1] / h
-    low = np.full(n - 1, dcoef) - vm[1:] / h
+    up = np.full(lead + (n - 1,), dcoef) + vp[..., :-1] / h
+    low = np.full(lead + (n - 1,), dcoef) - vm[..., 1:] / h
     return DiscreteGenerator(low=low, diag=diag, up=up, drift=b, sigma=sigma, grid=grid)
 
 
@@ -104,8 +112,8 @@ class TransportOperators:
     """Per-slice LU factors of (I - dt A_l) for one drift path.
 
     The solver sweeps the same drift path hundreds of times per outer
-    iteration, so the tridiagonal factorizations (LAPACK gttrf) are computed
-    once here and reused by every sweep (gttrs).
+    iteration, so the generators are assembled for the whole path at once,
+    factored slice by slice (LAPACK gttrf) and reused by every sweep (gttrs).
     """
 
     def __init__(
@@ -115,17 +123,14 @@ class TransportOperators:
         sgrid: SpatialGrid,
         tgrid: TimeGrid,
     ):
-        b_path = check_path(b_path, sgrid, tgrid)
+        gen = build_generator(check_path(b_path, sgrid, tgrid), sigma, sgrid)
         self.sigma = float(sigma)
         self.sgrid = sgrid
         self.tgrid = tgrid
         dt = tgrid.dt
         self._factors = []
-        for b in b_path:
-            gen = build_generator(b, sigma, sgrid)
-            dl_f, d_f, du_f, du2, ipiv, info = dgttrf(
-                -dt * gen.low, 1.0 - dt * gen.diag, -dt * gen.up
-            )
+        for low, diag, up in zip(-dt * gen.low, 1.0 - dt * gen.diag, -dt * gen.up):
+            dl_f, d_f, du_f, du2, ipiv, info = dgttrf(low, diag, up)
             if info != 0:  # pragma: no cover - the matrix is an M-matrix
                 raise SolveError(f"gttrf failed with info={info}")
             self._factors.append((dl_f, d_f, du_f, du2, ipiv))
@@ -184,11 +189,10 @@ def integrate_forward(
 def propagate_density(
     p_init: np.ndarray,
     u_path: np.ndarray,
-    spec: PotentialSpec,
+    table: PotentialTable,
     sigma: float,
     sgrid: SpatialGrid,
     tgrid: TimeGrid,
-    table: PotentialTable | None = None,
     report: dict | None = None,
 ) -> np.ndarray:
     """Push a density through the controlled interacting diffusion.
@@ -200,16 +204,15 @@ def propagate_density(
     exponential fitting, which reduces to the upwind flux at large cell
     Peclet numbers while staying monotone and free of spurious numerical
     diffusion at small ones. Emits CFLWarning when the advective CFL number
-    exceeds one (accuracy, not stability). Pass a dict as ``report`` to
-    receive cfl_max, per-step mass drift, and the minimum node value
+    exceeds one (accuracy, not stability). ``table`` is the kernel the
+    solver used (``SolverConfig.kernel_table``). Pass a dict as ``report``
+    to receive cfl_max, per-step mass drift, and the minimum node value
     encountered.
     """
     p_init = check_field(p_init, sgrid)
     u_path = check_path(u_path, sgrid, tgrid)
     if np.any(p_init < 0.0) or not np.all(np.isfinite(p_init)):
         raise PositivityError("initial density must be nonnegative and finite")
-    if table is None:
-        table = eval_potential(spec, sgrid)
 
     h = sgrid.h
     dt = tgrid.dt

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError
 from .grid import SpatialGrid, TimeGrid, check_field, check_path, normalize
 from .metrics import l1_distance
-from .potentials import PotentialSpec, PotentialTable, eval_potential, mean_field_drift
+from .potentials import PotentialTable, mean_field_drift
 
 _RECOMMENDED_N = 10_000
 
@@ -57,29 +57,26 @@ def _histogram(positions: np.ndarray, grid: SpatialGrid) -> np.ndarray:
 
 def simulate(
     u_path: np.ndarray,
-    spec: PotentialSpec,
+    table: PotentialTable,
     p_init: np.ndarray,
     sigma: float,
     n: int,
     seed: int,
     sgrid: SpatialGrid,
     tgrid: TimeGrid,
-    table: PotentialTable | None = None,
 ) -> ParticleEnsemble:
     """Run N particles under the control field from t = 0 to t = 1.
 
     The control is interpolated linearly in space and, as in the closed-loop
     PDE, sampled over each step as the mean of its two endpoint slices.
-    Positions reflect at the domain ends. Pass ``table`` to override the
-    kernel tables (e.g. when the kernel is not prescaled).
+    Positions reflect at the domain ends. ``table`` is the kernel the solver
+    used (``SolverConfig.kernel_table``).
     """
     if n < 100:
         raise DomainError(f"need at least 100 particles, got {n}")
     u_path = check_path(u_path, sgrid, tgrid)
     p_init = check_field(p_init, sgrid)
     rng = np.random.Generator(np.random.Philox(seed))
-    if table is None:
-        table = eval_potential(spec, sgrid)
     nodes = sgrid.nodes
     dt = tgrid.dt
     root_dt = np.sqrt(dt)

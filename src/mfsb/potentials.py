@@ -121,15 +121,6 @@ class PotentialTable:
             lap_w=self.lap_w * factor,
         )
 
-    @property
-    def sup_norms(self) -> tuple[float, float, float]:
-        """(max|W|, max|W'|, max|W''|) over the displacement grid."""
-        return (
-            float(np.abs(self.w).max()),
-            float(np.abs(self.grad_w).max()),
-            float(np.abs(self.lap_w).max()),
-        )
-
 
 def displacement_grid(grid: SpatialGrid) -> SpatialGrid:
     """Grid of pairwise displacements x_i - x_j: [-L, L] with 2 n_x - 1 nodes."""

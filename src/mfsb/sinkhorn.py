@@ -15,10 +15,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoConvergence, PositivityError, ShapeError
-from .grid import SpatialGrid, check_field, check_path
+from .grid import SpatialGrid, TimeGrid, check_field, check_path
 from .kolmogorov import TransportOperators, integrate_backward, integrate_forward
 from .metrics import hilbert_distance, l1_distance
-from .potentials import PotentialTable, convolve, reaction_term_path
+from .potentials import (
+    PotentialTable,
+    convolve,
+    mean_field_drift_path,
+    reaction_term_path,
+)
 
 
 @dataclass(frozen=True)
@@ -50,9 +55,9 @@ class PairPath:
 class FrozenProblem:
     """Everything the inner loop needs, with drift and reaction held fixed.
 
-    ``ops`` carries the drift (as cached LU factors) and the grids; the
-    reaction enters through the per-slice decay factors exp(-dt sigma^2 q)
-    of each sweep, computed once per freeze.
+    Built by :func:`freeze_problem`. ``ops`` carries the drift (as cached LU
+    factors) and the grids; the reaction enters through the per-slice decay
+    factors exp(-dt sigma^2 q) of each sweep, computed once per freeze.
     """
 
     ops: TransportOperators
@@ -97,20 +102,24 @@ def freeze_problem(
     table: PotentialTable,
     p_in: np.ndarray,
     p_fin: np.ndarray,
-    ops: TransportOperators,
-    *,
-    factors=None,
+    sigma: float,
+    sgrid: SpatialGrid,
+    tgrid: TimeGrid,
 ) -> FrozenProblem:
-    """Freeze the reaction profiles at the given density and pair.
+    """Freeze drift and reaction at the given density and pair.
 
-    ``ops`` holds the transport operators of the drift frozen at the same
-    density; ``factors`` are the boundary factors, when already computed.
+    Builds the transport operators of the drift -(W' * p_t), the anchor
+    factors of both marginals and the decay factors of both legs: everything
+    the inner loop holds fixed.
     """
-    sgrid = ops.sgrid
-    p_path = check_path(p_path, sgrid, ops.tgrid)
-    if factors is None:
-        factors = boundary_factors(table, p_in, p_fin, sgrid)
-    rate = -ops.tgrid.dt * ops.sigma**2
+    p_path = check_path(p_path, sgrid, tgrid)
+    ops = TransportOperators(
+        mean_field_drift_path(table, p_path, sgrid), sigma, sgrid, tgrid
+    )
+    in_plus, in_minus, fin_plus, fin_minus = boundary_factors(
+        table, p_in, p_fin, sgrid
+    )
+    rate = -tgrid.dt * ops.sigma**2
     return FrozenProblem(
         ops=ops,
         decay_phi=np.exp(rate * reaction_term_path(table, pair.phi, p_path, sgrid)),
@@ -119,10 +128,10 @@ def freeze_problem(
         ),
         p_in=check_field(p_in, sgrid),
         p_fin=check_field(p_fin, sgrid),
-        exp_in_plus=factors[0],
-        exp_in_minus=factors[1],
-        exp_fin_plus=factors[2],
-        exp_fin_minus=factors[3],
+        exp_in_plus=in_plus,
+        exp_in_minus=in_minus,
+        exp_fin_plus=fin_plus,
+        exp_fin_minus=fin_minus,
     )
 
 

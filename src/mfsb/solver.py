@@ -1,10 +1,10 @@
 """Outer fixed-point loop over the interaction density, plus analysis helpers.
 
 The solver runs two nested loops. Inner: the sweep/anchor loop of
-:mod:`mfsb.sinkhorn` with everything nonlinear frozen. Outer: rebuild the
-drift from the current density, freeze the reaction profiles once at the
-current density and pair, run the inner loop to tol / 10, refine the density
-from the new pair,
+:mod:`mfsb.sinkhorn` with everything nonlinear frozen. Outer: freeze drift
+and reaction once at the current density and pair
+(:func:`mfsb.sinkhorn.freeze_problem`), run the inner loop to tol / 10,
+refine the density from the new pair,
 
     refined_t = normalize( e^{-2 (W * p_t)} phi_t phihat_t ),
 
@@ -44,24 +44,10 @@ from .grid import (
     gradient_path,
     normalize_path,
 )
-from .kolmogorov import TransportOperators
 from .marginals import MarginalSpec, build_marginals
 from .metrics import l1_distance, pair_distance, path_distance
-from .potentials import (
-    PotentialSpec,
-    PotentialTable,
-    convolve_path,
-    eval_potential,
-    mean_field_drift_path,
-)
-from .sinkhorn import (
-    FrozenProblem,
-    InnerTrace,
-    PairPath,
-    boundary_factors,
-    freeze_problem,
-    inner_sinkhorn,
-)
+from .potentials import PotentialSpec, PotentialTable, convolve_path, eval_potential
+from .sinkhorn import InnerTrace, PairPath, freeze_problem, inner_sinkhorn
 
 logger = logging.getLogger("mfsb")
 
@@ -111,8 +97,14 @@ class SolverConfig:
             )
         if self.verify_n < 100:
             raise ConfigError(f"verify_n must be at least 100, got {self.verify_n}")
-        if self.init_tol is not None and self.init_tol <= 0.0:
-            raise ConfigError("init_tol must be positive when given")
+        if self.init_tol is not None and not (
+            np.isfinite(self.init_tol) and self.init_tol > 0.0
+        ):
+            raise ConfigError(
+                f"init_tol must be positive when given, got {self.init_tol}"
+            )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
     @cached_property
     def sgrid(self) -> SpatialGrid:
@@ -220,30 +212,22 @@ def classical_bridge_init(
 ) -> tuple[np.ndarray, PairPath, "InnerTrace"]:
     """Bridge between the marginals with the interaction switched off.
 
-    Runs the inner loop with zero drift and reaction from the flat start
-    (phi = 1, phihat anchored at p_in); the density path is the normalized
-    slice-wise product of the two scalings.
+    Runs the inner loop frozen at the zero kernel (no drift, no reaction,
+    unit anchor factors) from the flat start (phi = 1, phihat anchored at
+    p_in); the density path is the normalized slice-wise product of the two
+    scalings.
     """
     p_in = check_field(p_in, sgrid)
     p_fin = check_field(p_fin, sgrid)
     for name, p in (("p_in", p_in), ("p_fin", p_fin)):
         if np.any(p <= 0.0) or not np.all(np.isfinite(p)):
             raise PositivityError(f"{name} must be strictly positive")
-    shape = (tgrid.n_t + 1, sgrid.n_x)
-    zeros = np.zeros(shape)
-    ones = np.ones(sgrid.n_x)
-    problem = FrozenProblem(
-        ops=TransportOperators(zeros, sigma, sgrid, tgrid),
-        decay_phi=np.ones(shape),
-        decay_phihat=np.ones(shape),
-        p_in=p_in,
-        p_fin=p_fin,
-        exp_in_plus=ones,
-        exp_in_minus=ones,
-        exp_fin_plus=ones,
-        exp_fin_minus=ones,
+    flat = np.tile(p_in, (tgrid.n_t + 1, 1))
+    start = PairPath(phi=np.ones(flat.shape), phihat=flat)
+    problem = freeze_problem(
+        flat, start, eval_potential(PotentialSpec.zero(), sgrid),
+        p_in, p_fin, sigma, sgrid, tgrid,
     )
-    start = PairPath(phi=np.ones(shape), phihat=np.tile(p_in, (tgrid.n_t + 1, 1)))
     pair, iterations, trace = inner_sinkhorn(problem, start, tol, max_iter)
     p_path = normalize_path(pair.product, sgrid)
     return p_path, pair, trace
@@ -266,15 +250,10 @@ def _refined_density(
 def density_from_pair(
     p_path: np.ndarray,
     pair: PairPath,
-    potential: PotentialSpec | PotentialTable,
+    table: PotentialTable,
     sgrid: SpatialGrid,
 ) -> np.ndarray:
     """Density refinement map: slice-normalized e^{-2 (W * p_t)} phi_t phihat_t."""
-    table = (
-        potential
-        if isinstance(potential, PotentialTable)
-        else eval_potential(potential, sgrid)
-    )
     return _refined_density(np.asarray(p_path, dtype=float), pair, table, sgrid)[0]
 
 
@@ -367,7 +346,6 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
         pair = warm_pair
         p_path = _warm_start_density(cfg, pair, p_in, p_fin)
 
-    factors = boundary_factors(table, p_in, p_fin, sgrid)
     trace.min_phi = float(pair.phi.min())
     trace.min_phihat = float(pair.phihat.min())
     trace.min_density = float(p_path.min())
@@ -375,11 +353,7 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
 
     for k in range(cfg.n1):
         tick = time.perf_counter()
-        b_path = mean_field_drift_path(table, p_path, sgrid)
-        ops = TransportOperators(b_path, sigma, sgrid, tgrid)
-        problem = freeze_problem(
-            p_path, pair, table, p_in, p_fin, ops, factors=factors
-        )
+        problem = freeze_problem(p_path, pair, table, p_in, p_fin, sigma, sgrid, tgrid)
         try:
             new_pair, n_inner, itrace = inner_sinkhorn(
                 problem, pair, inner_tol, cfg.n3

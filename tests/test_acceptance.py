@@ -93,7 +93,7 @@ def closed_loop(example1_run, example2_run, example1_config, example2_config):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             path = propagate_density(
-                sol.p_in, sol.u, cfg.potential, cfg.sigma,
+                sol.p_in, sol.u, cfg.kernel_table, cfg.sigma,
                 cfg.sgrid, cfg.tgrid, report=report,
             )
         report["terminal_l1"] = l1_distance(path[-1], sol.p_fin, cfg.sgrid)
@@ -158,7 +158,7 @@ def test_closed_loop_and_particle_verification(
         residuals = []
         for n in ladder_sizes:
             ens = simulate(
-                sol.u, cfg.potential, sol.p_in, cfg.sigma,
+                sol.u, cfg.kernel_table, sol.p_in, cfg.sigma,
                 n, cfg.seed, cfg.sgrid, cfg.tgrid,
             )
             with warnings.catch_warnings():
@@ -310,13 +310,13 @@ def test_scaling_invariances(example1_run, example1_config, rng):
     u_base = optimal_control(sol.pair, cfg.sigma, sgrid)
     u_scaled = optimal_control(scaled, cfg.sigma, sgrid)
 
-    refined_base = density_from_pair(sol.p, sol.pair, cfg.potential, sgrid)
-    refined_scaled = density_from_pair(sol.p, scaled, cfg.potential, sgrid)
+    refined_base = density_from_pair(sol.p, sol.pair, cfg.kernel_table, sgrid)
+    refined_scaled = density_from_pair(sol.p, scaled, cfg.kernel_table, sgrid)
 
     cost_base = control_energy(u_base, sol.p, sgrid, cfg.tgrid)
     cost_scaled = control_energy(u_scaled, sol.p, sgrid, cfg.tgrid)
 
-    table = eval_potential(cfg.potential, sgrid)
+    table = cfg.kernel_table
     xi = np.exp(rng.uniform(-1.0, 1.0, size=sgrid.n_x))
     p = normalize(np.exp(rng.uniform(-1.0, 1.0, size=sgrid.n_x)), sgrid)
     q_base = reaction_term(table, xi, p, sgrid)

@@ -145,6 +145,10 @@ def test_config_values_are_validated():
         solver_config_from(dict(base, domain="-2 0 2"))
     with pytest.raises(ConfigError, match="potential.kind"):
         solver_config_from(dict(base, **{"potential.kind": "mystery"}))
+    # a given init_tol is used or rejected, never silently dropped
+    for value in ("nan", "0", "-1"):
+        with pytest.raises(ConfigError, match="init_tol"):
+            solver_config_from(dict(base, init_tol=value))
 
 
 def test_init_tol_is_optional():
@@ -348,6 +352,20 @@ def test_cli_bad_input_exits_one(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.cfg"),
                  "--out", str(tmp_path / "o")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_negative_seed_exits_one_before_solving(
+    tmp_path, capsys, monkeypatch
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve must not run on a bad config")
+
+    monkeypatch.setattr("mfsb.cli.solve", no_solve)
+    path = tmp_path / "bad_seed.cfg"
+    path.write_text(MINI_CONFIG.replace("seed = 1", "seed = -1"))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: seed must be nonnegative")
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_constants_subcommand(tmp_path, capsys):

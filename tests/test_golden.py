@@ -47,7 +47,7 @@ def test_examples_reproduce_golden_values(name, request):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         closed = propagate_density(
-            sol.p_in, sol.u, cfg.potential, cfg.sigma, cfg.sgrid, cfg.tgrid
+            sol.p_in, sol.u, cfg.kernel_table, cfg.sigma, cfg.sgrid, cfg.tgrid
         )
     cost, l1_in, l1_fin, l1_closed = GOLDEN[name]
     assert sol.cost == pytest.approx(cost, rel=slack, abs=0.0)

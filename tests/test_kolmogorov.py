@@ -7,6 +7,7 @@ from mfsb import (
     CFLWarning,
     PositivityError,
     PotentialSpec,
+    ShapeError,
     SpatialGrid,
     TimeGrid,
     TransportOperators,
@@ -41,6 +42,19 @@ def test_generator_row_sums_and_sign_structure(grid64, rng):
     assert np.all(gen.up >= 0.0)
     assert np.all(gen.low >= 0.0)
     assert np.all(gen.diag < 0.0)
+
+
+def test_generator_of_a_drift_path_stacks_its_slices(grid64, rng):
+    # one call on a whole drift path gives exactly the per-slice generators
+    b_path = rng.normal(size=(5, grid64.n_x)) * 5.0
+    stacked = build_generator(b_path, 0.7, grid64)
+    for l, b in enumerate(b_path):
+        gen = build_generator(b, 0.7, grid64)
+        np.testing.assert_array_equal(stacked.low[l], gen.low)
+        np.testing.assert_array_equal(stacked.diag[l], gen.diag)
+        np.testing.assert_array_equal(stacked.up[l], gen.up)
+    with pytest.raises(ShapeError):
+        build_generator(np.zeros((2, 3, grid64.n_x)), 0.7, grid64)
 
 
 def test_implicit_matrix_is_diagonally_dominant_m_matrix(grid64, rng):
@@ -171,7 +185,8 @@ def test_propagate_pure_diffusion_widens_gaussian(grid301):
     u = np.zeros((101, 301))
     p0 = gaussian_density(grid301.nodes, 0.0, 0.04)
     path = propagate_density(
-        p0, u, PotentialSpec.zero(), np.sqrt(sigma2), grid301, tgrid
+        p0, u, eval_potential(PotentialSpec.zero(), grid301), np.sqrt(sigma2),
+        grid301, tgrid,
     )
     want = gaussian_density(grid301.nodes, 0.0, 0.04 + sigma2)
     err = integrate(np.abs(path[-1] - want), grid301)
@@ -187,7 +202,7 @@ def test_propagate_conserves_mass_and_positivity(grid301, rng):
     path = propagate_density(
         p0,
         u,
-        PotentialSpec.gaussian_attractive(a=1.0, s=0.3),
+        eval_potential(PotentialSpec.gaussian_attractive(a=1.0, s=0.3), grid301),
         1.0,
         grid301,
         tgrid,
@@ -206,9 +221,8 @@ def test_propagate_keeps_even_symmetry(grid301):
     tgrid = TimeGrid(40)
     u = np.zeros((41, 301))
     p0 = gaussian_density(grid301.nodes, 0.0, 0.05)
-    path = propagate_density(
-        p0, u, PotentialSpec.gaussian_attractive(a=0.8, s=0.3), 0.8, grid301, tgrid
-    )
+    table = eval_potential(PotentialSpec.gaussian_attractive(a=0.8, s=0.3), grid301)
+    path = propagate_density(p0, u, table, 0.8, grid301, tgrid)
     assert np.max(np.abs(path - path[:, ::-1])) <= 1e-10
 
 
@@ -217,7 +231,8 @@ def test_propagate_preserves_uniform_density(grid64):
     tgrid = TimeGrid(10)
     u = np.zeros((11, grid64.n_x))
     p0 = np.full(grid64.n_x, 0.25)
-    path = propagate_density(p0, u, PotentialSpec.zero(), 0.5, grid64, tgrid)
+    no_kernel = eval_potential(PotentialSpec.zero(), grid64)
+    path = propagate_density(p0, u, no_kernel, 0.5, grid64, tgrid)
     np.testing.assert_allclose(path, 0.25, rtol=1e-13)
 
 
@@ -225,8 +240,9 @@ def test_propagate_warns_on_large_advective_cfl(grid301):
     tgrid = TimeGrid(10)
     u = np.full((11, 301), 40.0)
     p0 = gaussian_density(grid301.nodes, 0.0, 0.05)
+    no_kernel = eval_potential(PotentialSpec.zero(), grid301)
     with pytest.warns(CFLWarning):
-        propagate_density(p0, u, PotentialSpec.zero(), 1.0, grid301, tgrid)
+        propagate_density(p0, u, no_kernel, 1.0, grid301, tgrid)
 
 
 def test_propagate_rejects_negative_initial_density(grid64):
@@ -234,5 +250,6 @@ def test_propagate_rejects_negative_initial_density(grid64):
     u = np.zeros((5, grid64.n_x))
     p0 = np.ones(grid64.n_x)
     p0[3] = -0.1
+    no_kernel = eval_potential(PotentialSpec.zero(), grid64)
     with pytest.raises(PositivityError):
-        propagate_density(p0, u, PotentialSpec.zero(), 0.5, grid64, tgrid)
+        propagate_density(p0, u, no_kernel, 0.5, grid64, tgrid)

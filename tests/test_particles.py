@@ -14,13 +14,17 @@ from mfsb.particles import (
     simulate,
     terminal_residual,
 )
-from mfsb.potentials import PotentialSpec
+from mfsb.potentials import PotentialSpec, eval_potential
 
 from oracles import gaussian_density
 
 
 def zero_control(sgrid, tgrid):
     return np.zeros((tgrid.n_t + 1, sgrid.n_x))
+
+
+def no_kernel(sgrid):
+    return eval_potential(PotentialSpec.zero(), sgrid)
 
 
 @pytest.fixture
@@ -35,7 +39,7 @@ def test_simulation_needs_a_real_ensemble(sim_grids):
     p0 = gaussian_density(sgrid.nodes, 0.0, 0.04)
     with pytest.raises(DomainError):
         simulate(
-            zero_control(sgrid, tgrid), PotentialSpec.zero(), p0,
+            zero_control(sgrid, tgrid), no_kernel(sgrid), p0,
             0.447, 99, 0, sgrid, tgrid,
         )
 
@@ -47,7 +51,7 @@ def test_free_diffusion_adds_the_right_variance(sim_grids):
     sigma2 = 0.2
     p0 = gaussian_density(sgrid.nodes, 0.0, 1e-4)
     ens = simulate(
-        zero_control(sgrid, tgrid), PotentialSpec.zero(), p0,
+        zero_control(sgrid, tgrid), no_kernel(sgrid), p0,
         np.sqrt(sigma2), 100_000, 7, sgrid, tgrid,
     )
     assert ens.positions.var() == pytest.approx(1e-4 + sigma2, abs=5e-3)
@@ -111,7 +115,7 @@ def test_wrong_target_is_loudly_rejected(sim_grids):
         sgrid.nodes, -0.4, 0.04
     )
     ens = simulate(
-        zero_control(sgrid, tgrid), PotentialSpec.zero(), p0,
+        zero_control(sgrid, tgrid), no_kernel(sgrid), p0,
         0.447, 20_000, 3, sgrid, tgrid,
     )
     target = gaussian_density(sgrid.nodes, 0.4, 0.04)
@@ -122,7 +126,7 @@ def test_small_ensembles_warn_about_noise(sim_grids):
     sgrid, tgrid = sim_grids
     p0 = gaussian_density(sgrid.nodes, 0.0, 0.04)
     ens = simulate(
-        zero_control(sgrid, tgrid), PotentialSpec.zero(), p0,
+        zero_control(sgrid, tgrid), no_kernel(sgrid), p0,
         0.447, 500, 0, sgrid, tgrid,
     )
     with pytest.warns(UserWarning, match="sampling noise"):
@@ -134,7 +138,7 @@ def test_big_ensembles_do_not_warn(sim_grids):
     sgrid, tgrid = sim_grids
     p0 = gaussian_density(sgrid.nodes, 0.0, 0.04)
     ens = simulate(
-        zero_control(sgrid, tgrid), PotentialSpec.zero(), p0,
+        zero_control(sgrid, tgrid), no_kernel(sgrid), p0,
         0.447, 20_000, 0, sgrid, tgrid,
     )
     with warnings.catch_warnings():
@@ -147,14 +151,14 @@ def test_same_seed_reproduces_positions_bitwise():
     tgrid = TimeGrid(10)
     p0 = gaussian_density(sgrid.nodes, 0.0, 0.04)
     args = (
-        zero_control(sgrid, tgrid), PotentialSpec.zero(), p0,
+        zero_control(sgrid, tgrid), no_kernel(sgrid), p0,
         0.447, 500, 11, sgrid, tgrid,
     )
     a = simulate(*args)
     b = simulate(*args)
     np.testing.assert_array_equal(a.positions, b.positions)
     c = simulate(
-        zero_control(sgrid, tgrid), PotentialSpec.zero(), p0,
+        zero_control(sgrid, tgrid), no_kernel(sgrid), p0,
         0.447, 500, 12, sgrid, tgrid,
     )
     assert not np.array_equal(a.positions, c.positions)
@@ -171,7 +175,7 @@ def test_control_is_sampled_at_the_step_midpoint():
     u = np.repeat((a + b * tgrid.times)[:, None], sgrid.n_x, axis=1)
     p0 = gaussian_density(sgrid.nodes, -0.2, 0.01)
     n = 20_000
-    ens = simulate(u, PotentialSpec.zero(), p0, sigma, n, 4, sgrid, tgrid)
+    ens = simulate(u, no_kernel(sgrid), p0, sigma, n, 4, sgrid, tgrid)
     assert ens.steps == tgrid.n_t
     start_mean = float(np.sum(sgrid.nodes * p0 * sgrid.weights))
     expected = start_mean + sigma * (a + 0.5 * b)
@@ -186,7 +190,8 @@ def test_kernel_sign_moves_ensemble_spread():
     u = zero_control(sgrid, tgrid)
 
     def spread(spec):
-        ens = simulate(u, spec, p0, 0.447, 800, 5, sgrid, tgrid)
+        table = eval_potential(spec, sgrid)
+        ens = simulate(u, table, p0, 0.447, 800, 5, sgrid, tgrid)
         return ens.positions.var()
 
     base = spread(PotentialSpec.zero())
@@ -201,7 +206,7 @@ def test_reflection_keeps_particles_inside_the_domain():
     tgrid = TimeGrid(8)
     p0 = np.ones(sgrid.n_x) / (sgrid.x_max - sgrid.x_min)
     ens = simulate(
-        zero_control(sgrid, tgrid), PotentialSpec.zero(), p0,
+        zero_control(sgrid, tgrid), no_kernel(sgrid), p0,
         3.0, 5000, 21, sgrid, tgrid,
     )
     assert np.all(np.isfinite(ens.positions))

@@ -5,11 +5,9 @@ import pytest
 
 from mfsb.errors import NoConvergence, PositivityError, ShapeError
 from mfsb.grid import SpatialGrid, TimeGrid, check_path, integrate
-from mfsb.kolmogorov import TransportOperators
 from mfsb.metrics import hilbert_distance, l1_distance, pair_distance
 from mfsb.potentials import PotentialSpec, eval_potential
 from mfsb.sinkhorn import (
-    FrozenProblem,
     PairPath,
     boundary_factors,
     boundary_update_final,
@@ -31,8 +29,7 @@ def classical_problem(p_in, p_fin, sigma, sgrid, tgrid):
     table = eval_potential(PotentialSpec.zero(), sgrid)
     pair = flat_start(p_in, tgrid)
     p_path = np.tile(p_in, (tgrid.n_t + 1, 1))
-    ops = TransportOperators(np.zeros_like(p_path), sigma, sgrid, tgrid)
-    return freeze_problem(p_path, pair, table, p_in, p_fin, ops)
+    return freeze_problem(p_path, pair, table, p_in, p_fin, sigma, sgrid, tgrid)
 
 
 @pytest.fixture
@@ -145,9 +142,10 @@ def test_freeze_problem_checks_path_shape(small_setup):
     sgrid, tgrid, p_in, p_fin = small_setup
     table = eval_potential(PotentialSpec.zero(), sgrid)
     pair = flat_start(p_in, tgrid)
-    ops = TransportOperators(np.zeros(pair.phi.shape), 0.5, sgrid, tgrid)
     with pytest.raises(ShapeError):
-        freeze_problem(np.tile(p_in, (tgrid.n_t, 1)), pair, table, p_in, p_fin, ops)
+        freeze_problem(
+            np.tile(p_in, (tgrid.n_t, 1)), pair, table, p_in, p_fin, 0.5, sgrid, tgrid
+        )
 
 
 def test_freeze_problem_zero_kernel_has_no_drift_or_reaction(small_setup):
@@ -174,8 +172,7 @@ def test_freeze_problem_decay_factors_match_reaction(small_setup, rng):
         phi=np.exp(rng.normal(size=shape) * 0.3),
         phihat=np.exp(rng.normal(size=shape) * 0.3),
     )
-    ops = TransportOperators(np.zeros(shape), sigma, sgrid, tgrid)
-    problem = freeze_problem(p_path, pair, table, p_in, p_fin, ops)
+    problem = freeze_problem(p_path, pair, table, p_in, p_fin, sigma, sgrid, tgrid)
     for decay, leg in ((problem.decay_phi, pair.phi), (problem.decay_phihat, pair.phihat)):
         for l in (0, tgrid.n_t // 2, tgrid.n_t):
             q = direct_reaction(table.grad_w, leg[l], p_path[l], sgrid.h)

@@ -11,10 +11,9 @@ from mfsb.errors import (
     ShapeError,
 )
 from mfsb.grid import SpatialGrid, TimeGrid, integrate, normalize_path
-from mfsb.kolmogorov import TransportOperators
 from mfsb.marginals import MarginalSpec, build_marginals
 from mfsb.metrics import l1_distance, pair_distance, path_distance
-from mfsb.potentials import PotentialSpec, eval_potential, mean_field_drift_path
+from mfsb.potentials import PotentialSpec, eval_potential
 from mfsb.sinkhorn import PairPath, freeze_problem, inner_sinkhorn
 from mfsb.solver import (
     ConvergenceTrace,
@@ -115,11 +114,9 @@ def test_density_refinement_matches_direct_computation(rng):
         phi=np.exp(rng.normal(size=shape) * 0.5),
         phihat=np.exp(rng.normal(size=shape) * 0.5),
     )
-    out = density_from_pair(p_path, pair, spec, sgrid)
+    out = density_from_pair(p_path, pair, table, sgrid)
     expected = direct_pair_density(table.w, p_path, pair.phi, pair.phihat, sgrid.h)
     np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-14)
-    # spec and pre-evaluated table give the same refinement
-    np.testing.assert_array_equal(out, density_from_pair(p_path, pair, table, sgrid))
     for mass in np.trapezoid(out, dx=sgrid.h, axis=1):
         assert mass == pytest.approx(1.0, rel=1e-12)
 
@@ -213,13 +210,11 @@ def test_control_energy_matches_direct_quadrature(rng):
 def update_pair(p_path, pair, cfg):
     """Refreeze drift and reaction at (p_path, pair) and rerun the inner loop."""
     sgrid, tgrid = cfg.sgrid, cfg.tgrid
-    table = eval_potential(cfg.potential, sgrid)
-    b_path = mean_field_drift_path(table, p_path, sgrid)
     problem = freeze_problem(
-        p_path, pair, table,
+        p_path, pair, cfg.kernel_table,
         build_marginals(cfg.marginal_in, sgrid),
         build_marginals(cfg.marginal_fin, sgrid),
-        TransportOperators(b_path, cfg.sigma, sgrid, tgrid),
+        cfg.sigma, sgrid, tgrid,
     )
     return inner_sinkhorn(problem, pair, cfg.tol, cfg.n3)[0]
 
