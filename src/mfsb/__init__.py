@@ -24,107 +24,52 @@ from .errors import (
     SolveError,
     ZeroMassError,
 )
-from .grid import (
-    SpatialGrid,
-    TimeGrid,
-    gradient,
-    gradient_path,
-    integrate,
-    normalize,
-    normalize_path,
-)
-from .metrics import (
-    MetricReport,
-    hilbert_distance,
-    l1_distance,
-    pair_distance,
-    path_distance,
-)
+from .grid import SpatialGrid, TimeGrid, gradient, integrate, normalize
+from .metrics import hilbert_distance, l1_distance, pair_distance, path_distance
 from .potentials import (
     PotentialSpec,
     PotentialTable,
     convolve,
-    convolve_path,
-    displacement_grid,
     eval_potential,
-    load_tabulated_potential,
     mean_field_drift,
-    mean_field_drift_path,
-    reaction_term,
     reaction_term_path,
 )
 from .kolmogorov import (
-    DiscreteGenerator,
     TransportOperators,
     build_generator,
     integrate_backward,
     integrate_forward,
     propagate_density,
 )
-from .sinkhorn import (
-    FrozenProblem,
-    InnerTrace,
-    PairPath,
-    boundary_factors,
-    boundary_update_final,
-    boundary_update_initial,
-    freeze_problem,
-    inner_sinkhorn,
-)
+from .sinkhorn import PairPath, freeze_problem, inner_sinkhorn
 from .marginals import MarginalSpec, build_marginals
 from .solver import (
-    ConvergenceTrace,
     Solution,
     SolverConfig,
     classical_bridge_init,
     contraction_constants,
-    contraction_rate,
     control_energy,
-    damped_update,
-    density_from_pair,
     fit_geometric_rate,
     optimal_control,
     solve,
 )
-from .particles import (
-    ParticleEnsemble,
-    empirical_density,
-    sampling_noise_l1,
-    simulate,
-    terminal_residual,
-)
-from .config import (
-    example_config_path,
-    load_config,
-    parse_config,
-    resolve_config_path,
-    solver_config_from,
-)
+from .particles import empirical_density, sampling_noise_l1, simulate, terminal_residual
+from .config import load_config
 
 __all__ = [
     "CFLWarning", "ConfigError", "DomainError", "InsufficientData", "MfsbError",
     "NoConvergence", "PositivityError", "ShapeError", "SolveError", "ZeroMassError",
-    "SpatialGrid", "TimeGrid", "gradient", "gradient_path", "integrate",
-    "normalize", "normalize_path",
-    "MetricReport", "hilbert_distance", "l1_distance", "pair_distance",
-    "path_distance",
-    "PotentialSpec", "PotentialTable", "convolve", "convolve_path",
-    "displacement_grid", "eval_potential", "load_tabulated_potential",
-    "mean_field_drift", "mean_field_drift_path", "reaction_term",
-    "reaction_term_path",
-    "DiscreteGenerator", "TransportOperators", "build_generator",
-    "integrate_backward", "integrate_forward", "propagate_density",
-    "FrozenProblem", "InnerTrace", "PairPath", "boundary_factors",
-    "boundary_update_final", "boundary_update_initial", "freeze_problem",
-    "inner_sinkhorn",
+    "SpatialGrid", "TimeGrid", "gradient", "integrate", "normalize",
+    "hilbert_distance", "l1_distance", "pair_distance", "path_distance",
+    "PotentialSpec", "PotentialTable", "convolve", "eval_potential",
+    "mean_field_drift", "reaction_term_path",
+    "TransportOperators", "build_generator", "integrate_backward",
+    "integrate_forward", "propagate_density",
+    "PairPath", "freeze_problem", "inner_sinkhorn",
     "MarginalSpec", "build_marginals",
-    "ConvergenceTrace", "Solution", "SolverConfig", "classical_bridge_init",
-    "contraction_constants", "contraction_rate", "control_energy",
-    "damped_update", "density_from_pair", "fit_geometric_rate",
-    "optimal_control", "solve",
-    "ParticleEnsemble", "empirical_density", "sampling_noise_l1", "simulate",
-    "terminal_residual",
-    "example_config_path", "load_config", "parse_config", "resolve_config_path",
-    "solver_config_from",
+    "Solution", "SolverConfig", "classical_bridge_init", "contraction_constants",
+    "control_energy", "fit_geometric_rate", "optimal_control", "solve",
+    "empirical_density", "sampling_noise_l1", "simulate", "terminal_residual",
+    "load_config",
     "__version__",
 ]

@@ -19,7 +19,7 @@ from .solver import SolverConfig
 
 _KNOWN_KEYS = {
     "domain", "n_x", "n_t", "sigma2", "theta", "tol",
-    "N1", "N3", "seed", "init_tol",
+    "N1", "N3", "seed",
     "potential.kind", "potential.beta", "potential.c", "potential.alpha",
     "potential.epsilon", "potential.a", "potential.s", "potential.file",
     "potential_is_prescaled",
@@ -179,7 +179,6 @@ def solver_config_from(raw: dict[str, str]) -> SolverConfig:
         potential_is_prescaled=_as_bool(raw, "potential_is_prescaled", True),
         seed=_as_int(raw, "seed", 0),
         verify_n=_as_int(raw, "verify.N", 100_000),
-        init_tol=_as_float(raw, "init_tol") if "init_tol" in raw else None,
     )
 
 

@@ -95,18 +95,19 @@ def check_path(
     return f
 
 
-def gradient(f: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    """Second-order central difference, one-sided second-order at the ends."""
-    f = check_field(f, grid)
-    return np.gradient(f, grid.h, edge_order=2)
-
-
-def gradient_path(f: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    """Spatial gradient applied to every time slice of a path at once."""
+def _check_rows(f: np.ndarray, grid: SpatialGrid) -> np.ndarray:
+    """Validate a field or a stack of fields (..., n_x) against its grid."""
     f = np.asarray(f, dtype=float)
-    if f.ndim != 2 or f.shape[1] != grid.n_x:
-        raise ShapeError(f"expected (*, {grid.n_x}) path, got {f.shape}")
-    return np.gradient(f, grid.h, axis=1, edge_order=2)
+    if f.ndim == 0 or f.shape[-1] != grid.n_x:
+        raise ShapeError(f"expected (..., {grid.n_x}) array, got {f.shape}")
+    return f
+
+
+def gradient(f: np.ndarray, grid: SpatialGrid) -> np.ndarray:
+    """Second-order central difference along the last axis, one-sided
+    second-order at the ends; a path is differentiated slice by slice."""
+    f = _check_rows(f, grid)
+    return np.gradient(f, grid.h, axis=-1, edge_order=2)
 
 
 def integrate(f: np.ndarray, grid: SpatialGrid) -> float:
@@ -116,22 +117,14 @@ def integrate(f: np.ndarray, grid: SpatialGrid) -> float:
 
 
 def normalize(f: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    """Rescale a nonnegative field to unit trapezoid mass.
+    """Rescale a nonnegative field, or every slice of a path, to unit
+    trapezoid mass.
 
-    Raises ZeroMassError when the mass is nonpositive or not finite.
+    Raises ZeroMassError when a mass is nonpositive or not finite.
     """
-    f = check_field(f, grid)
-    mass = integrate(f, grid)
-    if not np.isfinite(mass) or mass <= 0.0:
-        raise ZeroMassError(f"cannot normalize field with mass {mass}")
-    return f / mass
-
-
-def normalize_path(p: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    """Normalize every time slice of a path to unit mass."""
-    p = np.asarray(p, dtype=float)
-    masses = np.trapezoid(p, dx=grid.h, axis=1)
+    f = _check_rows(f, grid)
+    masses = np.trapezoid(f, dx=grid.h, axis=-1)
     if not np.all(np.isfinite(masses)) or np.any(masses <= 0.0):
         bad = int(np.argmin(masses))
-        raise ZeroMassError(f"slice {bad} has nonpositive mass {masses[bad]}")
-    return p / masses[:, None]
+        raise ZeroMassError(f"slice {bad} has nonpositive mass {masses.flat[bad]}")
+    return f / masses[..., None]

@@ -20,7 +20,6 @@ round-off regardless of step size.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -31,36 +30,15 @@ from .grid import SpatialGrid, TimeGrid, check_field, check_path
 from .potentials import PotentialTable, mean_field_drift
 
 
-@dataclass(frozen=True)
-class DiscreteGenerator:
-    """Tridiagonal transport generator tied to one drift field.
-
-    ``low[i]`` is A[i+1, i], ``up[i]`` is A[i, i+1]; both length n_x - 1.
-    Built from a drift path, the bands carry one leading row per time slice.
-    """
-
-    low: np.ndarray
-    diag: np.ndarray
-    up: np.ndarray
-    drift: np.ndarray
-    sigma: float
-    grid: SpatialGrid
-
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        f = check_field(f, self.grid)
-        out = self.diag * f
-        out[..., :-1] += self.up * f[1:]
-        out[..., 1:] += self.low * f[:-1]
-        return out
-
-
 def build_generator(
     b: np.ndarray, sigma: float, grid: SpatialGrid
-) -> DiscreteGenerator:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Assemble the upwind advection + central diffusion generator.
 
-    ``b`` is one drift field (n_x,) or a drift path (n_t + 1, n_x); a path
-    gives one generator per slice, stacked along the leading axis. At the two
+    Returns its three bands ``(low, diag, up)``: ``low[i]`` is A[i+1, i] and
+    ``up[i]`` is A[i, i+1], both of length n_x - 1. ``b`` is one drift field
+    (n_x,) or a drift path (n_t + 1, n_x); a path gives one generator per
+    slice, stacked along the leading axis of each band. At the two
     boundary rows the advection uses the inward difference with speed |v|
     (even-reflection ghost), which keeps the off-diagonals nonnegative and
     the row sums exactly zero for either drift sign.
@@ -85,7 +63,7 @@ def build_generator(
     diag -= (vp - vm) / h
     up = np.full(lead + (n - 1,), dcoef) + vp[..., :-1] / h
     low = np.full(lead + (n - 1,), dcoef) - vm[..., 1:] / h
-    return DiscreteGenerator(low=low, diag=diag, up=up, drift=b, sigma=sigma, grid=grid)
+    return low, diag, up
 
 
 def _banded_solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -123,14 +101,14 @@ class TransportOperators:
         sgrid: SpatialGrid,
         tgrid: TimeGrid,
     ):
-        gen = build_generator(check_path(b_path, sgrid, tgrid), sigma, sgrid)
+        low, diag, up = build_generator(check_path(b_path, sgrid, tgrid), sigma, sgrid)
         self.sigma = float(sigma)
         self.sgrid = sgrid
         self.tgrid = tgrid
         dt = tgrid.dt
         self._factors = []
-        for low, diag, up in zip(-dt * gen.low, 1.0 - dt * gen.diag, -dt * gen.up):
-            dl_f, d_f, du_f, du2, ipiv, info = dgttrf(low, diag, up)
+        for dl, d, du in zip(-dt * low, 1.0 - dt * diag, -dt * up):
+            dl_f, d_f, du_f, du2, ipiv, info = dgttrf(dl, d, du)
             if info != 0:  # pragma: no cover - the matrix is an M-matrix
                 raise SolveError(f"gttrf failed with info={info}")
             self._factors.append((dl_f, d_f, du_f, du2, ipiv))

@@ -11,21 +11,10 @@ d(f, g) = 0 iff f and g are proportional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import PositivityError, ShapeError
 from .grid import SpatialGrid, check_field
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """Distance value together with where the extreme log-ratios occurred."""
-
-    d_h: float
-    argmax: int
-    argmin: int
 
 
 def _log_ratio(f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -42,12 +31,10 @@ def _log_ratio(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.log(f) - np.log(g)
 
 
-def hilbert_distance(f: np.ndarray, g: np.ndarray) -> MetricReport:
+def hilbert_distance(f: np.ndarray, g: np.ndarray) -> float:
     """Hilbert projective distance between two positive fields."""
-    r = _log_ratio(f, g).ravel()
-    hi = int(np.argmax(r))
-    lo = int(np.argmin(r))
-    return MetricReport(d_h=float(r[hi] - r[lo]), argmax=hi, argmin=lo)
+    r = _log_ratio(f, g)
+    return float(r.max() - r.min())
 
 
 def path_distance(f: np.ndarray, g: np.ndarray) -> float:

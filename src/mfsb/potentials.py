@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PositivityError, ShapeError
-from .grid import SpatialGrid, check_field, gradient, gradient_path
+from .grid import SpatialGrid, check_field, gradient
 
 _KINDS = ("zero", "power_repulsive", "gaussian_attractive", "tabulated")
 
@@ -267,26 +267,16 @@ def mean_field_drift_path(
     return -convolve_path(table.grad_w, p, grid)
 
 
-def reaction_term(
-    table: PotentialTable, xi: np.ndarray, p: np.ndarray, grid: SpatialGrid
-) -> np.ndarray:
-    """Nonlocal reaction profile -(W' * (p * d/dx log xi)).
-
-    Invariant under xi -> c * xi for c > 0 (only log-gradients enter).
-    """
-    xi = check_field(xi, grid)
-    if np.any(xi <= 0.0) or not np.all(np.isfinite(xi)):
-        raise PositivityError("reaction term needs a strictly positive field")
-    integrand = check_field(p, grid) * gradient(np.log(xi), grid)
-    return -convolve(table.grad_w, integrand, grid)
-
-
 def reaction_term_path(
     table: PotentialTable, xi: np.ndarray, p: np.ndarray, grid: SpatialGrid
 ) -> np.ndarray:
-    """Reaction profiles for all time slices at once (rows of xi and p)."""
+    """Nonlocal reaction profiles -(W' * (p_t * d/dx log xi_t)), one per row
+    of xi and p.
+
+    Invariant under xi -> c * xi for c > 0 (only log-gradients enter).
+    """
     xi = np.asarray(xi, dtype=float)
     if np.any(xi <= 0.0) or not np.all(np.isfinite(xi)):
         raise PositivityError("reaction term needs strictly positive slices")
-    integrand = np.asarray(p, dtype=float) * gradient_path(np.log(xi), grid)
+    integrand = np.asarray(p, dtype=float) * gradient(np.log(xi), grid)
     return -convolve_path(table.grad_w, integrand, grid)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoConvergence, PositivityError, ShapeError
+from .errors import DomainError, NoConvergence, PositivityError, ShapeError
 from .grid import SpatialGrid, TimeGrid, check_field, check_path
 from .kolmogorov import TransportOperators, integrate_backward, integrate_forward
 from .metrics import hilbert_distance, l1_distance
@@ -77,8 +77,6 @@ class FrozenProblem:
 class InnerTrace:
     """Per-iteration anchor distances and the exit marginal residuals."""
 
-    dh_terminal: list[float] = field(default_factory=list)
-    dh_initial: list[float] = field(default_factory=list)
     boundary_dh: list[float] = field(default_factory=list)
     residual_in: float = float("nan")
     residual_fin: float = float("nan")
@@ -169,8 +167,8 @@ def inner_sinkhorn(
     overwritten with its final anchor update so the same identity holds at
     t = 1. Raises NoConvergence when max_iter is exhausted.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol}")
     sg = problem.ops.sgrid
     phi1 = check_field(np.array(start.phi[-1], dtype=float), sg)
     phihat0_prev = check_field(np.array(start.phihat[0], dtype=float), sg)
@@ -183,11 +181,10 @@ def inner_sinkhorn(
         phi1_new = boundary_update_final(
             phihat[-1], problem.p_fin, problem.exp_fin_plus
         )
-        d_term = hilbert_distance(phi1_new, phi1).d_h
-        d_init = hilbert_distance(phihat0, phihat0_prev).d_h
-        trace.dh_terminal.append(d_term)
-        trace.dh_initial.append(d_init)
-        trace.boundary_dh.append(max(d_term, d_init))
+        trace.boundary_dh.append(max(
+            hilbert_distance(phi1_new, phi1),
+            hilbert_distance(phihat0, phihat0_prev),
+        ))
         phi1 = phi1_new
         phihat0_prev = phihat0
         if trace.boundary_dh[-1] < tol:

@@ -36,14 +36,7 @@ from .errors import (
     PositivityError,
     ShapeError,
 )
-from .grid import (
-    SpatialGrid,
-    TimeGrid,
-    check_field,
-    check_path,
-    gradient_path,
-    normalize_path,
-)
+from .grid import SpatialGrid, TimeGrid, check_field, check_path, gradient, normalize
 from .marginals import MarginalSpec, build_marginals
 from .metrics import l1_distance, pair_distance, path_distance
 from .potentials import PotentialSpec, PotentialTable, convolve_path, eval_potential
@@ -54,6 +47,10 @@ logger = logging.getLogger("mfsb")
 # the inner loop runs to this fraction of tol: its own error must sit below
 # the outer step distances it feeds, or those stop decreasing near tol
 INNER_TOL_FRACTION = 0.1
+
+# the starting bridge is converged to min(tol, BRIDGE_TOL) so that rerunning
+# it inside solve() moves the iterate by far less than any stopping test
+BRIDGE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -75,15 +72,17 @@ class SolverConfig:
     potential_is_prescaled: bool = True
     seed: int = 0
     verify_n: int = 100_000
-    init_tol: float | None = None
 
     def __post_init__(self):
         if not (np.isfinite(self.sigma2) and self.sigma2 > 0.0):
             raise ConfigError(f"sigma2 must be positive, got {self.sigma2}")
         if not 0.0 < self.theta <= 1.0:
             raise ConfigError(f"theta must lie in (0, 1], got {self.theta}")
-        if not (np.isfinite(self.tol) and self.tol > 0.0):
-            raise ConfigError(f"tol must be positive, got {self.tol}")
+        if not (np.isfinite(self.tol) and INNER_TOL_FRACTION * self.tol > 0.0):
+            raise ConfigError(
+                f"tol must be positive and large enough that tol * "
+                f"{INNER_TOL_FRACTION} does not underflow to 0, got {self.tol}"
+            )
         for name in ("n1", "n3"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
@@ -97,12 +96,6 @@ class SolverConfig:
             )
         if self.verify_n < 100:
             raise ConfigError(f"verify_n must be at least 100, got {self.verify_n}")
-        if self.init_tol is not None and not (
-            np.isfinite(self.init_tol) and self.init_tol > 0.0
-        ):
-            raise ConfigError(
-                f"init_tol must be positive when given, got {self.init_tol}"
-            )
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
@@ -126,14 +119,6 @@ class SolverConfig:
         if not self.potential_is_prescaled:
             table = table.scaled(1.0 / self.sigma2)
         return table
-
-    @property
-    def resolved_init_tol(self) -> float:
-        # the starting bridge is converged well below tol so that rerunning it
-        # inside solve() moves the iterate by far less than any stopping test
-        if self.init_tol is not None:
-            return self.init_tol
-        return min(self.tol, 1e-10)
 
 
 @dataclass
@@ -207,7 +192,7 @@ def classical_bridge_init(
     sigma: float,
     sgrid: SpatialGrid,
     tgrid: TimeGrid,
-    tol: float = 1e-10,
+    tol: float = BRIDGE_TOL,
     max_iter: int = 2000,
 ) -> tuple[np.ndarray, PairPath, "InnerTrace"]:
     """Bridge between the marginals with the interaction switched off.
@@ -229,7 +214,7 @@ def classical_bridge_init(
         p_in, p_fin, sigma, sgrid, tgrid,
     )
     pair, iterations, trace = inner_sinkhorn(problem, start, tol, max_iter)
-    p_path = normalize_path(pair.product, sgrid)
+    p_path = normalize(pair.product, sgrid)
     return p_path, pair, trace
 
 
@@ -247,16 +232,6 @@ def _refined_density(
     return raw / masses[:, None], float(np.abs(masses - 1.0).max())
 
 
-def density_from_pair(
-    p_path: np.ndarray,
-    pair: PairPath,
-    table: PotentialTable,
-    sgrid: SpatialGrid,
-) -> np.ndarray:
-    """Density refinement map: slice-normalized e^{-2 (W * p_t)} phi_t phihat_t."""
-    return _refined_density(np.asarray(p_path, dtype=float), pair, table, sgrid)[0]
-
-
 def damped_update(
     refined: np.ndarray, previous: np.ndarray, theta: float
 ) -> np.ndarray:
@@ -272,7 +247,7 @@ def damped_update(
 
 def optimal_control(pair: PairPath, sigma: float, sgrid: SpatialGrid) -> np.ndarray:
     """Feedback control field sigma * d/dx log phi, per time slice."""
-    return sigma * gradient_path(np.log(pair.phi), sgrid)
+    return sigma * gradient(np.log(pair.phi), sgrid)
 
 
 def control_energy(
@@ -297,7 +272,7 @@ def _warm_start_density(
     """Density iterate matching a restored pair: the solver's damped density
     map at that pair, endpoints pinned to the exact marginals, iterated from
     the normalized product until a step is below tol (at most n1 passes)."""
-    p_path = normalize_path(pair.product, cfg.sgrid)
+    p_path = normalize(pair.product, cfg.sgrid)
     for _ in range(cfg.n1):
         refined = _refined_density(p_path, pair, cfg.kernel_table, cfg.sgrid)[0]
         p_next = damped_update(refined, p_path, cfg.theta)
@@ -327,7 +302,7 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
         try:
             p_path, pair, init_trace = classical_bridge_init(
                 p_in, p_fin, sigma, sgrid, tgrid,
-                tol=cfg.resolved_init_tol,
+                tol=min(cfg.tol, BRIDGE_TOL),
                 max_iter=max(cfg.n3, 2000),
             )
         except NoConvergence as exc:
@@ -335,7 +310,7 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
             trace.init_iterations = len(trace.init_dh)
             exc.trace = trace
             exc.partial = {
-                "p": normalize_path(exc.partial.product, sgrid),
+                "p": normalize(exc.partial.product, sgrid),
                 "pair": exc.partial,
             }
             raise
@@ -430,20 +405,6 @@ def fit_geometric_rate(distances) -> float:
         )
     slope = np.polyfit(np.arange(arr.size), np.log(arr), 1)[0]
     return float(np.exp(slope))
-
-
-def contraction_rate(trace, level: str = "outer") -> float:
-    """Fitted geometric rate of one loop level of a trace (or a raw sequence)."""
-    if not isinstance(trace, ConvergenceTrace):
-        return fit_geometric_rate(trace)
-    if level == "outer":
-        seq = trace.outer_dh
-    elif level == "inner":
-        flat = [s for group in trace.inner_dh for s in group]
-        seq = max(flat, key=len, default=[])
-    else:
-        raise DomainError(f"unknown trace level {level!r}")
-    return fit_geometric_rate(seq)
 
 
 # ---------------------------------------------------------------------------

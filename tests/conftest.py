@@ -7,14 +7,8 @@ import time
 import numpy as np
 import pytest
 
-from mfsb import (
-    SpatialGrid,
-    TimeGrid,
-    build_marginals,
-    example_config_path,
-    load_config,
-    solve,
-)
+from mfsb import SpatialGrid, TimeGrid, build_marginals, load_config, solve
+from mfsb.config import example_config_path
 
 _acceptance_lines: list[str] = []
 

@@ -16,18 +16,23 @@ import pytest
 
 from mfsb.cli import run
 from mfsb.errors import DomainError
-from mfsb.grid import SpatialGrid, normalize
+from mfsb.grid import SpatialGrid, TimeGrid, normalize
 from mfsb.kolmogorov import propagate_density
 from mfsb.metrics import hilbert_distance, l1_distance, path_distance
 from mfsb.particles import sampling_noise_l1, simulate, terminal_residual
-from mfsb.potentials import PotentialSpec, eval_potential, convolve, reaction_term
+from mfsb.potentials import (
+    PotentialSpec,
+    convolve,
+    eval_potential,
+    reaction_term_path,
+)
 from mfsb.sinkhorn import PairPath
 from mfsb.solver import (
     SolverConfig,
     classical_bridge_init,
     contraction_constants,
+    _refined_density,
     control_energy,
-    density_from_pair,
     fit_geometric_rate,
     optimal_control,
     solve,
@@ -122,7 +127,6 @@ def test_reduction_to_noninteracting_bridge(example1_config):
         marginal_in=example1_config.marginal_in,
         marginal_fin=example1_config.marginal_fin,
         n1=20,
-        init_tol=1e-11,
     )
     sol = solve(cfg)
     p_ref, pair_ref, _ = classical_bridge_init(
@@ -194,16 +198,16 @@ def test_projective_metric_property_suite():
             np.exp(rng.uniform(-spread, spread, size=n)) for _ in range(5)
         )
         c, c2 = np.exp(rng.uniform(-2.0, 2.0, size=2))
-        d_fg = hilbert_distance(f, g).d_h
-        if abs(hilbert_distance(c * f, c2 * g).d_h - d_fg) > slack:
+        d_fg = hilbert_distance(f, g)
+        if abs(hilbert_distance(c * f, c2 * g) - d_fg) > slack:
             violations["projectivity"] += 1
-        if abs(hilbert_distance(g, f).d_h - d_fg) > slack:
+        if abs(hilbert_distance(g, f) - d_fg) > slack:
             violations["symmetry"] += 1
-        if d_fg > hilbert_distance(f, k).d_h + hilbert_distance(k, g).d_h + slack:
+        if d_fg > hilbert_distance(f, k) + hilbert_distance(k, g) + slack:
             violations["triangle"] += 1
         if (
-            hilbert_distance(f * f2, g * g2).d_h
-            > d_fg + hilbert_distance(f2, g2).d_h + slack
+            hilbert_distance(f * f2, g * g2)
+            > d_fg + hilbert_distance(f2, g2) + slack
         ):
             violations["product subadditivity"] += 1
         if d_fg > 2.0 * np.abs(np.log(f) - np.log(g)).max() + slack:
@@ -212,7 +216,7 @@ def test_projective_metric_property_suite():
         m = grid.n_x
         fn = normalize(np.exp(rng.uniform(-spread, spread, size=m)), grid)
         gn = normalize(np.exp(rng.uniform(-spread, spread, size=m)), grid)
-        bound = math.expm1(hilbert_distance(fn, gn).d_h)
+        bound = math.expm1(hilbert_distance(fn, gn))
         if l1_distance(fn, gn, grid) > bound + slack:
             violations["equal-mass l1 bound"] += 1
     verdict(5, "projective metric property battery (1000 trials each)",
@@ -246,17 +250,15 @@ def test_fast_paths_match_direct_oracles(rng):
     for _ in range(5):
         xi = np.exp(rng.uniform(-1.0, 1.0, size=64))
         p = normalize(np.exp(rng.uniform(-1.0, 1.0, size=64)), grid)
-        fast = reaction_term(table, xi, p, grid)
+        fast = reaction_term_path(table, xi[None], p[None], grid)[0]
         direct = direct_reaction(table.grad_w, xi, p, grid.h)
         worst_reaction = max(worst_reaction, float(np.abs(fast - direct).max()))
     checks.append(("reaction profile vs direct quadrature", worst_reaction <= 1e-8))
 
-    from mfsb.grid import TimeGrid, normalize_path
-
     tgrid = TimeGrid(6)
     shape = (tgrid.n_t + 1, grid.n_x)
     u = rng.normal(size=shape)
-    p_path = normalize_path(np.exp(rng.normal(size=shape) * 0.4), grid)
+    p_path = normalize(np.exp(rng.normal(size=shape) * 0.4), grid)
     cost = control_energy(u, p_path, grid, tgrid)
     cost_direct = direct_control_energy(u, p_path, grid.h, tgrid.dt)
     checks.append((
@@ -268,7 +270,7 @@ def test_fast_paths_match_direct_oracles(rng):
         phi=np.exp(rng.normal(size=shape) * 0.4),
         phihat=np.exp(rng.normal(size=shape) * 0.4),
     )
-    refined = density_from_pair(p_path, pair, table, grid)
+    refined = _refined_density(p_path, pair, table, grid)[0]
     refined_direct = direct_pair_density(table.w, p_path, pair.phi, pair.phihat, grid.h)
     rel = float(
         np.abs(refined - refined_direct).max() / np.abs(refined_direct).max()
@@ -310,8 +312,8 @@ def test_scaling_invariances(example1_run, example1_config, rng):
     u_base = optimal_control(sol.pair, cfg.sigma, sgrid)
     u_scaled = optimal_control(scaled, cfg.sigma, sgrid)
 
-    refined_base = density_from_pair(sol.p, sol.pair, cfg.kernel_table, sgrid)
-    refined_scaled = density_from_pair(sol.p, scaled, cfg.kernel_table, sgrid)
+    refined_base = _refined_density(sol.p, sol.pair, cfg.kernel_table, sgrid)[0]
+    refined_scaled = _refined_density(sol.p, scaled, cfg.kernel_table, sgrid)[0]
 
     cost_base = control_energy(u_base, sol.p, sgrid, cfg.tgrid)
     cost_scaled = control_energy(u_scaled, sol.p, sgrid, cfg.tgrid)
@@ -319,8 +321,8 @@ def test_scaling_invariances(example1_run, example1_config, rng):
     table = cfg.kernel_table
     xi = np.exp(rng.uniform(-1.0, 1.0, size=sgrid.n_x))
     p = normalize(np.exp(rng.uniform(-1.0, 1.0, size=sgrid.n_x)), sgrid)
-    q_base = reaction_term(table, xi, p, sgrid)
-    q_scaled = reaction_term(table, 3.7 * xi, p, sgrid)
+    q_base = reaction_term_path(table, xi[None], p[None], sgrid)[0]
+    q_scaled = reaction_term_path(table, 3.7 * xi[None], p[None], sgrid)[0]
 
     verdict(8, "scaling invariances of control, refinement, and reaction", [
         ("control ignores pair rescaling",

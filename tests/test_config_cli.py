@@ -75,6 +75,7 @@ def test_parse_skips_comments_and_blank_lines(tmp_path):
         ("sigma2 0.5\n", "key = value"),
         ("made_up_key = 3\n", "unknown key"),
         ("N2 = 50\n", "unknown key"),  # the middle loop and its budget are gone
+        ("init_tol = 1e-11\n", "unknown key"),  # the bridge runs to min(tol, 1e-10)
         ("sigma2 = 1\nsigma2 = 2\n", "duplicate key"),
         ("sigma2 =\n", "empty value"),
     ],
@@ -145,18 +146,6 @@ def test_config_values_are_validated():
         solver_config_from(dict(base, domain="-2 0 2"))
     with pytest.raises(ConfigError, match="potential.kind"):
         solver_config_from(dict(base, **{"potential.kind": "mystery"}))
-    # a given init_tol is used or rejected, never silently dropped
-    for value in ("nan", "0", "-1"):
-        with pytest.raises(ConfigError, match="init_tol"):
-            solver_config_from(dict(base, init_tol=value))
-
-
-def test_init_tol_is_optional():
-    base = parse_config(example_config_path("example1"))
-    assert load_config(example_config_path("example1")).init_tol is None
-    cfg = solver_config_from(dict(base, init_tol="1e-8"))
-    assert cfg.init_tol == 1e-8
-    assert cfg.resolved_init_tol == 1e-8
 
 
 def test_mixture_weights_must_sum_to_one():
@@ -366,6 +355,21 @@ def test_cli_negative_seed_exits_one_before_solving(
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith("error: seed must be nonnegative")
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_subnormal_tol_exits_one_on_warm_start(mini_run, tmp_path, capsys):
+    # tol / 10 underflows to 0: the config is refused before any loop runs
+    cfg_path, out, _ = mini_run
+    path = tmp_path / "subnormal.cfg"
+    path.write_text(
+        Path(cfg_path).read_text().replace("tol = 1e-9", "tol = 5e-324")
+    )
+    code = main(["run", str(path), "--out", str(tmp_path / "o"),
+                 "--warm-start", str(out / "pair.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "tol" in err
+    assert "Traceback" not in err
 
 
 def test_cli_constants_subcommand(tmp_path, capsys):

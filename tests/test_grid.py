@@ -12,10 +12,8 @@ from mfsb import (
     TimeGrid,
     ZeroMassError,
     gradient,
-    gradient_path,
     integrate,
     normalize,
-    normalize_path,
 )
 from mfsb.grid import check_field, check_path
 
@@ -62,9 +60,12 @@ def test_gradient_exact_on_affine_fields():
 def test_gradient_path_is_slicewise(rng):
     g = SpatialGrid(-2.0, 2.0, 64)
     path = rng.normal(size=(5, 64))
-    out = gradient_path(path, g)
+    out = gradient(path, g)
+    assert out.shape == (5, 64)
     for l in range(5):
         np.testing.assert_array_equal(out[l], gradient(path[l], g))
+    with pytest.raises(ShapeError):
+        gradient(np.ones((5, 65)), g)
 
 
 def test_integrate_zero_field_is_zero():
@@ -99,9 +100,13 @@ def test_normalize_zero_field_raises():
 def test_normalize_path_each_slice(rng):
     g = SpatialGrid(-2.0, 2.0, 64)
     path = np.abs(rng.normal(size=(4, 64))) + 0.1
-    out = normalize_path(path, g)
+    out = normalize(path, g)
     for l in range(4):
         assert integrate(out[l], g) == pytest.approx(1.0, rel=1e-12)
+        np.testing.assert_array_equal(out[l], normalize(path[l], g))
+    path[2] = 0.0  # one massless slice fails the whole path
+    with pytest.raises(ZeroMassError, match="slice 2"):
+        normalize(path, g)
 
 
 def test_check_field_and_path_shapes(rng):

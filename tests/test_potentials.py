@@ -10,13 +10,12 @@ from mfsb import (
     ShapeError,
     SpatialGrid,
     convolve,
-    displacement_grid,
     eval_potential,
     gradient,
-    load_tabulated_potential,
     mean_field_drift,
-    reaction_term,
+    reaction_term_path,
 )
+from mfsb.potentials import displacement_grid, load_tabulated_potential
 from conftest import positive_field
 from oracles import (
     HAND_POWER_KERNEL_AT_ZERO,
@@ -171,24 +170,31 @@ def test_drift_of_delta_is_shifted_kernel_gradient(gauss_table, grid64):
     np.testing.assert_allclose(b, expected, rtol=1e-12, atol=1e-12)
 
 
+def reaction_row(table, xi, p, grid):
+    """One-slice reaction profile: reaction_term_path on a one-row path."""
+    rows = reaction_term_path(table, np.asarray(xi)[None], np.asarray(p)[None], grid)
+    return rows[0]
+
+
 def test_reaction_constant_xi_is_zero(gauss_table, grid64, rng):
     # the one-sided edge stencil leaves ~1e-16 of cancellation noise, so the
     # profile is zero only to floating-point accuracy
     p = positive_field(rng, grid64.n_x, spread=1.0)
-    q = reaction_term(gauss_table, np.full(grid64.n_x, 3.7), p, grid64)
+    q = reaction_row(gauss_table, np.full(grid64.n_x, 3.7), p, grid64)
     assert np.abs(q).max() <= 1e-14
 
 
 def test_reaction_zero_potential_is_zero(grid64, rng):
     table = eval_potential(PotentialSpec.zero(), grid64)
-    q = reaction_term(table, positive_field(rng, grid64.n_x), np.ones(grid64.n_x), grid64)
+    xi = positive_field(rng, grid64.n_x)
+    q = reaction_row(table, xi, np.ones(grid64.n_x), grid64)
     assert not q.any()
 
 
 def test_reaction_matches_direct_quadrature(gauss_table, grid64, rng):
     xi = positive_field(rng, grid64.n_x)
     p = positive_field(rng, grid64.n_x, spread=1.0)
-    fast = reaction_term(gauss_table, xi, p, grid64)
+    fast = reaction_row(gauss_table, xi, p, grid64)
     direct = direct_reaction(gauss_table.grad_w, xi, p, grid64.h)
     np.testing.assert_allclose(fast, direct, atol=1e-8)
 
@@ -197,14 +203,14 @@ def test_reaction_rejects_nonpositive_xi(gauss_table, grid64):
     xi = np.ones(grid64.n_x)
     xi[5] = 0.0
     with pytest.raises(PositivityError):
-        reaction_term(gauss_table, xi, np.ones(grid64.n_x), grid64)
+        reaction_row(gauss_table, xi, np.ones(grid64.n_x), grid64)
 
 
 def test_reaction_invariant_under_xi_rescaling(gauss_table, grid64, rng):
     xi = positive_field(rng, grid64.n_x)
     p = positive_field(rng, grid64.n_x, spread=1.0)
-    base = reaction_term(gauss_table, xi, p, grid64)
-    scaled = reaction_term(gauss_table, 17.0 * xi, p, grid64)
+    base = reaction_row(gauss_table, xi, p, grid64)
+    scaled = reaction_row(gauss_table, 17.0 * xi, p, grid64)
     np.testing.assert_allclose(scaled, base, rtol=1e-12, atol=1e-12)
 
 

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from mfsb.errors import (
+    ConfigError,
     DomainError,
     InsufficientData,
     NoConvergence,
     PositivityError,
     ShapeError,
 )
-from mfsb.grid import SpatialGrid, TimeGrid, integrate, normalize_path
+from mfsb.grid import SpatialGrid, TimeGrid, integrate, normalize
 from mfsb.marginals import MarginalSpec, build_marginals
 from mfsb.metrics import l1_distance, pair_distance, path_distance
 from mfsb.potentials import PotentialSpec, eval_potential
@@ -19,11 +20,10 @@ from mfsb.solver import (
     ConvergenceTrace,
     SolverConfig,
     classical_bridge_init,
+    _refined_density,
     contraction_constants,
-    contraction_rate,
     control_energy,
     damped_update,
-    density_from_pair,
     fit_geometric_rate,
     optimal_control,
     solve,
@@ -109,12 +109,12 @@ def test_density_refinement_matches_direct_computation(rng):
     spec = PotentialSpec.gaussian_attractive(a=0.8, s=0.3)
     table = eval_potential(spec, sgrid)
     shape = (tgrid.n_t + 1, sgrid.n_x)
-    p_path = normalize_path(np.exp(rng.normal(size=shape) * 0.3), sgrid)
+    p_path = normalize(np.exp(rng.normal(size=shape) * 0.3), sgrid)
     pair = PairPath(
         phi=np.exp(rng.normal(size=shape) * 0.5),
         phihat=np.exp(rng.normal(size=shape) * 0.5),
     )
-    out = density_from_pair(p_path, pair, table, sgrid)
+    out = _refined_density(p_path, pair, table, sgrid)[0]
     expected = direct_pair_density(table.w, p_path, pair.phi, pair.phihat, sgrid.h)
     np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-14)
     for mass in np.trapezoid(out, dx=sgrid.h, axis=1):
@@ -144,8 +144,8 @@ def test_damping_rejects_shape_mismatch():
 
 def test_damping_preserves_unit_mass(rng):
     sgrid = SpatialGrid(-2.0, 2.0, 64)
-    a = normalize_path(np.exp(rng.normal(size=(5, 64))), sgrid)
-    b = normalize_path(np.exp(rng.normal(size=(5, 64))), sgrid)
+    a = normalize(np.exp(rng.normal(size=(5, 64))), sgrid)
+    b = normalize(np.exp(rng.normal(size=(5, 64))), sgrid)
     out = damped_update(a, b, 0.7)
     for mass in np.trapezoid(out, dx=sgrid.h, axis=1):
         assert mass == pytest.approx(1.0, rel=1e-12)
@@ -175,7 +175,7 @@ def test_control_energy_of_zero_control_is_zero():
     sgrid = SpatialGrid(-2.0, 2.0, 32)
     tgrid = TimeGrid(4)
     shape = (tgrid.n_t + 1, sgrid.n_x)
-    p = normalize_path(np.ones(shape), sgrid)
+    p = normalize(np.ones(shape), sgrid)
     assert control_energy(np.zeros(shape), p, sgrid, tgrid) == 0.0
 
 
@@ -183,7 +183,7 @@ def test_control_energy_of_constant_control():
     sgrid = SpatialGrid(-2.0, 2.0, 64)
     tgrid = TimeGrid(8)
     shape = (tgrid.n_t + 1, sgrid.n_x)
-    p = normalize_path(
+    p = normalize(
         np.tile(gaussian_density(sgrid.nodes, 0.0, 0.04), (shape[0], 1)), sgrid
     )
     c = 1.7
@@ -196,7 +196,7 @@ def test_control_energy_matches_direct_quadrature(rng):
     tgrid = TimeGrid(6)
     shape = (tgrid.n_t + 1, sgrid.n_x)
     u = rng.normal(size=shape)
-    p = normalize_path(np.exp(rng.normal(size=shape)), sgrid)
+    p = normalize(np.exp(rng.normal(size=shape)), sgrid)
     cost = control_energy(u, p, sgrid, tgrid)
     assert cost == pytest.approx(
         direct_control_energy(u, p, sgrid.h, tgrid.dt), rel=1e-12
@@ -222,7 +222,7 @@ def update_pair(p_path, pair, cfg):
 def test_pair_update_without_interaction_is_start_independent(rng):
     cfg = small_config(tol=1e-11)
     shape = (cfg.n_t + 1, cfg.n_x)
-    p_path = normalize_path(
+    p_path = normalize(
         np.tile(gaussian_density(cfg.sgrid.nodes, 0.0, 0.08), (shape[0], 1)),
         cfg.sgrid,
     )
@@ -242,7 +242,7 @@ def test_pair_update_is_a_fixed_point_map(rng):
         tol=1e-11,
     )
     shape = (cfg.n_t + 1, cfg.n_x)
-    p_path = normalize_path(
+    p_path = normalize(
         np.tile(gaussian_density(cfg.sgrid.nodes, 0.0, 0.08), (shape[0], 1)),
         cfg.sgrid,
     )
@@ -343,7 +343,7 @@ def test_solve_exhausting_inner_budget_raises_with_partial():
 
 
 def test_solve_exhausting_bridge_budget_attaches_normalized_product():
-    cfg = small_config(init_tol=1e-300)  # unreachable: the bridge start gives up
+    cfg = small_config(tol=1e-300)  # unreachable: the bridge start gives up
     with pytest.raises(NoConvergence) as info:
         solve(cfg)
     exc = info.value
@@ -352,7 +352,7 @@ def test_solve_exhausting_bridge_budget_attaches_normalized_product():
     assert exc.trace.init_iterations == max(cfg.n3, 2000)
     pair = exc.partial["pair"]
     np.testing.assert_array_equal(
-        exc.partial["p"], normalize_path(pair.product, cfg.sgrid)
+        exc.partial["p"], normalize(pair.product, cfg.sgrid)
     )
 
 
@@ -365,6 +365,10 @@ def test_solver_config_validation():
         small_config(n_x=4)
     with pytest.raises(Exception, match="verify_n"):
         small_config(verify_n=10)
+    # a subnormal tol would leave the inner loop a tolerance of exactly 0
+    for tol in (0.0, float("nan"), 5e-324):
+        with pytest.raises(ConfigError, match="tol"):
+            small_config(tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -390,20 +394,6 @@ def test_geometric_rate_needs_three_points():
         fit_geometric_rate([1.0, 0.5])
     with pytest.raises(InsufficientData):
         fit_geometric_rate([0.0, 0.0, 0.0])
-
-
-def test_contraction_rate_selects_trace_level():
-    trace = ConvergenceTrace()
-    trace.outer_dh = [0.4, 0.2, 0.1, 0.05]
-    trace.middle_dh = [[0.3], [0.1]]
-    trace.inner_dh = [[[0.5, 0.25]], [[0.8, 0.4, 0.2, 0.1, 0.05]]]
-    assert contraction_rate(trace, level="outer") == pytest.approx(0.5, rel=1e-10)
-    assert contraction_rate(trace, level="inner") == pytest.approx(0.5, rel=1e-10)
-    assert contraction_rate([0.9, 0.81, 0.729]) == pytest.approx(0.9, rel=1e-10)
-    # two loop levels: there is no middle loop left to fit
-    for level in ("middle", "sideways"):
-        with pytest.raises(DomainError):
-            contraction_rate(trace, level=level)
 
 
 # ---------------------------------------------------------------------------
