@@ -12,8 +12,9 @@ writes five artifacts into the output directory:
 
 All floats are written with 17 significant digits and \\n line endings, and
 nothing time-dependent goes into the four data files, so identical configs
-and seeds reproduce them byte for byte. Exit codes: 0 converged, 2 budget
-exhausted (NoConvergence), 1 bad input.
+and seeds reproduce them byte for byte. ``mfsb classic`` runs the same path
+with the interaction kernel switched off and no verification. Exit codes:
+0 converged, 2 budget exhausted (NoConvergence), 1 bad input.
 """
 
 from __future__ import annotations
@@ -37,14 +38,13 @@ from .config import load_config, read_key_values, resolve_config_path
 from .errors import ConfigError, MfsbError, NoConvergence
 from .grid import SpatialGrid, TimeGrid
 from .kolmogorov import propagate_density
-from .marginals import build_marginals
 from .metrics import l1_distance
 from .particles import simulate, terminal_residual
+from .potentials import PotentialSpec
 from .sinkhorn import PairPath
 from .solver import (
     SolverConfig,
     Solution,
-    classical_bridge_init,
     contraction_constants,
     control_energy,
     optimal_control,
@@ -119,7 +119,7 @@ def _write_run(
     cfg: SolverConfig,
     status: str,
     cost: float,
-    trace: dict | None,
+    trace: dict,
     p_path: np.ndarray,
     u_path: np.ndarray,
     pair: PairPath,
@@ -203,12 +203,18 @@ def run(
     reflected in manifest.status rather than raised.
     """
     cfg = load_config(resolve_config_path(config_path))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     warm_pair = None
     if warm_start_path is not None:
         warm_pair = read_pair_csv(warm_start_path, cfg.sgrid, cfg.tgrid)
+    return _solve_and_write(cfg, out_dir, verify, warm_pair)
 
+
+def _solve_and_write(
+    cfg: SolverConfig, out_dir, verify: bool, warm_pair: PairPath | None
+) -> RunManifest:
+    """The body of :func:`run` once the config and warm pair are loaded."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     status = "converged"
     error = None
     verification = None
@@ -238,39 +244,10 @@ def run(
     verify_seconds = time.perf_counter() - t1
 
     return _write_run(
-        out, cfg, status, cost,
-        trace.to_dict() if trace is not None else None,
-        p_path, u_path, pair,
+        out, cfg, status, cost, trace.to_dict(), p_path, u_path, pair,
         {"solve_seconds": solve_seconds, "verify_seconds": verify_seconds},
         verification=verification,
         error=error,
-    )
-
-
-def run_classic(config_path, out_dir) -> RunManifest:
-    """Solve only the non-interacting bridge for the configured marginals."""
-    cfg = load_config(resolve_config_path(config_path))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-    p_in = build_marginals(cfg.marginal_in, cfg.sgrid)
-    p_fin = build_marginals(cfg.marginal_fin, cfg.sgrid)
-    p_path, pair, itrace = classical_bridge_init(
-        p_in, p_fin, cfg.sigma, cfg.sgrid, cfg.tgrid,
-        tol=cfg.tol, max_iter=cfg.n3,
-    )
-    u_path = optimal_control(pair, cfg.sigma, cfg.sgrid)
-    cost = control_energy(u_path, p_path, cfg.sgrid, cfg.tgrid)
-    solve_seconds = time.perf_counter() - t0
-    trace = {
-        "init_dh": list(itrace.boundary_dh),
-        "init_iterations": len(itrace.boundary_dh),
-        "residual_in": itrace.residual_in,
-        "residual_fin": itrace.residual_fin,
-    }
-    return _write_run(
-        out, cfg, "converged", cost, trace, p_path, u_path, pair,
-        {"solve_seconds": solve_seconds, "verify_seconds": 0.0},
     )
 
 
@@ -338,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_const.add_argument("file", help="flat key = value parameter file")
 
     p_classic = sub.add_parser(
-        "classic", help="solve the non-interacting bridge only"
+        "classic",
+        help="run with the interaction kernel switched off, without verification",
     )
     p_classic.add_argument("config", help="config file path or bundled name")
     p_classic.add_argument("--out", required=True, help="output directory")
@@ -352,27 +330,25 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        if args.command == "run":
+        if args.command == "constants":
+            return _cmd_constants(args.file)
+        if args.command == "classic":
+            # the run path with the interaction switched off: the
+            # classical bridge between the configured marginals
+            cfg = load_config(resolve_config_path(args.config))
+            cfg = dataclasses.replace(cfg, potential=PotentialSpec.zero())
+            manifest = _solve_and_write(cfg, args.out, verify=False, warm_pair=None)
+        else:
             manifest = run(
                 args.config, args.out,
                 verify=not args.no_verify,
                 warm_start_path=args.warm_start,
             )
-            print(f"status: {manifest.status} (artifacts in {args.out})")
-            return 0 if manifest.status == "converged" else 2
-        if args.command == "constants":
-            return _cmd_constants(args.file)
-        if args.command == "classic":
-            manifest = run_classic(args.config, args.out)
-            print(f"status: {manifest.status} (artifacts in {args.out})")
-            return 0
-    except NoConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (MfsbError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
+    print(f"status: {manifest.status} (artifacts in {args.out})")
+    return 0 if manifest.status == "converged" else 2
 
 
 if __name__ == "__main__":

@@ -22,16 +22,12 @@ _KNOWN_KEYS = {
     "N1", "N3", "seed",
     "potential.kind", "potential.beta", "potential.c", "potential.alpha",
     "potential.epsilon", "potential.a", "potential.s", "potential.file",
-    "potential_is_prescaled",
     "marginal_in.kind", "marginal_in.weights", "marginal_in.means",
     "marginal_in.variances", "marginal_in.file",
     "marginal_fin.kind", "marginal_fin.weights", "marginal_fin.means",
     "marginal_fin.variances", "marginal_fin.file",
     "verify.N",
 }
-
-_TRUE = {"true", "1", "yes", "on"}
-_FALSE = {"false", "0", "no", "off"}
 
 
 def read_key_values(path) -> dict[str, str]:
@@ -88,17 +84,6 @@ def _as_int(raw: dict, key: str, default=None) -> int:
         return int(raw[key])
     except ValueError as exc:
         raise ConfigError(f"{key}: expected an integer, got {raw[key]!r}") from exc
-
-
-def _as_bool(raw: dict, key: str, default: bool) -> bool:
-    if key not in raw:
-        return default
-    token = raw[key].lower()
-    if token in _TRUE:
-        return True
-    if token in _FALSE:
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw[key]!r}")
 
 
 def _as_floats(raw: dict, key: str) -> tuple[float, ...]:
@@ -176,7 +161,6 @@ def solver_config_from(raw: dict[str, str]) -> SolverConfig:
         n_t=_as_int(raw, "n_t", 100),
         n1=_as_int(raw, "N1", 200),
         n3=_as_int(raw, "N3", 500),
-        potential_is_prescaled=_as_bool(raw, "potential_is_prescaled", True),
         seed=_as_int(raw, "seed", 0),
         verify_n=_as_int(raw, "verify.N", 100_000),
     )

@@ -112,15 +112,6 @@ class PotentialTable:
     grad_w: np.ndarray
     lap_w: np.ndarray
 
-    def scaled(self, factor: float) -> "PotentialTable":
-        """Return a copy with all three tables multiplied by ``factor``."""
-        return PotentialTable(
-            grid=self.grid,
-            w=self.w * factor,
-            grad_w=self.grad_w * factor,
-            lap_w=self.lap_w * factor,
-        )
-
 
 def displacement_grid(grid: SpatialGrid) -> SpatialGrid:
     """Grid of pairwise displacements x_i - x_j: [-L, L] with 2 n_x - 1 nodes."""

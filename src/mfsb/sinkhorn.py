@@ -10,14 +10,14 @@ which is the natural (scale-free) distance for this iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NoConvergence, PositivityError, ShapeError
 from .grid import SpatialGrid, TimeGrid, check_field, check_path
 from .kolmogorov import TransportOperators, integrate_backward, integrate_forward
-from .metrics import hilbert_distance, l1_distance
+from .metrics import hilbert_distance
 from .potentials import (
     PotentialTable,
     convolve,
@@ -65,21 +65,9 @@ class FrozenProblem:
     decay_phihat: np.ndarray
     p_in: np.ndarray
     p_fin: np.ndarray
-    # exp(+/- 2 (W * marginal)) evaluated once; the + factors enter the anchor
-    # updates, the - factors reconstruct the boundary densities for residuals
+    # exp(2 (W * marginal)) evaluated once per freeze for the anchor updates
     exp_in_plus: np.ndarray
-    exp_in_minus: np.ndarray
     exp_fin_plus: np.ndarray
-    exp_fin_minus: np.ndarray
-
-
-@dataclass
-class InnerTrace:
-    """Per-iteration anchor distances and the exit marginal residuals."""
-
-    boundary_dh: list[float] = field(default_factory=list)
-    residual_in: float = float("nan")
-    residual_fin: float = float("nan")
 
 
 def boundary_factors(
@@ -87,11 +75,12 @@ def boundary_factors(
     p_in: np.ndarray,
     p_fin: np.ndarray,
     grid: SpatialGrid,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(e^{+2 W*p_in}, e^{-2 W*p_in}, e^{+2 W*p_fin}, e^{-2 W*p_fin})."""
-    conv_in = 2.0 * convolve(table.w, p_in, grid)
-    conv_fin = 2.0 * convolve(table.w, p_fin, grid)
-    return np.exp(conv_in), np.exp(-conv_in), np.exp(conv_fin), np.exp(-conv_fin)
+) -> tuple[np.ndarray, np.ndarray]:
+    """(e^{2 W*p_in}, e^{2 W*p_fin})."""
+    return (
+        np.exp(2.0 * convolve(table.w, p_in, grid)),
+        np.exp(2.0 * convolve(table.w, p_fin, grid)),
+    )
 
 
 def freeze_problem(
@@ -114,9 +103,7 @@ def freeze_problem(
     ops = TransportOperators(
         mean_field_drift_path(table, p_path, sgrid), sigma, sgrid, tgrid
     )
-    in_plus, in_minus, fin_plus, fin_minus = boundary_factors(
-        table, p_in, p_fin, sgrid
-    )
+    in_plus, fin_plus = boundary_factors(table, p_in, p_fin, sgrid)
     rate = -tgrid.dt * ops.sigma**2
     return FrozenProblem(
         ops=ops,
@@ -127,9 +114,7 @@ def freeze_problem(
         p_in=check_field(p_in, sgrid),
         p_fin=check_field(p_fin, sgrid),
         exp_in_plus=in_plus,
-        exp_in_minus=in_minus,
         exp_fin_plus=fin_plus,
-        exp_fin_minus=fin_minus,
     )
 
 
@@ -158,51 +143,46 @@ def inner_sinkhorn(
     start: PairPath,
     tol: float,
     max_iter: int,
-) -> tuple[PairPath, int, InnerTrace]:
+) -> tuple[PairPath, list[float]]:
     """Iterate sweep + anchor updates until both anchors stop moving.
 
-    Returns (pair, iterations, trace). The returned pair reproduces both
+    Returns (pair, boundary_dh), the anchor distance of every iteration, so
+    the iteration count is len(boundary_dh). The returned pair reproduces both
     boundary densities exactly: p_in = e^{-2 W*p_in} phi_0 phihat_0 by
     construction of the initial anchor, and the terminal phi slice is
     overwritten with its final anchor update so the same identity holds at
-    t = 1. Raises NoConvergence when max_iter is exhausted.
+    t = 1. Raises NoConvergence, with the distances as its trace, when
+    max_iter is exhausted.
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
     sg = problem.ops.sgrid
     phi1 = check_field(np.array(start.phi[-1], dtype=float), sg)
     phihat0_prev = check_field(np.array(start.phihat[0], dtype=float), sg)
-    trace = InnerTrace()
+    boundary_dh: list[float] = []
     phi = phihat = None
-    for i in range(max_iter):
+    for _ in range(max_iter):
         phi = integrate_backward(phi1, problem.decay_phi, problem.ops)
         phihat0 = boundary_update_initial(phi[0], problem.p_in, problem.exp_in_plus)
         phihat = integrate_forward(phihat0, problem.decay_phihat, problem.ops)
         phi1_new = boundary_update_final(
             phihat[-1], problem.p_fin, problem.exp_fin_plus
         )
-        trace.boundary_dh.append(max(
+        boundary_dh.append(max(
             hilbert_distance(phi1_new, phi1),
             hilbert_distance(phihat0, phihat0_prev),
         ))
         phi1 = phi1_new
         phihat0_prev = phihat0
-        if trace.boundary_dh[-1] < tol:
+        if boundary_dh[-1] < tol:
             phi[-1] = phi1_new
-            pair = PairPath(phi=phi, phihat=phihat)
-            trace.residual_in = l1_distance(
-                problem.exp_in_minus * phi[0] * phihat[0], problem.p_in, sg
-            )
-            trace.residual_fin = l1_distance(
-                problem.exp_fin_minus * phi[-1] * phihat[-1], problem.p_fin, sg
-            )
-            return pair, i + 1, trace
+            return PairPath(phi=phi, phihat=phihat), boundary_dh
     raise NoConvergence(
         f"inner loop did not reach tol={tol} in {max_iter} iterations "
-        f"(last anchor distance {trace.boundary_dh[-1]:.3e})",
+        f"(last anchor distance {boundary_dh[-1]:.3e})",
         level="inner",
         indices=(max_iter,),
-        last_distance=trace.boundary_dh[-1],
-        trace=trace,
+        last_distance=boundary_dh[-1],
+        trace=boundary_dh,
         partial=None if phi is None else PairPath(phi=phi, phihat=phihat),
     )

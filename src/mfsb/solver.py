@@ -40,7 +40,7 @@ from .grid import SpatialGrid, TimeGrid, check_field, check_path, gradient, norm
 from .marginals import MarginalSpec, build_marginals
 from .metrics import l1_distance, pair_distance, path_distance
 from .potentials import PotentialSpec, PotentialTable, convolve_path, eval_potential
-from .sinkhorn import InnerTrace, PairPath, freeze_problem, inner_sinkhorn
+from .sinkhorn import PairPath, freeze_problem, inner_sinkhorn
 
 logger = logging.getLogger("mfsb")
 
@@ -69,7 +69,6 @@ class SolverConfig:
     n_t: int = 100
     n1: int = 200
     n3: int = 500
-    potential_is_prescaled: bool = True
     seed: int = 0
     verify_n: int = 100_000
 
@@ -113,12 +112,8 @@ class SolverConfig:
 
     @cached_property
     def kernel_table(self) -> PotentialTable:
-        """Kernel tables the solver and the verification use: divided by
-        sigma2 unless the kernel is prescaled."""
-        table = eval_potential(self.potential, self.sgrid)
-        if not self.potential_is_prescaled:
-            table = table.scaled(1.0 / self.sigma2)
-        return table
+        """Kernel tables the solver and the verification use."""
+        return eval_potential(self.potential, self.sgrid)
 
 
 @dataclass
@@ -194,13 +189,13 @@ def classical_bridge_init(
     tgrid: TimeGrid,
     tol: float = BRIDGE_TOL,
     max_iter: int = 2000,
-) -> tuple[np.ndarray, PairPath, "InnerTrace"]:
+) -> tuple[np.ndarray, PairPath, list[float]]:
     """Bridge between the marginals with the interaction switched off.
 
     Runs the inner loop frozen at the zero kernel (no drift, no reaction,
     unit anchor factors) from the flat start (phi = 1, phihat anchored at
     p_in); the density path is the normalized slice-wise product of the two
-    scalings.
+    scalings. Returns (p_path, pair, boundary_dh).
     """
     p_in = check_field(p_in, sgrid)
     p_fin = check_field(p_fin, sgrid)
@@ -213,9 +208,8 @@ def classical_bridge_init(
         flat, start, eval_potential(PotentialSpec.zero(), sgrid),
         p_in, p_fin, sigma, sgrid, tgrid,
     )
-    pair, iterations, trace = inner_sinkhorn(problem, start, tol, max_iter)
-    p_path = normalize(pair.product, sgrid)
-    return p_path, pair, trace
+    pair, boundary_dh = inner_sinkhorn(problem, start, tol, max_iter)
+    return normalize(pair.product, sgrid), pair, boundary_dh
 
 
 def _refined_density(
@@ -300,13 +294,13 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
 
     if warm_pair is None:
         try:
-            p_path, pair, init_trace = classical_bridge_init(
+            p_path, pair, init_dh = classical_bridge_init(
                 p_in, p_fin, sigma, sgrid, tgrid,
                 tol=min(cfg.tol, BRIDGE_TOL),
                 max_iter=max(cfg.n3, 2000),
             )
         except NoConvergence as exc:
-            trace.init_dh = list(exc.trace.boundary_dh)
+            trace.init_dh = exc.trace
             trace.init_iterations = len(trace.init_dh)
             exc.trace = trace
             exc.partial = {
@@ -314,8 +308,8 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
                 "pair": exc.partial,
             }
             raise
-        trace.init_dh = list(init_trace.boundary_dh)
-        trace.init_iterations = len(init_trace.boundary_dh)
+        trace.init_dh = init_dh
+        trace.init_iterations = len(init_dh)
     else:
         check_path(warm_pair.phi, sgrid, tgrid)
         pair = warm_pair
@@ -330,9 +324,7 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
         tick = time.perf_counter()
         problem = freeze_problem(p_path, pair, table, p_in, p_fin, sigma, sgrid, tgrid)
         try:
-            new_pair, n_inner, itrace = inner_sinkhorn(
-                problem, pair, inner_tol, cfg.n3
-            )
+            new_pair, inner_dh = inner_sinkhorn(problem, pair, inner_tol, cfg.n3)
         except NoConvergence as exc:
             exc.indices = (k,) + exc.indices
             exc.trace = trace
@@ -349,8 +341,8 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
         d_outer = path_distance(p_next, p_path)
 
         trace.middle_dh.append([d_pair])
-        trace.inner_iterations.append([n_inner])
-        trace.inner_dh.append([list(itrace.boundary_dh)])
+        trace.inner_iterations.append([len(inner_dh)])
+        trace.inner_dh.append([inner_dh])
         trace.outer_dh.append(d_outer)
         trace.outer_dh_raw.append(d_raw)
         trace.slice_mass_dev.append(mass_dev)
@@ -360,7 +352,7 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
         p_path = p_next
         logger.debug(
             "outer %d: d_outer=%.3e d_pair=%.3e inner=%d dt=%.2fs",
-            k, d_outer, d_pair, n_inner, time.perf_counter() - tick,
+            k, d_outer, d_pair, len(inner_dh), time.perf_counter() - tick,
         )
         if max(d_outer, d_pair) < cfg.tol:
             trace.converged = True
@@ -419,12 +411,16 @@ def contraction_constants(params: dict) -> dict:
     Expects kernel sup norms (w_norm, grad_w_norm, lap_w_norm), the strength
     beta and noise level sigma2, plus the regularity bounds: r, a1, a2, a3,
     c1, c2 for the density map and m1..m4 for the pair map (the m-block is
-    optional). Raises DomainError when a well-posedness precondition fails.
+    optional). Raises DomainError when a parameter is missing or not finite,
+    or when a well-posedness precondition fails.
     """
     def get(name):
         if name not in params:
             raise DomainError(f"missing parameter {name!r}")
-        return float(params[name])
+        value = float(params[name])
+        if not math.isfinite(value):
+            raise DomainError(f"parameter {name!r} must be finite, got {value}")
+        return value
 
     sigma2 = get("sigma2")
     beta = get("beta")
@@ -460,7 +456,7 @@ def contraction_constants(params: dict) -> dict:
     if present:
         if len(present) < 4:
             raise DomainError("pair-map bounds need all of m1, m2, m3, m4")
-        m1, m2, m3, m4 = (float(params[key]) for key in m_keys)
+        m1, m2, m3, m4 = (get(key) for key in m_keys)
         for name, m in (("m2", m2), ("m4", m4)):
             if _E * m >= 1.0:
                 raise DomainError(

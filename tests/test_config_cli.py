@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfsb.cli import main, read_pair_csv, run, run_classic
+from mfsb.cli import main, read_pair_csv, run
 from mfsb.config import (
     example_config_path,
     load_config,
@@ -76,6 +76,8 @@ def test_parse_skips_comments_and_blank_lines(tmp_path):
         ("made_up_key = 3\n", "unknown key"),
         ("N2 = 50\n", "unknown key"),  # the middle loop and its budget are gone
         ("init_tol = 1e-11\n", "unknown key"),  # the bridge runs to min(tol, 1e-10)
+        # the kernel's 1/sigma2 scale is set through potential.beta
+        ("potential_is_prescaled = true\n", "unknown key"),
         ("sigma2 = 1\nsigma2 = 2\n", "duplicate key"),
         ("sigma2 =\n", "empty value"),
     ],
@@ -104,7 +106,6 @@ def test_bundled_example_round_trips_every_field():
     assert (cfg.potential.c, cfg.potential.alpha) == (5.0, 0.2)
     assert cfg.potential.epsilon == 0.01
     assert cfg.potential.beta == 1.0
-    assert cfg.potential_is_prescaled is True
     assert cfg.marginal_in.kind == "gaussian_mixture"
     assert cfg.marginal_in.weights == (0.5, 0.5)
     assert cfg.marginal_in.means == (0.5, -0.4)
@@ -140,8 +141,6 @@ def test_config_values_are_validated():
         solver_config_from(dict(base, sigma2="abc"))
     with pytest.raises(ConfigError, match="integer"):
         solver_config_from(dict(base, n_x="lots"))
-    with pytest.raises(ConfigError, match="boolean"):
-        solver_config_from(dict(base, potential_is_prescaled="maybe"))
     with pytest.raises(ConfigError, match="domain"):
         solver_config_from(dict(base, domain="-2 0 2"))
     with pytest.raises(ConfigError, match="potential.kind"):
@@ -272,13 +271,24 @@ def test_pair_reader_validates_its_input(mini_run, tmp_path):
         read_pair_csv(shifted, sgrid, tgrid)
 
 
-def test_classic_subcommand_writes_bridge_artifacts(mini_config_path, tmp_path):
-    manifest = run_classic(mini_config_path, tmp_path / "classic")
-    assert manifest.status == "converged"
-    trace = json.loads((tmp_path / "classic" / "trace.json").read_text())["trace"]
+def test_classic_subcommand_writes_bridge_artifacts(tmp_path):
+    # the run layout on the zero kernel, whatever kernel the config names:
+    # the bridge start plus one outer step that confirms it
+    path = tmp_path / "kernel.cfg"
+    path.write_text(
+        MINI_CONFIG
+        + "potential.kind = gaussian_attractive\npotential.a = 1\npotential.s = 0.3\n"
+    )
+    out = tmp_path / "classic"
+    assert main(["classic", str(path), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "converged"
+    assert manifest["verification"] is None
+    assert manifest["config"]["potential"]["kind"] == "zero"
+    trace = json.loads((out / "trace.json").read_text())["trace"]
     assert trace["init_iterations"] >= 1
-    assert trace["residual_in"] <= 1e-10
-    assert manifest.verification is None
+    assert trace["outer_iterations"] == 1
+    assert trace["endpoint_l1_in"][-1] <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -312,18 +322,32 @@ def test_cli_budget_exhaustion_exits_two(tmp_path, capsys):
     assert (tmp_path / "o" / "densities.csv").is_file()
 
 
-@pytest.mark.parametrize("budget, level", [("N1 = 1", "outer"), ("N3 = 2", "inner")])
-def test_cli_each_exhausted_budget_exits_two_with_artifacts(tmp_path, capsys, budget, level):
-    # example2 as shipped, one loop budget cut short at a time
-    text = example_config_path("example2").read_text()
-    key = budget.split(" =")[0]
+@pytest.mark.parametrize(
+    "argv, settings, level",
+    [
+        pytest.param(["run", "--no-verify"], ["N1 = 1"], "outer", id="N1 = 1-outer"),
+        pytest.param(["run", "--no-verify"], ["N3 = 2"], "inner", id="N3 = 2-inner"),
+        # the bridge start reaches 1e-14, the first inner loop cannot reach
+        # tol / 10 in 5 iterations
+        pytest.param(
+            ["classic"], ["tol = 1e-14", "N3 = 5"], "inner",
+            id="classic-tol = 1e-14-N3 = 5-inner",
+        ),
+    ],
+)
+def test_cli_each_exhausted_budget_exits_two_with_artifacts(
+    tmp_path, capsys, argv, settings, level
+):
+    # example2 as shipped, with some settings replaced
+    keys = tuple(setting.split(" =")[0] + " " for setting in settings)
     text = "\n".join(
-        line for line in text.splitlines() if not line.startswith(key + " ")
-    ) + f"\n{budget}\n"
+        line for line in example_config_path("example2").read_text().splitlines()
+        if not line.startswith(keys)
+    ) + "\n" + "\n".join(settings) + "\n"
     path = tmp_path / "short.cfg"
     path.write_text(text)
     out = tmp_path / "o"
-    assert main(["run", str(path), "--out", str(out), "--no-verify"]) == 2
+    assert main([argv[0], str(path), "--out", str(out), *argv[1:]]) == 2
     assert "no_convergence" in capsys.readouterr().out
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "no_convergence"
@@ -392,6 +416,13 @@ def test_cli_constants_subcommand(tmp_path, capsys):
     path.write_text(path.read_text().replace("beta = 100", "beta = 0.01\nbeta = 100"))
     assert main(["constants", str(path)]) == 1
     assert "duplicate key 'beta'" in capsys.readouterr().err
+
+    # a non-finite parameter is rejected, not carried into the bounds
+    base = path.read_text().replace("beta = 0.01\nbeta = 100", "beta = 0.01")
+    for old, new in (("sigma2 = 0.2", "sigma2 = nan"), ("r = 0.1", "r = inf")):
+        path.write_text(base.replace(old, new))
+        assert main(["constants", str(path)]) == 1
+        assert "finite" in capsys.readouterr().err
 
 
 def test_cli_classic_exits_zero(mini_config_path, tmp_path, capsys):

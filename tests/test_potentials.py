@@ -223,12 +223,3 @@ def test_spec_validation():
         PotentialSpec.gaussian_attractive(a=-1.0, s=0.3)
     with pytest.raises(DomainError):
         PotentialSpec.gaussian_attractive(a=1.0, s=0.0)
-
-
-def test_prescaling_flag_scales_tables(grid64):
-    spec = PotentialSpec.gaussian_attractive(a=1.0, s=0.3)
-    base = eval_potential(spec, grid64)
-    scaled = base.scaled(0.2)
-    np.testing.assert_allclose(scaled.w, 0.2 * base.w, rtol=1e-15)
-    np.testing.assert_allclose(scaled.grad_w, 0.2 * base.grad_w, rtol=1e-15)
-    np.testing.assert_allclose(scaled.lap_w, 0.2 * base.lap_w, rtol=1e-15)

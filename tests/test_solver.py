@@ -66,11 +66,11 @@ def test_classical_bridge_hits_both_marginals():
     tgrid = TimeGrid(16)
     p_in = gaussian_density(sgrid.nodes, -0.3, 0.04)
     p_fin = gaussian_density(sgrid.nodes, 0.4, 0.06)
-    p_path, pair, trace = classical_bridge_init(p_in, p_fin, 0.45, sgrid, tgrid)
+    p_path, pair, boundary_dh = classical_bridge_init(p_in, p_fin, 0.45, sgrid, tgrid)
     assert p_path.shape == (tgrid.n_t + 1, sgrid.n_x)
     assert l1_distance(p_path[0], p_in, sgrid) <= 1e-8
     assert l1_distance(p_path[-1], p_fin, sgrid) <= 1e-8
-    assert trace.boundary_dh[-1] < 1e-10
+    assert boundary_dh[-1] < 1e-10
     for mass in np.trapezoid(p_path, dx=sgrid.h, axis=1):
         assert mass == pytest.approx(1.0, rel=1e-12)
 
