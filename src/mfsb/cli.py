@@ -73,16 +73,17 @@ def _fmt(value: float) -> str:
 
 
 def _write_columns(path: Path, header: str, times, nodes, columns) -> None:
-    """Write (t, x, *columns) rows for every (time slice, node) pair."""
-    lines = [header + "\n"]
-    for l, t in enumerate(times):
-        t_s = _fmt(t)
-        row_cols = [col[l] for col in columns]
-        for i, x in enumerate(nodes):
-            vals = ",".join(_fmt(col[i]) for col in row_cols)
-            lines.append(f"{t_s},{_fmt(x)},{vals}\n")
+    """Write (t, x, *columns) rows for every (time slice, node) pair, one
+    time slice at a time, so the whole file is never held as text."""
     with open(path, "w", newline="") as fh:
-        fh.writelines(lines)
+        fh.write(header + "\n")
+        for l, t in enumerate(times):
+            t_s = _fmt(t)
+            row_cols = [col[l] for col in columns]
+            fh.writelines(
+                f"{t_s},{_fmt(x)},{','.join(_fmt(col[i]) for col in row_cols)}\n"
+                for i, x in enumerate(nodes)
+            )
 
 
 def _jsonify(obj):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfsb.cli import main, read_pair_csv, run
+from mfsb.cli import _write_columns, main, read_pair_csv, run
 from mfsb.config import (
     example_config_path,
     load_config,
@@ -192,6 +192,20 @@ def test_csv_format_and_round_trip(mini_run):
     np.testing.assert_array_equal(
         data[:: cfg.n_x, 0], cfg.tgrid.times
     )
+
+
+def test_csv_writer_matches_whole_file_formatting(tmp_path):
+    rng = np.random.default_rng(7)
+    times = np.linspace(0.0, 1.0, 4)
+    nodes = np.linspace(-1.0, 1.0, 5)
+    columns = [rng.normal(size=(4, 5)), np.exp(rng.normal(size=(4, 5)) * 100.0)]
+    _write_columns(tmp_path / "out.csv", "t,x,a,b", times, nodes, columns)
+    lines = ["t,x,a,b\n"]
+    for l, t in enumerate(times):
+        for i, x in enumerate(nodes):
+            values = (t, x, columns[0][l, i], columns[1][l, i])
+            lines.append(",".join(format(float(v), ".17g") for v in values) + "\n")
+    assert (tmp_path / "out.csv").read_bytes() == "".join(lines).encode()
 
 
 def test_csv_endpoints_match_the_marginals(mini_run):

@@ -1,4 +1,7 @@
-"""Outer loop pieces: init bridge, refinement map, damping, control, rates."""
+"""Outer loop pieces: init bridge, refinement map, damping, Anderson mixing,
+control, rates."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -16,9 +19,12 @@ from mfsb.marginals import MarginalSpec, build_marginals
 from mfsb.metrics import l1_distance, pair_distance, path_distance
 from mfsb.potentials import PotentialSpec, eval_potential
 from mfsb.sinkhorn import PairPath, freeze_problem, inner_sinkhorn
+from mfsb import solver as solver_module
 from mfsb.solver import (
+    ANDERSON_MEMORY,
     ConvergenceTrace,
     SolverConfig,
+    _AndersonMixer,
     classical_bridge_init,
     _refined_density,
     contraction_constants,
@@ -369,6 +375,96 @@ def test_solver_config_validation():
     for tol in (0.0, float("nan"), 5e-324):
         with pytest.raises(ConfigError, match="tol"):
             small_config(tol=tol)
+
+
+# ---------------------------------------------------------------------------
+# Anderson mixing of the outer loop
+
+AFFINE_B = np.array([1.0, -2.0])
+
+
+def affine_solve(a, mixer, tol=1e-10, budget=1000):
+    """Iterate x -> a x + b from 0, through mixer when given, until a plain
+    step is below tol; returns (x, evaluations, kinds of the iterates)."""
+    x = np.zeros(2)
+    kinds = []
+    for evaluations in range(1, budget + 1):
+        g = a @ x + AFFINE_B
+        step = float(np.abs(g - x).max())
+        if step < tol:
+            return x, evaluations, kinds
+        state, kind = (None, "plain") if mixer is None else mixer.step(x, g, step)
+        kinds.append(kind)
+        x = g if state is None else state
+    raise AssertionError(f"no convergence in {budget} evaluations")
+
+
+def test_mixing_solves_an_affine_contraction_in_a_few_evaluations():
+    a = np.array([[0.95, 0.3], [0.0, 0.5]])  # spectral radius 0.95
+    fixed = np.linalg.solve(np.eye(2) - a, AFFINE_B)
+    x, mixed, kinds = affine_solve(a, _AndersonMixer(2, ANDERSON_MEMORY))
+    assert mixed <= 5
+    assert kinds[0] == "plain" and set(kinds[1:]) == {"mixed"}
+    np.testing.assert_allclose(x, fixed, rtol=0.0, atol=1e-9)
+    _, plain, _ = affine_solve(a, None)
+    assert plain > 100
+
+
+def test_mixing_falls_back_to_the_plain_step_when_the_step_grows():
+    # strongly non-normal: the first mixed iterate's plain step is larger
+    # than that of the plain iterate it was mixed from
+    a = np.array([[0.95, 20.0], [0.0, 0.5]])
+    mixer = _AndersonMixer(2, ANDERSON_MEMORY)
+    steps = []
+    x = np.zeros(2)
+    for expected in ("plain", "mixed", "fallback"):
+        g = a @ x + AFFINE_B
+        steps.append(float(np.abs(g - x).max()))
+        state, kind = mixer.step(x, g, steps[-1])
+        assert kind == expected
+        if kind == "mixed":
+            accepted_output = g.copy()
+        x = g if state is None else state
+    assert steps[2] > steps[1]
+    np.testing.assert_array_equal(x, accepted_output)
+    assert (mixer.count, mixer.primed, mixer.restarts) == (0, False, 1)
+    # the fallback iterate is taken as it comes, then mixing resumes
+    _, _, kinds = affine_solve(a, mixer)
+    assert kinds[:2] == ["plain", "mixed"]
+
+
+def test_solve_exhausting_outer_budget_under_mixing(example1_config):
+    cfg = dataclasses.replace(example1_config, n1=3)
+    with pytest.raises(NoConvergence) as info:
+        solve(cfg)
+    exc = info.value
+    assert exc.level == "outer"
+    assert exc.indices == (3,)
+    p, pair = exc.partial["p"], exc.partial["pair"]
+    assert np.all(np.isfinite(p)) and p.min() > 0.0
+    for leg in (pair.phi, pair.phihat):
+        assert np.all(np.isfinite(leg)) and leg.min() > 0.0
+    p_in = build_marginals(cfg.marginal_in, cfg.sgrid)
+    p_fin = build_marginals(cfg.marginal_fin, cfg.sgrid)
+    np.testing.assert_allclose(p[0], p_in, rtol=1e-10)
+    np.testing.assert_allclose(p[-1], p_fin, rtol=1e-10)
+    trace = exc.trace
+    assert trace.outer_iterations == 3
+    for name in ("outer_dh", "outer_dh_raw", "middle_dh", "inner_iterations",
+                 "inner_dh", "endpoint_l1_in", "endpoint_l1_fin",
+                 "slice_mass_dev"):
+        assert len(getattr(trace, name)) == 3, name
+
+
+def test_resume_from_a_converged_pair_allocates_no_mixing_memory(
+    example1_run, monkeypatch
+):
+    def refuse(*args):
+        raise AssertionError("the mixing buffers were allocated")
+
+    monkeypatch.setattr(solver_module, "_AndersonMixer", refuse)
+    sol, _ = example1_run
+    assert solve(sol.config, warm_pair=sol.pair).trace.outer_iterations == 1
 
 
 # ---------------------------------------------------------------------------
