@@ -159,12 +159,16 @@ def _write_run(
     return manifest
 
 
-def _verify_solution(cfg: SolverConfig, sol: Solution) -> dict:
+def _verify_solution(cfg: SolverConfig, sol: Solution) -> tuple[dict, dict]:
     """Closed-loop density propagation plus a particle ensemble under the
-    solved control, both compared against the target marginal."""
+    solved control, both compared against the target marginal.
+
+    Returns the verification report and the seconds each check took.
+    """
     report: dict = {}
     pde_report: dict = {}
     table = cfg.kernel_table
+    t0 = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         closed_loop = propagate_density(
@@ -177,6 +181,7 @@ def _verify_solution(cfg: SolverConfig, sol: Solution) -> dict:
         "mass_drift_max": pde_report["mass_drift_max"],
         "warnings": [str(w.message) for w in caught],
     }
+    t1 = time.perf_counter()
     ensemble = simulate(
         sol.u, table, sol.p_in, cfg.sigma,
         cfg.verify_n, cfg.seed, cfg.sgrid, cfg.tgrid,
@@ -184,12 +189,13 @@ def _verify_solution(cfg: SolverConfig, sol: Solution) -> dict:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         particle_l1 = terminal_residual(ensemble, sol.p_fin, cfg.sgrid)
+    t2 = time.perf_counter()
     report["particles"] = {
         "n": cfg.verify_n,
         "seed": cfg.seed,
         "terminal_l1": particle_l1,
     }
-    return report
+    return report, {"pde_seconds": t1 - t0, "particles_seconds": t2 - t1}
 
 
 def run(
@@ -239,14 +245,16 @@ def _solve_and_write(
         cost = control_energy(u_path, p_path, cfg.sgrid, cfg.tgrid)
     solve_seconds = time.perf_counter() - t0
 
+    timings = {"solve_seconds": solve_seconds}
     t1 = time.perf_counter()
     if verify and status == "converged":
-        verification = _verify_solution(cfg, sol)
-    verify_seconds = time.perf_counter() - t1
+        verification, check_seconds = _verify_solution(cfg, sol)
+        timings.update(check_seconds)
+    timings["verify_seconds"] = time.perf_counter() - t1
 
     return _write_run(
         out, cfg, status, cost, trace.to_dict(), p_path, u_path, pair,
-        {"solve_seconds": solve_seconds, "verify_seconds": verify_seconds},
+        timings,
         verification=verification,
         error=error,
     )

@@ -50,12 +50,6 @@ class SpatialGrid:
         w[0] = w[-1] = 0.5 * self.h
         return w
 
-    @cached_property
-    def cell_edges(self) -> np.ndarray:
-        """Edges of the node-centered cells (first/last cell are half width)."""
-        mid = 0.5 * (self.nodes[:-1] + self.nodes[1:])
-        return np.concatenate(([self.x_min], mid, [self.x_max]))
-
 
 @dataclass(frozen=True)
 class TimeGrid:

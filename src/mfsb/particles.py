@@ -4,6 +4,9 @@ Euler-Maruyama on N particles driven by the control plus the sampled
 interaction drift, with reflection at the domain ends. The interaction is
 evaluated particle-in-cell: each step bins the cloud onto the grid and reuses
 the kernel convolution of the PDE side, so a step costs O(N + n_x log n_x).
+On the uniform grid one floor index per particle serves both the nearest-node
+deposit and the linear gather of the drift (Hockney & Eastwood 1988), and
+every per-particle array of the step is allocated once per run.
 The counter-based Philox generator makes runs reproducible from the seed
 alone.
 """
@@ -15,12 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ZeroMassError
 from .grid import SpatialGrid, TimeGrid, check_field, check_path, normalize
 from .metrics import l1_distance
 from .potentials import PotentialTable, mean_field_drift
 
 _RECOMMENDED_N = 10_000
+
+# passes of the reflection fold before a step is declared out of bounds: each
+# pass removes two domain widths, and an Euler step is O(sigma sqrt(dt))
+_MAX_FOLDS = 32
 
 
 @dataclass(frozen=True)
@@ -40,19 +47,50 @@ def _sample_initial(p_init: np.ndarray, grid: SpatialGrid, rng, n: int) -> np.nd
     """Inverse-CDF sampling of the piecewise-linear density on the grid."""
     segment_mass = 0.5 * grid.h * (p_init[:-1] + p_init[1:])
     cdf = np.concatenate(([0.0], np.cumsum(segment_mass)))
+    if not cdf[-1] > 0.0:
+        raise ZeroMassError(f"initial density has nonpositive mass {cdf[-1]}")
     cdf /= cdf[-1]
     return np.interp(rng.random(n), cdf, grid.nodes)
 
 
-def _reflect(x: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    span = grid.x_max - grid.x_min
-    y = np.mod(x - grid.x_min, 2.0 * span)
-    return grid.x_min + np.minimum(y, 2.0 * span - y)
+def _locate(x, grid: SpatialGrid, s, i, frac) -> None:
+    """The index pass over positions in [x_min, x_max], into the given
+    buffers: s = (x - x_min) / h, i = min(floor(s), n_x - 2) and
+    frac = s - i, so nodes i and i + 1 bracket each position."""
+    np.subtract(x, grid.x_min, out=s)
+    s /= grid.h
+    np.copyto(i, s, casting="unsafe")  # truncation is the floor, as s >= 0
+    np.minimum(i, grid.n_x - 2, out=i)
+    np.subtract(s, i, out=frac)
 
 
-def _histogram(positions: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    counts, _ = np.histogram(positions, bins=grid.cell_edges)
-    return normalize(counts / (positions.size * grid.weights), grid)
+def _deposit(i, frac, grid: SpatialGrid, near) -> np.ndarray:
+    """Nearest-node density of located positions, normalized to unit mass.
+
+    Node i + (frac >= 1/2) is the cell between the midpoints around it (half
+    cells at the ends); ``near`` receives the node indices.
+    """
+    np.add(i, frac >= 0.5, out=near)
+    counts = np.bincount(near, minlength=grid.n_x)
+    return normalize(counts / (near.size * grid.weights), grid)
+
+
+def _reflect(x, grid: SpatialGrid, scratch) -> None:
+    """Fold positions into [x_min, x_max] in place, bouncing off the ends as
+    often as a step needs: each pass mirrors at x_min, then at x_max, and
+    takes two spans off the farthest excursion."""
+    lo, hi = grid.x_min, grid.x_max
+    for _ in range(_MAX_FOLDS):
+        np.subtract(2.0 * lo, x, out=scratch)
+        np.maximum(x, scratch, out=x)
+        np.subtract(2.0 * hi, x, out=scratch)
+        np.minimum(x, scratch, out=x)
+        if x.min() >= lo:
+            return
+    raise DomainError(
+        f"a step carried particles more than {2 * _MAX_FOLDS} domain widths "
+        "or out of the finite numbers"
+    )
 
 
 def simulate(
@@ -70,29 +108,55 @@ def simulate(
     The control is interpolated linearly in space and, as in the closed-loop
     PDE, sampled over each step as the mean of its two endpoint slices.
     Positions reflect at the domain ends. ``table`` is the kernel the solver
-    used (``SolverConfig.kernel_table``).
+    used (``SolverConfig.kernel_table``). A control or initial density that is
+    not finite, or an initial density with a negative value, is a DomainError.
     """
     if n < 100:
         raise DomainError(f"need at least 100 particles, got {n}")
     u_path = check_path(u_path, sgrid, tgrid)
     p_init = check_field(p_init, sgrid)
+    if not np.all(np.isfinite(u_path)):
+        raise DomainError("control path must be finite")
+    if not (np.all(np.isfinite(p_init)) and np.all(p_init >= 0.0)):
+        raise DomainError("initial density must be finite and nonnegative")
     rng = np.random.Generator(np.random.Philox(seed))
-    nodes = sgrid.nodes
     dt = tgrid.dt
-    root_dt = np.sqrt(dt)
+    noise_scale = sigma * np.sqrt(dt)
     x = _sample_initial(p_init, sgrid, rng, n)
+    s, frac, noise = np.empty(n), np.empty(n), np.empty(n)
+    i, near = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
     for l in range(tgrid.n_t):
+        _locate(x, sgrid, s, i, frac)
         u_step = 0.5 * (u_path[l] + u_path[l + 1])
-        b = mean_field_drift(table, _histogram(x, sgrid), sgrid)
-        drift = np.interp(x, nodes, sigma * u_step + sigma * sigma * b)
-        x = x + drift * dt + sigma * root_dt * rng.standard_normal(n)
-        x = _reflect(x, sgrid)
+        b = mean_field_drift(table, _deposit(i, frac, sgrid, near), sgrid)
+        v = sigma * u_step + sigma * sigma * b
+        # linear gather of the node drift v from the same index: into s
+        np.take(np.diff(v), i, out=s)
+        s *= frac
+        s += np.take(v, i, out=noise)
+        s *= dt
+        x += s
+        rng.standard_normal(n, out=noise)
+        noise *= noise_scale
+        x += noise
+        _reflect(x, sgrid, noise)
     return ParticleEnsemble(positions=x, seed=seed, steps=tgrid.n_t)
 
 
 def empirical_density(ensemble: ParticleEnsemble, grid: SpatialGrid) -> np.ndarray:
-    """Histogram density on node-centered cells, normalized to unit mass."""
-    return _histogram(ensemble.positions, grid)
+    """Histogram density on node-centered cells, normalized to unit mass.
+
+    Positions outside the domain are not counted; a position that is not
+    finite is a DomainError.
+    """
+    x = np.asarray(ensemble.positions, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise DomainError("particle positions must be finite")
+    x = x[(x >= grid.x_min) & (x <= grid.x_max)]
+    s, frac = np.empty(x.size), np.empty(x.size)
+    i, near = np.empty(x.size, dtype=np.intp), np.empty(x.size, dtype=np.intp)
+    _locate(x, grid, s, i, frac)
+    return _deposit(i, frac, grid, near)
 
 
 def terminal_residual(

@@ -54,6 +54,11 @@ logger = logging.getLogger("mfsb")
 # the outer step distances it feeds, or those stop decreasing near tol
 INNER_TOL_FRACTION = 0.1
 
+# the inner loop's anchor distances stall at 20 to 32 machine epsilons
+# (4.4e-15 to 7.1e-15), so an inner tolerance at or below 32 epsilons is never
+# met; tol must exceed INNER_TOL_FLOOR / INNER_TOL_FRACTION (about 7.1e-14)
+INNER_TOL_FLOOR = 32 * np.finfo(float).eps
+
 # the starting bridge is converged to min(tol, BRIDGE_TOL) so that rerunning
 # it inside solve() moves the iterate by far less than any stopping test
 BRIDGE_TOL = 1e-10
@@ -89,10 +94,13 @@ class SolverConfig:
             raise ConfigError(f"sigma2 must be positive, got {self.sigma2}")
         if not 0.0 < self.theta <= 1.0:
             raise ConfigError(f"theta must lie in (0, 1], got {self.theta}")
-        if not (np.isfinite(self.tol) and INNER_TOL_FRACTION * self.tol > 0.0):
+        if not (np.isfinite(self.tol)
+                and INNER_TOL_FRACTION * self.tol > INNER_TOL_FLOOR):
             raise ConfigError(
-                f"tol must be positive and large enough that tol * "
-                f"{INNER_TOL_FRACTION} does not underflow to 0, got {self.tol}"
+                f"tol must be finite and exceed "
+                f"{INNER_TOL_FLOOR / INNER_TOL_FRACTION:.3g}: the inner loop runs "
+                f"to tol * {INNER_TOL_FRACTION}, and its anchor distances stall "
+                f"near {INNER_TOL_FLOOR:.2g}; got {self.tol}"
             )
         for name in ("n1", "n3"):
             if getattr(self, name) < 1:

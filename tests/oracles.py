@@ -120,6 +120,54 @@ def direct_sweep(boundary: np.ndarray, b_path: np.ndarray, q_path: np.ndarray,
     return path
 
 
+def midpoint_histogram_density(x: np.ndarray, x_min: float, x_max: float,
+                               n_x: int) -> np.ndarray:
+    """np.histogram of positions on the node midpoints (half cells at the
+    ends) over the cell widths, rescaled to unit trapezoid mass."""
+    nodes = np.linspace(x_min, x_max, n_x)
+    h = (x_max - x_min) / (n_x - 1)
+    edges = np.concatenate(([x_min], 0.5 * (nodes[:-1] + nodes[1:]), [x_max]))
+    counts, _ = np.histogram(x, bins=edges)
+    w = trapezoid_weights(n_x, h)
+    density = counts / (x.size * w)
+    return density / np.sum(w * density)
+
+
+def mod_fold(x: np.ndarray, x_min: float, x_max: float) -> np.ndarray:
+    """Reflection into [x_min, x_max] as a triangle wave of period 2 span."""
+    span = x_max - x_min
+    y = np.mod(x - x_min, 2.0 * span)
+    return x_min + np.minimum(y, 2.0 * span - y)
+
+
+def interp_particle_run(u_path: np.ndarray, grad_w: np.ndarray,
+                        p_init: np.ndarray, sigma: float, n: int, seed: int,
+                        x_min: float, x_max: float) -> np.ndarray:
+    """Euler-Maruyama particle-in-cell run, one library call per job.
+
+    Inverse-CDF start from the piecewise-linear p_init, then per step: the
+    midpoint histogram, the drift -(W' * p) by a direct np.convolve, the
+    control as the mean of the step's two slices, np.interp to gather the
+    node drift at the unsorted positions, and the np.mod fold. The Philox
+    draws are the library's: one random(n), then one standard_normal(n) per
+    step. Returns the terminal positions.
+    """
+    n_t, n_x = u_path.shape[0] - 1, u_path.shape[1]
+    nodes = np.linspace(x_min, x_max, n_x)
+    h = (x_max - x_min) / (n_x - 1)
+    dt = 1.0 / n_t
+    rng = np.random.Generator(np.random.Philox(seed))
+    cdf = np.concatenate(([0.0], np.cumsum(0.5 * h * (p_init[:-1] + p_init[1:]))))
+    x = np.interp(rng.random(n), cdf / cdf[-1], nodes)
+    for l in range(n_t):
+        p = midpoint_histogram_density(x, x_min, x_max, n_x)
+        b = -h * np.convolve(p, grad_w)[n_x - 1 : 2 * n_x - 1]
+        v = sigma * 0.5 * (u_path[l] + u_path[l + 1]) + sigma * sigma * b
+        noise = sigma * math.sqrt(dt) * rng.standard_normal(n)
+        x = mod_fold(x + np.interp(x, nodes, v) * dt + noise, x_min, x_max)
+    return x
+
+
 def gaussian_density(x: np.ndarray, mean: float, variance: float) -> np.ndarray:
     """Normalized Gaussian evaluated on nodes (analytic normalizer)."""
     return np.exp(-((x - mean) ** 2) / (2.0 * variance)) / math.sqrt(

@@ -173,6 +173,11 @@ def test_run_writes_the_full_artifact_set(mini_run):
     assert np.isfinite(manifest.verification["pde"]["terminal_l1"])
     assert manifest.verification["particles"]["n"] == 2000
     assert manifest.timings["solve_seconds"] > 0.0
+    # the two checks are timed apart; the trace and data files hold no times
+    pde, particles = (manifest.timings[k] for k in ("pde_seconds", "particles_seconds"))
+    assert pde > 0.0 and particles > 0.0
+    assert pde + particles <= manifest.timings["verify_seconds"]
+    assert "seconds" not in (out / "trace.json").read_text()
 
 
 def test_csv_format_and_round_trip(mini_run):
@@ -341,11 +346,11 @@ def test_cli_budget_exhaustion_exits_two(tmp_path, capsys):
     [
         pytest.param(["run", "--no-verify"], ["N1 = 1"], "outer", id="N1 = 1-outer"),
         pytest.param(["run", "--no-verify"], ["N3 = 2"], "inner", id="N3 = 2-inner"),
-        # the bridge start reaches 1e-14, the first inner loop cannot reach
-        # tol / 10 in 5 iterations
+        # the slow bridge of sigma2 = 0.02 stops just below tol = 1e-12, and
+        # the first inner loop cannot reach tol / 10 in 5 iterations
         pytest.param(
-            ["classic"], ["tol = 1e-14", "N3 = 5"], "inner",
-            id="classic-tol = 1e-14-N3 = 5-inner",
+            ["classic"], ["sigma2 = 0.02", "tol = 1e-12", "N3 = 5"], "inner",
+            id="classic-sigma2 = 0.02-tol = 1e-12-N3 = 5-inner",
         ),
     ],
 )
@@ -373,6 +378,23 @@ def test_cli_each_exhausted_budget_exits_two_with_artifacts(
     assert trace["status"] == "no_convergence"
     assert trace["error"]["level"] == level
     assert np.isfinite(trace["cost"])
+
+
+def test_cli_tol_below_the_inner_stall_exits_one(tmp_path, capsys):
+    # tol / 10 = 1e-15 sits below the 4.4e-15 to 7.1e-15 where the inner
+    # anchor distances stall, so this budget could only burn out (exit 2)
+    text = "\n".join(
+        line for line in example_config_path("example2").read_text().splitlines()
+        if not line.startswith(("tol ", "N3 "))
+    ) + "\ntol = 1e-14\nN3 = 300\n"
+    path = tmp_path / "stall.cfg"
+    path.write_text(text)
+    out = tmp_path / "o"
+    assert main(["classic", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: tol must be finite and exceed 7.11e-14")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_bad_input_exits_one(tmp_path, capsys):

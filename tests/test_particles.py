@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mfsb.errors import DomainError
+from mfsb.errors import DomainError, ZeroMassError
 from mfsb.grid import SpatialGrid, TimeGrid, integrate
 from mfsb.particles import (
     ParticleEnsemble,
@@ -16,7 +16,11 @@ from mfsb.particles import (
 )
 from mfsb.potentials import PotentialSpec, eval_potential
 
-from oracles import gaussian_density
+from oracles import (
+    gaussian_density,
+    interp_particle_run,
+    midpoint_histogram_density,
+)
 
 
 def zero_control(sgrid, tgrid):
@@ -212,3 +216,96 @@ def test_reflection_keeps_particles_inside_the_domain():
     assert np.all(np.isfinite(ens.positions))
     assert ens.positions.min() >= sgrid.x_min
     assert ens.positions.max() <= sgrid.x_max
+
+
+def test_index_pass_matches_the_interp_histogram_oracle():
+    # example-sized run under a nonzero control and example1's kernel: the
+    # shared floor index gives the oracle's cells, drifts and folds
+    sgrid, tgrid = SpatialGrid(-2.0, 2.0, 301), TimeGrid(100)
+    x, t = sgrid.nodes, tgrid.times[:, None]
+    u = -1.5 * (1.0 - t) * x + 0.8 * t * np.sin(2.0 * x)
+    p0 = 0.5 * gaussian_density(x, 0.5, 0.04) + 0.5 * gaussian_density(x, -0.4, 0.04)
+    table = eval_potential(
+        PotentialSpec.power_repulsive(c=5.0, alpha=0.2, epsilon=0.01), sgrid
+    )
+    ens = simulate(u, table, p0, 0.447, 20_000, 3, sgrid, tgrid)
+    expected = interp_particle_run(
+        u, table.grad_w, p0, 0.447, 20_000, 3, sgrid.x_min, sgrid.x_max
+    )
+    np.testing.assert_allclose(ens.positions, expected, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "x_min, x_max, n_x", [(-2.0, 2.0, 301), (-1.3, 2.7, 41), (0.0, 1.0, 8)]
+)
+def test_deposit_equals_the_midpoint_histogram(x_min, x_max, n_x):
+    sgrid = SpatialGrid(x_min, x_max, n_x)
+    rng = np.random.Generator(np.random.Philox(n_x))
+    for size in (100, 5_000):
+        cloud = np.concatenate((
+            rng.uniform(x_min, x_max, size),
+            rng.normal(0.5 * (x_min + x_max), 0.1 * (x_max - x_min), size)
+            .clip(x_min, x_max),
+            [x_min, x_min, x_max],
+            sgrid.nodes,
+            [x_min - 1.0, x_max + 0.5],  # outside the domain: not counted
+        ))
+        ens = ParticleEnsemble(positions=cloud, seed=0, steps=0)
+        np.testing.assert_allclose(
+            empirical_density(ens, sgrid),
+            midpoint_histogram_density(cloud, x_min, x_max, n_x),
+            rtol=1e-13, atol=0.0,
+        )
+
+
+def test_steps_longer_than_the_span_fold_like_the_mod_fold(sim_grids):
+    # sigma sqrt(dt) = 28 on a span of 4: most steps cross the domain several
+    # times, and the repeated fold must land where the triangle wave does
+    sgrid, _ = sim_grids
+    tgrid = TimeGrid(2)
+    p0 = gaussian_density(sgrid.nodes, 0.0, 0.04)
+    table = no_kernel(sgrid)
+    u = zero_control(sgrid, tgrid)
+    ens = simulate(u, table, p0, 40.0, 5_000, 8, sgrid, tgrid)
+    assert ens.positions.min() >= sgrid.x_min
+    assert ens.positions.max() <= sgrid.x_max
+    expected = interp_particle_run(
+        u, table.grad_w, p0, 40.0, 5_000, 8, sgrid.x_min, sgrid.x_max
+    )
+    np.testing.assert_allclose(ens.positions, expected, rtol=0.0, atol=1e-12)
+
+
+def test_a_step_past_the_fold_budget_is_an_error(sim_grids):
+    sgrid, tgrid = sim_grids
+    p0 = gaussian_density(sgrid.nodes, 0.0, 0.04)
+    u = np.full((tgrid.n_t + 1, sgrid.n_x), 1e200)
+    with pytest.raises(DomainError, match="domain widths"):
+        simulate(u, no_kernel(sgrid), p0, 0.447, 500, 0, sgrid, tgrid)
+
+
+def test_non_finite_inputs_are_rejected(sim_grids):
+    # a NaN patch in one control slice used to leave part of the cloud NaN,
+    # and the residual of the rest still came out finite
+    sgrid, tgrid = sim_grids
+    p0 = gaussian_density(sgrid.nodes, 0.0, 0.04)
+    u = zero_control(sgrid, tgrid)
+    u[3, 140:160] = np.nan
+    with pytest.raises(DomainError, match="control"):
+        simulate(u, no_kernel(sgrid), p0, 0.447, 2_000, 0, sgrid, tgrid)
+    bad_p0 = p0.copy()
+    bad_p0[150] = np.inf
+    with pytest.raises(DomainError, match="initial density"):
+        simulate(zero_control(sgrid, tgrid), no_kernel(sgrid), bad_p0,
+                 0.447, 2_000, 0, sgrid, tgrid)
+    with pytest.raises(ZeroMassError):
+        simulate(zero_control(sgrid, tgrid), no_kernel(sgrid), 0.0 * p0,
+                 0.447, 2_000, 0, sgrid, tgrid)
+    positions = np.linspace(-1.0, 1.0, 2_000)
+    positions[::12] = np.nan
+    ens = ParticleEnsemble(positions=positions, seed=0, steps=1)
+    with pytest.raises(DomainError, match="finite"):
+        empirical_density(ens, sgrid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        with pytest.raises(DomainError, match="finite"):
+            terminal_residual(ens, p0, sgrid)

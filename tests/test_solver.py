@@ -348,8 +348,11 @@ def test_solve_exhausting_inner_budget_raises_with_partial():
     assert exc.trace.outer_dh == []
 
 
-def test_solve_exhausting_bridge_budget_attaches_normalized_product():
-    cfg = small_config(tol=1e-300)  # unreachable: the bridge start gives up
+def test_solve_exhausting_bridge_budget_attaches_normalized_product(monkeypatch):
+    # tol has a floor above the stall, so the bridge start's own target is
+    # made unreachable: it gives up after its budget
+    monkeypatch.setattr("mfsb.solver.BRIDGE_TOL", 1e-300)
+    cfg = small_config()
     with pytest.raises(NoConvergence) as info:
         solve(cfg)
     exc = info.value
@@ -371,10 +374,13 @@ def test_solver_config_validation():
         small_config(n_x=4)
     with pytest.raises(Exception, match="verify_n"):
         small_config(verify_n=10)
-    # a subnormal tol would leave the inner loop a tolerance of exactly 0
-    for tol in (0.0, float("nan"), 5e-324):
+    # a subnormal tol would leave the inner loop a tolerance of exactly 0, and
+    # below 320 machine epsilons its tenth sits under the anchor-distance stall
+    for tol in (0.0, float("nan"), 5e-324, 1e-14, 320 * np.finfo(float).eps):
         with pytest.raises(ConfigError, match="tol"):
             small_config(tol=tol)
+    for tol in (1e-13, 1e-6):
+        assert small_config(tol=tol).tol == tol
 
 
 # ---------------------------------------------------------------------------
