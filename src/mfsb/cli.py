@@ -68,22 +68,15 @@ class RunManifest:
     created_at: str
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _write_columns(path: Path, header: str, times, nodes, columns) -> None:
-    """Write (t, x, *columns) rows for every (time slice, node) pair, one
-    time slice at a time, so the whole file is never held as text."""
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for l, t in enumerate(times):
-            t_s = _fmt(t)
-            row_cols = [col[l] for col in columns]
-            fh.writelines(
-                f"{t_s},{_fmt(x)},{','.join(_fmt(col[i]) for col in row_cols)}\n"
-                for i, x in enumerate(nodes)
-            )
+    """Write (t, x, *columns) rows for every (time slice, node) pair; savetxt
+    formats and writes one row at a time, so the file is never held as text."""
+    table = np.column_stack([
+        np.repeat(times, nodes.size),
+        np.tile(nodes, times.size),
+        *(np.ravel(col) for col in columns),
+    ])
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def _jsonify(obj):
@@ -253,7 +246,7 @@ def _solve_and_write(
     timings["verify_seconds"] = time.perf_counter() - t1
 
     return _write_run(
-        out, cfg, status, cost, trace.to_dict(), p_path, u_path, pair,
+        out, cfg, status, cost, dataclasses.asdict(trace), p_path, u_path, pair,
         timings,
         verification=verification,
         error=error,

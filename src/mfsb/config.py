@@ -29,6 +29,12 @@ _KNOWN_KEYS = {
     "verify.N",
 }
 
+# optional integer keys and the SolverConfig fields they set
+_INT_FIELDS = {
+    "n_x": "n_x", "n_t": "n_t", "N1": "n1", "N3": "n3", "seed": "seed",
+    "verify.N": "verify_n",
+}
+
 
 def read_key_values(path) -> dict[str, str]:
     """Read a flat ``key = value`` file into a raw string mapping.
@@ -64,22 +70,16 @@ def parse_config(path) -> dict[str, str]:
     return out
 
 
-def _as_float(raw: dict, key: str, default=None) -> float:
+def _as_float(raw: dict, key: str) -> float:
     if key not in raw:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
+        raise ConfigError(f"missing required key {key!r}")
     try:
         return float(raw[key])
     except ValueError as exc:
         raise ConfigError(f"{key}: expected a number, got {raw[key]!r}") from exc
 
 
-def _as_int(raw: dict, key: str, default=None) -> int:
-    if key not in raw:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
+def _as_int(raw: dict, key: str) -> int:
     try:
         return int(raw[key])
     except ValueError as exc:
@@ -95,7 +95,10 @@ def _as_floats(raw: dict, key: str) -> tuple[float, ...]:
 
 def _potential_from(raw: dict) -> PotentialSpec:
     kind = raw.get("potential.kind", "zero")
-    beta = _as_float(raw, "potential.beta", 1.0)
+    # an absent strength is left to the constructors' default
+    beta_kw = {}
+    if "potential.beta" in raw:
+        beta_kw["beta"] = _as_float(raw, "potential.beta")
     if kind == "zero":
         return PotentialSpec.zero()
     if kind == "power_repulsive":
@@ -103,18 +106,18 @@ def _potential_from(raw: dict) -> PotentialSpec:
             c=_as_float(raw, "potential.c"),
             alpha=_as_float(raw, "potential.alpha"),
             epsilon=_as_float(raw, "potential.epsilon"),
-            beta=beta,
+            **beta_kw,
         )
     if kind == "gaussian_attractive":
         return PotentialSpec.gaussian_attractive(
             a=_as_float(raw, "potential.a"),
             s=_as_float(raw, "potential.s"),
-            beta=beta,
+            **beta_kw,
         )
     if kind == "tabulated":
         if "potential.file" not in raw:
             raise ConfigError("potential.file is required for a tabulated kernel")
-        return load_tabulated_potential(raw["potential.file"], beta=beta)
+        return load_tabulated_potential(raw["potential.file"], **beta_kw)
     raise ConfigError(f"potential.kind: unknown kind {kind!r}")
 
 
@@ -140,14 +143,18 @@ def _marginal_from(raw: dict, prefix: str) -> MarginalSpec:
 
 
 def solver_config_from(raw: dict[str, str]) -> SolverConfig:
-    """Materialize a SolverConfig from a raw mapping, with field-level errors."""
+    """Materialize a SolverConfig from a raw mapping, with field-level errors.
+
+    Optional keys that are absent take the SolverConfig defaults.
+    """
+    optional = {
+        field: _as_int(raw, key) for key, field in _INT_FIELDS.items() if key in raw
+    }
     if "domain" in raw:
         ends = _as_floats(raw, "domain")
         if len(ends) != 2:
             raise ConfigError(f"domain: expected two numbers, got {raw['domain']!r}")
-        x_min, x_max = ends
-    else:
-        x_min, x_max = -2.0, 2.0
+        optional["x_min"], optional["x_max"] = ends
     return SolverConfig(
         sigma2=_as_float(raw, "sigma2"),
         theta=_as_float(raw, "theta"),
@@ -155,14 +162,7 @@ def solver_config_from(raw: dict[str, str]) -> SolverConfig:
         potential=_potential_from(raw),
         marginal_in=_marginal_from(raw, "marginal_in"),
         marginal_fin=_marginal_from(raw, "marginal_fin"),
-        x_min=x_min,
-        x_max=x_max,
-        n_x=_as_int(raw, "n_x", 301),
-        n_t=_as_int(raw, "n_t", 100),
-        n1=_as_int(raw, "N1", 200),
-        n3=_as_int(raw, "N3", 500),
-        seed=_as_int(raw, "seed", 0),
-        verify_n=_as_int(raw, "verify.N", 100_000),
+        **optional,
     )
 
 

@@ -108,11 +108,14 @@ def simulate(
     The control is interpolated linearly in space and, as in the closed-loop
     PDE, sampled over each step as the mean of its two endpoint slices.
     Positions reflect at the domain ends. ``table`` is the kernel the solver
-    used (``SolverConfig.kernel_table``). A control or initial density that is
-    not finite, or an initial density with a negative value, is a DomainError.
+    used (``SolverConfig.kernel_table``). A sigma that is not finite and
+    positive, a control or initial density that is not finite, or an initial
+    density with a negative value, is a DomainError.
     """
     if n < 100:
         raise DomainError(f"need at least 100 particles, got {n}")
+    if not (np.isfinite(sigma) and sigma > 0.0):
+        raise DomainError(f"sigma must be finite and positive, got {sigma}")
     u_path = check_path(u_path, sgrid, tgrid)
     p_init = check_field(p_init, sgrid)
     if not np.all(np.isfinite(u_path)):

@@ -1,15 +1,15 @@
 """Interaction kernels, their tabulation, and grid convolutions.
 
-An interaction kernel W acts on the solver only through three sampled tables
-(W, W', W'') on the displacement grid [-(x_max - x_min), x_max - x_min] with
+An interaction kernel W acts on the solver only through two sampled tables
+(W, W') on the displacement grid [-(x_max - x_min), x_max - x_min] with
 the same spacing h as the state grid, so that the discrete convolution
 
     (K * f)(x_i) = h * sum_j K(x_i - x_j) f(x_j)
 
 is a plain (fast) linear convolution of the two sample vectors. Built-in
 kernel families are evaluated analytically; tabulated kernels are fitted with
-a cubic spline, whose first/second derivatives are O(h^3)/O(h^2) accurate for
-smooth data. All tables carry the overall strength factor beta.
+a cubic spline, whose first derivative is O(h^3) accurate for smooth data.
+Both tables carry the overall strength factor beta.
 """
 
 from __future__ import annotations
@@ -105,12 +105,11 @@ class PotentialSpec:
 
 @dataclass(frozen=True)
 class PotentialTable:
-    """Sampled kernel and its derivatives on the displacement grid."""
+    """Sampled kernel and its derivative on the displacement grid."""
 
     grid: SpatialGrid
     w: np.ndarray
     grad_w: np.ndarray
-    lap_w: np.ndarray
 
 
 def displacement_grid(grid: SpatialGrid) -> SpatialGrid:
@@ -124,21 +123,14 @@ def _power_tables(spec: PotentialSpec, r: np.ndarray):
     half = spec.beta * spec.c / 2.0
     w = half * base ** (-spec.alpha / 2.0)
     grad = -half * spec.alpha * r * base ** (-spec.alpha / 2.0 - 1.0)
-    lap = (
-        -half
-        * spec.alpha
-        * base ** (-spec.alpha / 2.0 - 2.0)
-        * (base - (spec.alpha + 2.0) * r * r)
-    )
-    return w, grad, lap
+    return w, grad
 
 
 def _gaussian_tables(spec: PotentialSpec, r: np.ndarray):
     bump = np.exp(-r * r / spec.s)
     w = -spec.beta * spec.a * bump
     grad = spec.beta * (2.0 * spec.a / spec.s) * r * bump
-    lap = spec.beta * (2.0 * spec.a / spec.s) * (1.0 - 2.0 * r * r / spec.s) * bump
-    return w, grad, lap
+    return w, grad
 
 
 def _tabulated_tables(spec: PotentialSpec, r: np.ndarray):
@@ -161,29 +153,28 @@ def _tabulated_tables(spec: PotentialSpec, r: np.ndarray):
     from scipy.interpolate import CubicSpline
 
     spline = CubicSpline(rs, ws)
-    return spline(r), spline(r, 1), spline(r, 2)
+    return spline(r), spline(r, 1)
 
 
 def eval_potential(spec: PotentialSpec, grid: SpatialGrid) -> PotentialTable:
-    """Sample a kernel and its first two derivatives on the displacement grid.
+    """Sample a kernel and its derivative on the displacement grid.
 
-    The returned tables are exactly symmetrized: W and W'' even, W' odd.
+    The returned tables are exactly symmetrized: W even, W' odd.
     """
     dgrid = displacement_grid(grid)
     r = dgrid.nodes
     if spec.kind == "zero":
         z = np.zeros_like(r)
-        return PotentialTable(dgrid, z, z.copy(), z.copy())
+        return PotentialTable(dgrid, z, z.copy())
     if spec.kind == "power_repulsive":
-        w, grad, lap = _power_tables(spec, r)
+        w, grad = _power_tables(spec, r)
     elif spec.kind == "gaussian_attractive":
-        w, grad, lap = _gaussian_tables(spec, r)
+        w, grad = _gaussian_tables(spec, r)
     else:
-        w, grad, lap = _tabulated_tables(spec, r)
+        w, grad = _tabulated_tables(spec, r)
     w = 0.5 * (w + w[::-1])
     grad = 0.5 * (grad - grad[::-1])
-    lap = 0.5 * (lap + lap[::-1])
-    return PotentialTable(dgrid, w, grad, lap)
+    return PotentialTable(dgrid, w, grad)
 
 
 def load_tabulated_potential(path, beta: float = 1.0) -> PotentialSpec:

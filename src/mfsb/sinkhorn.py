@@ -70,19 +70,6 @@ class FrozenProblem:
     exp_fin_plus: np.ndarray
 
 
-def boundary_factors(
-    table: PotentialTable,
-    p_in: np.ndarray,
-    p_fin: np.ndarray,
-    grid: SpatialGrid,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(e^{2 W*p_in}, e^{2 W*p_fin})."""
-    return (
-        np.exp(2.0 * convolve(table.w, p_in, grid)),
-        np.exp(2.0 * convolve(table.w, p_fin, grid)),
-    )
-
-
 def freeze_problem(
     p_path: np.ndarray,
     pair: PairPath,
@@ -103,7 +90,6 @@ def freeze_problem(
     ops = TransportOperators(
         mean_field_drift_path(table, p_path, sgrid), sigma, sgrid, tgrid
     )
-    in_plus, fin_plus = boundary_factors(table, p_in, p_fin, sgrid)
     rate = -tgrid.dt * ops.sigma**2
     return FrozenProblem(
         ops=ops,
@@ -113,29 +99,9 @@ def freeze_problem(
         ),
         p_in=check_field(p_in, sgrid),
         p_fin=check_field(p_fin, sgrid),
-        exp_in_plus=in_plus,
-        exp_fin_plus=fin_plus,
+        exp_in_plus=np.exp(2.0 * convolve(table.w, p_in, sgrid)),
+        exp_fin_plus=np.exp(2.0 * convolve(table.w, p_fin, sgrid)),
     )
-
-
-def _positive_anchor(name: str, slice_: np.ndarray) -> np.ndarray:
-    if np.any(slice_ <= 0.0) or not np.all(np.isfinite(slice_)):
-        raise PositivityError(f"{name} must be strictly positive for the anchor update")
-    return slice_
-
-
-def boundary_update_initial(
-    phi0: np.ndarray, p_in: np.ndarray, exp_in_plus: np.ndarray
-) -> np.ndarray:
-    """Re-anchor the forward scaling: phihat_0 = (p_in / phi_0) e^{2 W*p_in}."""
-    return (p_in / _positive_anchor("phi_0", phi0)) * exp_in_plus
-
-
-def boundary_update_final(
-    phihat1: np.ndarray, p_fin: np.ndarray, exp_fin_plus: np.ndarray
-) -> np.ndarray:
-    """Re-anchor the backward scaling: phi_1 = (p_fin / phihat_1) e^{2 W*p_fin}."""
-    return (p_fin / _positive_anchor("phihat_1", phihat1)) * exp_fin_plus
 
 
 def inner_sinkhorn(
@@ -156,18 +122,19 @@ def inner_sinkhorn(
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
     sg = problem.ops.sgrid
     phi1 = check_field(np.array(start.phi[-1], dtype=float), sg)
     phihat0_prev = check_field(np.array(start.phihat[0], dtype=float), sg)
     boundary_dh: list[float] = []
-    phi = phihat = None
     for _ in range(max_iter):
         phi = integrate_backward(phi1, problem.decay_phi, problem.ops)
-        phihat0 = boundary_update_initial(phi[0], problem.p_in, problem.exp_in_plus)
+        # the generalized Hopf-Cole anchors: phihat_0 = (p_in / phi_0)
+        # e^{2 W*p_in}, then phi_1 = (p_fin / phihat_1) e^{2 W*p_fin}
+        phihat0 = (problem.p_in / phi[0]) * problem.exp_in_plus
         phihat = integrate_forward(phihat0, problem.decay_phihat, problem.ops)
-        phi1_new = boundary_update_final(
-            phihat[-1], problem.p_fin, problem.exp_fin_plus
-        )
+        phi1_new = (problem.p_fin / phihat[-1]) * problem.exp_fin_plus
         boundary_dh.append(max(
             hilbert_distance(phi1_new, phi1),
             hilbert_distance(phihat0, phihat0_prev),
@@ -184,5 +151,5 @@ def inner_sinkhorn(
         indices=(max_iter,),
         last_distance=boundary_dh[-1],
         trace=boundary_dh,
-        partial=None if phi is None else PairPath(phi=phi, phihat=phihat),
+        partial=PairPath(phi=phi, phihat=phihat),
     )

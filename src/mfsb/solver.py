@@ -40,7 +40,6 @@ from .errors import (
     InsufficientData,
     NoConvergence,
     PositivityError,
-    ShapeError,
 )
 from .grid import SpatialGrid, TimeGrid, check_field, check_path, gradient, normalize
 from .marginals import MarginalSpec, build_marginals
@@ -144,6 +143,8 @@ class ConvergenceTrace:
     iterate or not. ``middle_dh[k]`` holds the distance its refreeze moved
     the pair; it, ``inner_iterations[k]`` and ``inner_dh[k]`` are one-entry
     lists, one refreeze per outer step, which keeps the trace.json layout.
+    It holds no timings, so serialized traces stay byte-identical across
+    reruns of the same config.
     """
 
     init_dh: list[float] = field(default_factory=list)
@@ -161,27 +162,6 @@ class ConvergenceTrace:
     min_density: float = float("inf")
     converged: bool = False
     outer_iterations: int = 0
-
-    def to_dict(self) -> dict:
-        """JSON-ready view; it holds no timings, so serialized traces stay
-        byte-identical across reruns of the same config."""
-        return {
-            "init_dh": self.init_dh,
-            "init_iterations": self.init_iterations,
-            "outer_dh": self.outer_dh,
-            "outer_dh_raw": self.outer_dh_raw,
-            "middle_dh": self.middle_dh,
-            "inner_iterations": self.inner_iterations,
-            "inner_dh": self.inner_dh,
-            "endpoint_l1_in": self.endpoint_l1_in,
-            "endpoint_l1_fin": self.endpoint_l1_fin,
-            "slice_mass_dev": self.slice_mass_dev,
-            "min_phi": self.min_phi,
-            "min_phihat": self.min_phihat,
-            "min_density": self.min_density,
-            "converged": self.converged,
-            "outer_iterations": self.outer_iterations,
-        }
 
 
 @dataclass(frozen=True)
@@ -247,19 +227,6 @@ def _refined_density(
     return raw / masses[:, None], float(np.abs(masses - 1.0).max())
 
 
-def damped_update(
-    refined: np.ndarray, previous: np.ndarray, theta: float
-) -> np.ndarray:
-    """Convex combination theta * refined + (1 - theta) * previous."""
-    if not 0.0 < theta <= 1.0:
-        raise DomainError(f"theta must lie in (0, 1], got {theta}")
-    refined = np.asarray(refined, dtype=float)
-    previous = np.asarray(previous, dtype=float)
-    if refined.shape != previous.shape:
-        raise ShapeError(f"shape mismatch {refined.shape} vs {previous.shape}")
-    return theta * refined + (1.0 - theta) * previous
-
-
 def optimal_control(pair: PairPath, sigma: float, sgrid: SpatialGrid) -> np.ndarray:
     """Feedback control field sigma * d/dx log phi, per time slice."""
     return sigma * gradient(np.log(pair.phi), sgrid)
@@ -290,7 +257,7 @@ def _warm_start_density(
     p_path = normalize(pair.product, cfg.sgrid)
     for _ in range(cfg.n1):
         refined = _refined_density(p_path, pair, cfg.kernel_table, cfg.sgrid)[0]
-        p_next = damped_update(refined, p_path, cfg.theta)
+        p_next = cfg.theta * refined + (1.0 - cfg.theta) * p_path
         p_next[0] = p_in
         p_next[-1] = p_fin
         step = path_distance(p_next, p_path)
@@ -510,7 +477,7 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
 
         refined, mass_dev = _refined_density(p_path, new_pair, table, sgrid)
         d_raw = path_distance(refined, p_path)
-        p_next = damped_update(refined, p_path, cfg.theta)
+        p_next = cfg.theta * refined + (1.0 - cfg.theta) * p_path
         d_outer = path_distance(p_next, p_path)
 
         trace.middle_dh.append([d_pair])

@@ -19,7 +19,8 @@ from mfsb.errors import ConfigError
 from mfsb.grid import SpatialGrid, TimeGrid
 from mfsb.marginals import MarginalSpec, build_marginals
 from mfsb.metrics import l1_distance
-from mfsb.solver import solve
+from mfsb.potentials import PotentialSpec
+from mfsb.solver import SolverConfig, solve
 
 MINI_CONFIG = """\
 # zero-kernel steering problem small enough for fast tests
@@ -145,6 +146,44 @@ def test_config_values_are_validated():
         solver_config_from(dict(base, domain="-2 0 2"))
     with pytest.raises(ConfigError, match="potential.kind"):
         solver_config_from(dict(base, **{"potential.kind": "mystery"}))
+
+
+REQUIRED_ONLY = """\
+sigma2 = 0.2
+theta = 1.0
+tol = 1e-9
+marginal_in.kind = gaussian_mixture
+marginal_in.weights = 1
+marginal_in.means = -0.3
+marginal_in.variances = 0.04
+marginal_fin.kind = gaussian_mixture
+marginal_fin.weights = 1
+marginal_fin.means = 0.4
+marginal_fin.variances = 0.06
+"""
+
+
+def test_absent_optional_keys_take_the_solver_config_defaults(tmp_path):
+    required = dict(
+        sigma2=0.2,
+        theta=1.0,
+        tol=1e-9,
+        marginal_in=MarginalSpec.gaussian_mixture((1.0,), (-0.3,), (0.04,)),
+        marginal_fin=MarginalSpec.gaussian_mixture((1.0,), (0.4,), (0.06,)),
+    )
+    path = tmp_path / "required.cfg"
+    path.write_text(REQUIRED_ONLY)
+    assert load_config(path) == SolverConfig(potential=PotentialSpec.zero(), **required)
+    # a kernel without potential.beta takes its constructor's strength
+    kernel = (
+        "potential.kind = gaussian_attractive\npotential.a = 1\npotential.s = 0.3\n"
+    )
+    path.write_text(REQUIRED_ONLY + kernel)
+    assert load_config(path) == SolverConfig(
+        potential=PotentialSpec.gaussian_attractive(a=1.0, s=0.3), **required
+    )
+    path.write_text(REQUIRED_ONLY + kernel + "potential.beta = 0.5\n")
+    assert load_config(path).potential.beta == 0.5
 
 
 def test_mixture_weights_must_sum_to_one():

@@ -31,7 +31,6 @@ from mfsb.solver import (
     INNER_TOL_FRACTION,
     _refined_density,
     classical_bridge_init,
-    damped_update,
     fit_geometric_rate,
 )
 
@@ -93,7 +92,7 @@ def plain_outer_solve(cfg, p_in, p_fin):
         )
         d_pair = pair_distance(new_pair, pair)
         refined = _refined_density(p_path, new_pair, table, sgrid)[0]
-        p_next = damped_update(refined, p_path, cfg.theta)
+        p_next = cfg.theta * refined + (1.0 - cfg.theta) * p_path
         outer_dh.append(path_distance(p_next, p_path))
         p_path, pair = p_next, new_pair
         if max(outer_dh[-1], d_pair) < cfg.tol:

@@ -5,6 +5,7 @@ import pytest
 
 from mfsb import (
     CFLWarning,
+    DomainError,
     PositivityError,
     PotentialSpec,
     ShapeError,
@@ -240,4 +241,25 @@ def test_propagate_rejects_negative_initial_density(grid64):
     p0[3] = -0.1
     no_kernel = eval_potential(PotentialSpec.zero(), grid64)
     with pytest.raises(PositivityError):
+        propagate_density(p0, u, no_kernel, 0.5, grid64, tgrid)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
+def test_propagate_rejects_bad_sigma(grid64, sigma):
+    # sigma = -1 used to run silently with the control's sign flipped
+    tgrid = TimeGrid(4)
+    u = np.zeros((5, grid64.n_x))
+    p0 = gaussian_density(grid64.nodes, 0.0, 0.05)
+    no_kernel = eval_potential(PotentialSpec.zero(), grid64)
+    with pytest.raises(DomainError, match="sigma"):
+        propagate_density(p0, u, no_kernel, sigma, grid64, tgrid)
+
+
+def test_propagate_rejects_non_finite_control(grid64):
+    tgrid = TimeGrid(4)
+    u = np.zeros((5, grid64.n_x))
+    u[2, 10] = np.nan
+    p0 = gaussian_density(grid64.nodes, 0.0, 0.05)
+    no_kernel = eval_potential(PotentialSpec.zero(), grid64)
+    with pytest.raises(DomainError, match="control"):
         propagate_density(p0, u, no_kernel, 0.5, grid64, tgrid)

@@ -283,6 +283,16 @@ def test_a_step_past_the_fold_budget_is_an_error(sim_grids):
         simulate(u, no_kernel(sgrid), p0, 0.447, 500, 0, sgrid, tgrid)
 
 
+@pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
+def test_bad_sigma_is_rejected(sim_grids, sigma):
+    # sigma = -1 used to run silently with the control's sign flipped
+    sgrid, tgrid = sim_grids
+    p0 = gaussian_density(sgrid.nodes, 0.0, 0.04)
+    with pytest.raises(DomainError, match="sigma"):
+        simulate(zero_control(sgrid, tgrid), no_kernel(sgrid), p0, sigma,
+                 500, 0, sgrid, tgrid)
+
+
 def test_non_finite_inputs_are_rejected(sim_grids):
     # a NaN patch in one control slice used to leave part of the cloud NaN,
     # and the residual of the rest still came out finite

@@ -58,7 +58,6 @@ def test_zero_potential_tables_vanish(grid64):
     table = eval_potential(PotentialSpec.zero(), grid64)
     assert not table.w.any()
     assert not table.grad_w.any()
-    assert not table.lap_w.any()
 
 
 @pytest.mark.parametrize(
@@ -69,11 +68,10 @@ def test_zero_potential_tables_vanish(grid64):
     ],
 )
 def test_table_parity(spec, grid64):
-    # even kernel, odd gradient, even second derivative, exactly
+    # even kernel and odd gradient, exactly
     table = eval_potential(spec, grid64)
     np.testing.assert_array_equal(table.w, table.w[::-1])
     np.testing.assert_array_equal(table.grad_w, -table.grad_w[::-1])
-    np.testing.assert_array_equal(table.lap_w, table.lap_w[::-1])
 
 
 def test_displacement_grid_span(grid64):

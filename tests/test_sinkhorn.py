@@ -1,4 +1,5 @@
-"""Inner sweep/anchor loop: boundary updates, convergence, and invariances."""
+"""Inner sweep/anchor loop: anchor factors and updates, convergence, and
+invariances."""
 
 import numpy as np
 import pytest
@@ -7,14 +8,7 @@ from mfsb.errors import DomainError, NoConvergence, PositivityError, ShapeError
 from mfsb.grid import SpatialGrid, TimeGrid, check_path, integrate
 from mfsb.metrics import hilbert_distance, l1_distance, pair_distance
 from mfsb.potentials import PotentialSpec, eval_potential
-from mfsb.sinkhorn import (
-    PairPath,
-    boundary_factors,
-    boundary_update_final,
-    boundary_update_initial,
-    freeze_problem,
-    inner_sinkhorn,
-)
+from mfsb.sinkhorn import PairPath, freeze_problem, inner_sinkhorn
 
 from oracles import direct_convolution, direct_reaction, gaussian_density
 
@@ -24,12 +18,17 @@ def flat_start(p_in, tgrid):
     return PairPath(phi=np.ones(shape), phihat=np.tile(p_in, (tgrid.n_t + 1, 1)))
 
 
-def classical_problem(p_in, p_fin, sigma, sgrid, tgrid):
-    """Freeze a zero-interaction problem so only the sweeps and anchors act."""
-    table = eval_potential(PotentialSpec.zero(), sgrid)
+def kernel_problem(table, p_in, p_fin, sigma, sgrid, tgrid):
+    """Freeze a problem with the given kernel table at the flat start."""
     pair = flat_start(p_in, tgrid)
     p_path = np.tile(p_in, (tgrid.n_t + 1, 1))
     return freeze_problem(p_path, pair, table, p_in, p_fin, sigma, sgrid, tgrid)
+
+
+def classical_problem(p_in, p_fin, sigma, sgrid, tgrid):
+    """Freeze a zero-interaction problem so only the sweeps and anchors act."""
+    table = eval_potential(PotentialSpec.zero(), sgrid)
+    return kernel_problem(table, p_in, p_fin, sigma, sgrid, tgrid)
 
 
 def marginal_residuals(problem, pair, sgrid):
@@ -43,17 +42,19 @@ def marginal_residuals(problem, pair, sgrid):
 
 
 @pytest.fixture
-def gauss_table(grid64):
-    return eval_potential(PotentialSpec.gaussian_attractive(a=1.0, s=0.3), grid64)
-
-
-@pytest.fixture
 def small_setup():
     sgrid = SpatialGrid(-2.0, 2.0, 64)
     tgrid = TimeGrid(16)
     p_in = gaussian_density(sgrid.nodes, 0.0, 0.04)
     p_fin = gaussian_density(sgrid.nodes, 0.5, 0.09)
     return sgrid, tgrid, p_in, p_fin
+
+
+@pytest.fixture
+def gauss_table(small_setup):
+    return eval_potential(
+        PotentialSpec.gaussian_attractive(a=1.0, s=0.3), small_setup[0]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -88,54 +89,66 @@ def test_pair_path_product_is_elementwise(rng):
 
 
 # ---------------------------------------------------------------------------
-# boundary factors and anchor updates
+# anchor factors and anchor updates
 
 
-def test_boundary_factors_zero_kernel_are_ones(grid64, rng):
-    table = eval_potential(PotentialSpec.zero(), grid64)
-    p = gaussian_density(grid64.nodes, 0.0, 0.04)
-    for factor in boundary_factors(table, p, p, grid64):
-        np.testing.assert_array_equal(factor, np.ones(grid64.n_x))
+def test_boundary_factors_zero_kernel_are_ones(small_setup):
+    sgrid, tgrid, p_in, p_fin = small_setup
+    problem = classical_problem(p_in, p_fin, 0.5, sgrid, tgrid)
+    np.testing.assert_array_equal(problem.exp_in_plus, np.ones(sgrid.n_x))
+    np.testing.assert_array_equal(problem.exp_fin_plus, np.ones(sgrid.n_x))
 
 
-def test_boundary_factors_match_direct_convolution(gauss_table, grid64):
-    p_in = gaussian_density(grid64.nodes, -0.3, 0.05)
-    p_fin = gaussian_density(grid64.nodes, 0.4, 0.08)
-    in_plus, fin_plus = boundary_factors(gauss_table, p_in, p_fin, grid64)
-    np.testing.assert_allclose(
-        in_plus,
-        np.exp(2.0 * direct_convolution(gauss_table.w, p_in, grid64.h)),
-        rtol=1e-10,
-    )
-    np.testing.assert_allclose(
-        fin_plus,
-        np.exp(2.0 * direct_convolution(gauss_table.w, p_fin, grid64.h)),
-        rtol=1e-10,
-    )
+def test_boundary_factors_match_direct_convolution(small_setup, gauss_table):
+    sgrid, tgrid, p_in, p_fin = small_setup
+    problem = kernel_problem(gauss_table, p_in, p_fin, 0.5, sgrid, tgrid)
+    for factor, p in ((problem.exp_in_plus, p_in), (problem.exp_fin_plus, p_fin)):
+        np.testing.assert_allclose(
+            factor,
+            np.exp(2.0 * direct_convolution(gauss_table.w, p, sgrid.h)),
+            rtol=1e-10,
+        )
 
 
-def test_anchor_update_reproduces_initial_marginal(grid64):
-    p_in = gaussian_density(grid64.nodes, 0.0, 0.04)
-    out = boundary_update_initial(np.ones(grid64.n_x), p_in, np.ones(grid64.n_x))
-    np.testing.assert_array_equal(out, p_in)
+def test_anchor_update_reproduces_initial_marginal(small_setup):
+    # without interaction one anchor update makes phi_0 phihat_0 = p_in, even
+    # before the loop converges
+    sgrid, tgrid, p_in, p_fin = small_setup
+    problem = classical_problem(p_in, p_fin, 0.5, sgrid, tgrid)
+    with pytest.raises(NoConvergence) as info:
+        inner_sinkhorn(problem, flat_start(p_in, tgrid), 1e-12, 1)
+    partial = info.value.partial
+    np.testing.assert_allclose(partial.phi[0] * partial.phihat[0], p_in, rtol=1e-15)
 
 
-def test_anchor_update_formula(grid64, rng):
-    phi0 = positive = np.exp(rng.normal(size=grid64.n_x))
-    p_fin = gaussian_density(grid64.nodes, 0.2, 0.05)
-    factor = np.exp(rng.normal(size=grid64.n_x) * 0.1)
-    out = boundary_update_final(positive, p_fin, factor)
-    np.testing.assert_allclose(out, p_fin / phi0 * factor, rtol=1e-15)
+def test_anchor_update_formula(small_setup, gauss_table):
+    # with interaction the converged pair satisfies the generalized Hopf-Cole
+    # boundary identities p = e^{-2 W*p} phi phihat at both ends, the
+    # exponent taken by direct quadrature
+    sgrid, tgrid, p_in, p_fin = small_setup
+    problem = kernel_problem(gauss_table, p_in, p_fin, 0.5, sgrid, tgrid)
+    pair, _ = inner_sinkhorn(problem, flat_start(p_in, tgrid), 1e-12, 500)
+    for l, p in ((0, p_in), (-1, p_fin)):
+        minus = np.exp(-2.0 * direct_convolution(gauss_table.w, p, sgrid.h))
+        np.testing.assert_allclose(minus * pair.phi[l] * pair.phihat[l], p, rtol=1e-13)
 
 
-def test_anchor_update_rejects_nonpositive_slice(grid64):
-    p_in = gaussian_density(grid64.nodes, 0.0, 0.04)
-    bad = np.ones(grid64.n_x)
-    bad[3] = 0.0
-    with pytest.raises(PositivityError):
-        boundary_update_initial(bad, p_in, np.ones(grid64.n_x))
-    with pytest.raises(PositivityError):
-        boundary_update_final(-np.ones(grid64.n_x), p_in, np.ones(grid64.n_x))
+def test_anchor_update_rejects_nonpositive_slice(small_setup):
+    # a marginal with a zero or negative node makes its anchor nonpositive;
+    # the next sweep or the anchor distance refuses it
+    sgrid, tgrid, p_in, p_fin = small_setup
+    table = eval_potential(PotentialSpec.zero(), sgrid)
+    start = flat_start(p_in, tgrid)
+    p_path = np.tile(p_in, (tgrid.n_t + 1, 1))
+    zero_in, negative_fin = p_in.copy(), p_fin.copy()
+    zero_in[3] = 0.0
+    negative_fin[0] = -1.0
+    for q_in, q_fin in ((zero_in, p_fin), (p_in, negative_fin)):
+        problem = freeze_problem(
+            p_path, start, table, q_in, q_fin, 0.5, sgrid, tgrid
+        )
+        with pytest.raises(PositivityError):
+            inner_sinkhorn(problem, start, 1e-12, 500)
 
 
 def test_freeze_problem_checks_path_shape(small_setup):

@@ -27,9 +27,9 @@ from mfsb.solver import (
     _AndersonMixer,
     classical_bridge_init,
     _refined_density,
+    _warm_start_density,
     contraction_constants,
     control_energy,
-    damped_update,
     fit_geometric_rate,
     optimal_control,
     solve,
@@ -105,6 +105,23 @@ def test_classical_bridge_rejects_bad_marginals():
         classical_bridge_init(p[:-1], p[:-1], 0.45, sgrid, tgrid)
 
 
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_empty_inner_budget_is_refused(max_iter):
+    sgrid = SpatialGrid(-2.0, 2.0, 64)
+    tgrid = TimeGrid(8)
+    p_in = gaussian_density(sgrid.nodes, -0.3, 0.04)
+    p_fin = gaussian_density(sgrid.nodes, 0.4, 0.06)
+    with pytest.raises(DomainError, match="max_iter"):
+        classical_bridge_init(p_in, p_fin, 0.45, sgrid, tgrid, max_iter=max_iter)
+    start = PairPath(phi=np.ones((9, 64)), phihat=np.tile(p_in, (9, 1)))
+    problem = freeze_problem(
+        start.phihat, start, eval_potential(PotentialSpec.zero(), sgrid),
+        p_in, p_fin, 0.45, sgrid, tgrid,
+    )
+    with pytest.raises(DomainError, match="max_iter"):
+        inner_sinkhorn(problem, start, 1e-10, max_iter)
+
+
 # ---------------------------------------------------------------------------
 # density refinement and damping
 
@@ -127,33 +144,62 @@ def test_density_refinement_matches_direct_computation(rng):
         assert mass == pytest.approx(1.0, rel=1e-12)
 
 
-def test_damping_endpoints_and_hand_value():
-    a = np.array([[2.0, 4.0]])
-    b = np.array([[1.0, 8.0]])
-    np.testing.assert_array_equal(damped_update(a, b, 1.0), a)
-    np.testing.assert_allclose(damped_update(a, a, 0.3), a, rtol=1e-15)
-    np.testing.assert_allclose(
-        damped_update(a, b, 0.7), [[0.7 * 2.0 + 0.3 * 1.0, 0.7 * 4.0 + 0.3 * 8.0]]
+def warm_start_setup(rng, **overrides):
+    """A Gaussian-kernel config, a random positive pair and the marginals."""
+    cfg = small_config(
+        potential=PotentialSpec.gaussian_attractive(a=0.8, s=0.3), **overrides
     )
+    shape = (cfg.n_t + 1, cfg.n_x)
+    pair = PairPath(
+        phi=np.exp(rng.normal(size=shape) * 0.3),
+        phihat=np.exp(rng.normal(size=shape) * 0.3),
+    )
+    p_in = build_marginals(cfg.marginal_in, cfg.sgrid)
+    p_fin = build_marginals(cfg.marginal_fin, cfg.sgrid)
+    return cfg, pair, p_in, p_fin
+
+
+def test_damping_endpoints_and_hand_value(rng):
+    # one pass of the warm-start density map is the solver's damped step
+    # theta * refined + (1 - theta) * previous, endpoints pinned to the
+    # marginals: theta = 1 keeps the refined density exactly
+    cfg, pair, p_in, p_fin = warm_start_setup(rng, n1=1)
+    previous = normalize(pair.product, cfg.sgrid)
+    refined = _refined_density(previous, pair, cfg.kernel_table, cfg.sgrid)[0]
+    full = _warm_start_density(cfg, pair, p_in, p_fin)
+    np.testing.assert_array_equal(full[1:-1], refined[1:-1])
+    damped = _warm_start_density(
+        dataclasses.replace(cfg, theta=0.7), pair, p_in, p_fin
+    )
+    np.testing.assert_allclose(
+        damped[1:-1], 0.7 * refined[1:-1] + 0.3 * previous[1:-1], rtol=1e-15
+    )
+    for out in (full, damped):
+        np.testing.assert_array_equal(out[0], p_in)
+        np.testing.assert_array_equal(out[-1], p_fin)
 
 
 @pytest.mark.parametrize("theta", [0.0, -0.2, 1.2, np.nan])
 def test_damping_rejects_bad_weight(theta):
-    with pytest.raises(DomainError):
-        damped_update(np.ones((2, 2)), np.ones((2, 2)), theta)
+    # the damping weight is checked once, when the config is built
+    with pytest.raises(ConfigError, match="theta"):
+        small_config(theta=theta)
 
 
 def test_damping_rejects_shape_mismatch():
+    # a warm pair on other grids is refused before the damped step mixes it
+    # with a density of the config's shape
+    cfg = small_config()
+    wrong = PairPath(phi=np.ones((cfg.n_t + 1, cfg.n_x - 1)),
+                     phihat=np.ones((cfg.n_t + 1, cfg.n_x - 1)))
     with pytest.raises(ShapeError):
-        damped_update(np.ones((2, 2)), np.ones((2, 3)), 0.5)
+        solve(cfg, warm_pair=wrong)
 
 
 def test_damping_preserves_unit_mass(rng):
-    sgrid = SpatialGrid(-2.0, 2.0, 64)
-    a = normalize(np.exp(rng.normal(size=(5, 64))), sgrid)
-    b = normalize(np.exp(rng.normal(size=(5, 64))), sgrid)
-    out = damped_update(a, b, 0.7)
-    for mass in np.trapezoid(out, dx=sgrid.h, axis=1):
+    cfg, pair, p_in, p_fin = warm_start_setup(rng, theta=0.7, n1=5)
+    out = _warm_start_density(cfg, pair, p_in, p_fin)
+    for mass in np.trapezoid(out, dx=cfg.sgrid.h, axis=1):
         assert mass == pytest.approx(1.0, rel=1e-12)
 
 
