@@ -5,7 +5,7 @@ dynamics on a 1-D interval: given initial and final densities, a noise level,
 and a pairwise interaction kernel, it finds the feedback control whose
 controlled interacting diffusion starts at the first density and ends at the
 second while minimizing the expected control energy. The solution is computed
-by a nested fixed-point iteration over a pair of scaling potentials (a
+by a fixed-point iteration over a pair of scaling potentials (a
 mean-field generalization of the Sinkhorn algorithm) and can be verified
 independently by closed-loop density propagation and particle simulation.
 """

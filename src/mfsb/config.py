@@ -19,7 +19,7 @@ from .solver import SolverConfig
 
 _KNOWN_KEYS = {
     "domain", "n_x", "n_t", "sigma2", "theta", "tol",
-    "N1", "N3", "seed",
+    "N1", "seed",
     "potential.kind", "potential.beta", "potential.c", "potential.alpha",
     "potential.epsilon", "potential.a", "potential.s", "potential.file",
     "marginal_in.kind", "marginal_in.weights", "marginal_in.means",
@@ -31,7 +31,7 @@ _KNOWN_KEYS = {
 
 # optional integer keys and the SolverConfig fields they set
 _INT_FIELDS = {
-    "n_x": "n_x", "n_t": "n_t", "N1": "n1", "N3": "n3", "seed": "seed",
+    "n_x": "n_x", "n_t": "n_t", "N1": "n1", "seed": "seed",
     "verify.N": "verify_n",
 }
 

@@ -1,11 +1,11 @@
-"""Inner fixed-point loop: alternate the two sweeps against the boundary data.
+"""Sinkhorn passes: alternate the two sweeps against the boundary data.
 
-One iteration sweeps the backward equation down from the terminal scaling,
+One pass sweeps the backward equation down from the terminal scaling,
 re-anchors the forward scaling at t = 0 so the initial marginal is matched
 exactly, sweeps forward, and re-anchors the terminal scaling so the final
-marginal is matched. Drift and reaction profiles are frozen inside this loop;
-convergence is measured with the Hilbert metric on the two anchor slices,
-which is the natural (scale-free) distance for this iteration.
+marginal is matched, with drift and reaction frozen. The solver makes one
+pass per freeze; the classical bridge repeats passes until the two anchor
+slices stop moving in the Hilbert metric, the natural (scale-free) distance.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class PairPath:
 
 @dataclass(frozen=True)
 class FrozenProblem:
-    """Everything the inner loop needs, with drift and reaction held fixed.
+    """Everything a Sinkhorn pass needs, with drift and reaction held fixed.
 
     Built by :func:`freeze_problem`. ``ops`` carries the drift (as cached LU
     factors) and the grids; the reaction enters through the per-slice decay
@@ -84,9 +84,15 @@ def freeze_problem(
 
     Builds the transport operators of the drift -(W' * p_t), the anchor
     factors of both marginals and the decay factors of both legs: everything
-    the inner loop holds fixed.
+    a Sinkhorn pass holds fixed. A marginal that is not finite and strictly
+    positive is a PositivityError.
     """
     p_path = check_path(p_path, sgrid, tgrid)
+    p_in = check_field(p_in, sgrid)
+    p_fin = check_field(p_fin, sgrid)
+    for name, p in (("p_in", p_in), ("p_fin", p_fin)):
+        if not (np.all(np.isfinite(p)) and p.min() > 0.0):
+            raise PositivityError(f"{name} must be strictly positive and finite")
     ops = TransportOperators(
         mean_field_drift_path(table, p_path, sgrid), sigma, sgrid, tgrid
     )
@@ -97,8 +103,8 @@ def freeze_problem(
         decay_phihat=np.exp(
             rate * reaction_term_path(table, pair.phihat, p_path, sgrid)
         ),
-        p_in=check_field(p_in, sgrid),
-        p_fin=check_field(p_fin, sgrid),
+        p_in=p_in,
+        p_fin=p_fin,
         exp_in_plus=np.exp(2.0 * convolve(table.w, p_in, sgrid)),
         exp_fin_plus=np.exp(2.0 * convolve(table.w, p_fin, sgrid)),
     )

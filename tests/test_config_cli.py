@@ -76,6 +76,7 @@ def test_parse_skips_comments_and_blank_lines(tmp_path):
         ("sigma2 0.5\n", "key = value"),
         ("made_up_key = 3\n", "unknown key"),
         ("N2 = 50\n", "unknown key"),  # the middle loop and its budget are gone
+        ("N3 = 500\n", "unknown key"),  # so are the inner loop and its budget
         ("init_tol = 1e-11\n", "unknown key"),  # the bridge runs to min(tol, 1e-10)
         # the kernel's 1/sigma2 scale is set through potential.beta
         ("potential_is_prescaled = true\n", "unknown key"),
@@ -102,7 +103,7 @@ def test_bundled_example_round_trips_every_field():
     assert cfg.tol == 1e-6
     assert (cfg.x_min, cfg.x_max) == (-2.0, 2.0)
     assert (cfg.n_x, cfg.n_t) == (301, 100)
-    assert (cfg.n1, cfg.n3) == (200, 500)
+    assert cfg.n1 == 200
     assert cfg.potential.kind == "power_repulsive"
     assert (cfg.potential.c, cfg.potential.alpha) == (5.0, 0.2)
     assert cfg.potential.epsilon == 0.01
@@ -269,11 +270,10 @@ def test_trace_bookkeeping_is_consistent(mini_run):
     assert trace["converged"] is True
     assert len(trace["outer_dh"]) == trace["outer_iterations"]
     assert len(trace["middle_dh"]) == trace["outer_iterations"]
-    for k in range(trace["outer_iterations"]):
-        assert len(trace["middle_dh"][k]) == len(trace["inner_iterations"][k])
-        assert len(trace["inner_dh"][k]) == len(trace["inner_iterations"][k])
-        for j, n_inner in enumerate(trace["inner_iterations"][k]):
-            assert len(trace["inner_dh"][k][j]) == n_inner
+    # one Sinkhorn pass per outer evaluation
+    assert trace["inner_iterations"] == [[1]] * trace["outer_iterations"]
+    assert all(len(dh) == 1 for dh in trace["middle_dh"])
+    assert "inner_dh" not in trace
     assert "wall_times" not in trace
 
 
@@ -381,21 +381,25 @@ def test_cli_budget_exhaustion_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, settings, level",
+    "argv, settings, bridge_max_iter, level",
     [
-        pytest.param(["run", "--no-verify"], ["N1 = 1"], "outer", id="N1 = 1-outer"),
-        pytest.param(["run", "--no-verify"], ["N3 = 2"], "inner", id="N3 = 2-inner"),
-        # the slow bridge of sigma2 = 0.02 stops just below tol = 1e-12, and
-        # the first inner loop cannot reach tol / 10 in 5 iterations
         pytest.param(
-            ["classic"], ["sigma2 = 0.02", "tol = 1e-12", "N3 = 5"], "inner",
-            id="classic-sigma2 = 0.02-tol = 1e-12-N3 = 5-inner",
+            ["run", "--no-verify"], ["N1 = 1"], None, "outer", id="N1 = 1-outer"
+        ),
+        # the classical-bridge start stops at its budget, far above 1e-10
+        pytest.param(
+            ["run", "--no-verify"], [], 2, "inner", id="bridge 2-inner"
+        ),
+        pytest.param(
+            ["classic"], [], 5, "inner", id="classic-bridge 5"
         ),
     ],
 )
 def test_cli_each_exhausted_budget_exits_two_with_artifacts(
-    tmp_path, capsys, argv, settings, level
+    tmp_path, capsys, monkeypatch, argv, settings, bridge_max_iter, level
 ):
+    if bridge_max_iter is not None:
+        monkeypatch.setattr("mfsb.solver.BRIDGE_MAX_ITER", bridge_max_iter)
     # example2 as shipped, with some settings replaced
     keys = tuple(setting.split(" =")[0] + " " for setting in settings)
     text = "\n".join(
@@ -419,13 +423,14 @@ def test_cli_each_exhausted_budget_exits_two_with_artifacts(
     assert np.isfinite(trace["cost"])
 
 
-def test_cli_tol_below_the_inner_stall_exits_one(tmp_path, capsys):
-    # tol / 10 = 1e-15 sits below the 4.4e-15 to 7.1e-15 where the inner
-    # anchor distances stall, so this budget could only burn out (exit 2)
+def test_cli_tol_below_the_stall_floor_exits_one(tmp_path, capsys):
+    # tol = 1e-14 sits below the 1.1e-14 to 2.4e-14 where the outer steps of
+    # `mfsb run example2` stall, which would burn its budget (exit 2); a tol
+    # at or below the floor is a bad input for every command, classic included
     text = "\n".join(
         line for line in example_config_path("example2").read_text().splitlines()
-        if not line.startswith(("tol ", "N3 "))
-    ) + "\ntol = 1e-14\nN3 = 300\n"
+        if not line.startswith("tol ")
+    ) + "\ntol = 1e-14\n"
     path = tmp_path / "stall.cfg"
     path.write_text(text)
     out = tmp_path / "o"

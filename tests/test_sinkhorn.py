@@ -134,21 +134,22 @@ def test_anchor_update_formula(small_setup, gauss_table):
 
 
 def test_anchor_update_rejects_nonpositive_slice(small_setup):
-    # a marginal with a zero or negative node makes its anchor nonpositive;
-    # the next sweep or the anchor distance refuses it
+    # a marginal with a zero, negative or NaN node would make its anchor
+    # nonpositive; freezing refuses it and names the marginal
     sgrid, tgrid, p_in, p_fin = small_setup
     table = eval_potential(PotentialSpec.zero(), sgrid)
     start = flat_start(p_in, tgrid)
     p_path = np.tile(p_in, (tgrid.n_t + 1, 1))
-    zero_in, negative_fin = p_in.copy(), p_fin.copy()
+    zero_in, negative_fin, nan_in = p_in.copy(), p_fin.copy(), p_in.copy()
     zero_in[3] = 0.0
     negative_fin[0] = -1.0
-    for q_in, q_fin in ((zero_in, p_fin), (p_in, negative_fin)):
-        problem = freeze_problem(
-            p_path, start, table, q_in, q_fin, 0.5, sgrid, tgrid
-        )
-        with pytest.raises(PositivityError):
-            inner_sinkhorn(problem, start, 1e-12, 500)
+    nan_in[5] = np.nan
+    for q_in, q_fin, name in (
+        (zero_in, p_fin, "p_in"), (p_in, negative_fin, "p_fin"),
+        (nan_in, p_fin, "p_in"),
+    ):
+        with pytest.raises(PositivityError, match=name):
+            freeze_problem(p_path, start, table, q_in, q_fin, 0.5, sgrid, tgrid)
 
 
 def test_freeze_problem_checks_path_shape(small_setup):
