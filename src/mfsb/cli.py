@@ -69,14 +69,19 @@ class RunManifest:
 
 
 def _write_columns(path: Path, header: str, times, nodes, columns) -> None:
-    """Write (t, x, *columns) rows for every (time slice, node) pair; savetxt
-    formats and writes one row at a time, so the file is never held as text."""
-    table = np.column_stack([
-        np.repeat(times, nodes.size),
-        np.tile(nodes, times.size),
-        *(np.ravel(col) for col in columns),
-    ])
-    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
+    """Write (t, x, *columns) rows for every (time slice, node) pair; one
+    %-format fills a template of a whole slice's rows, so a single slice, and
+    never the file, is held as text."""
+    rows = np.empty((nodes.size, 2 + len(columns)))
+    rows[:, 1] = nodes
+    slice_template = (",".join(["%.17g"] * rows.shape[1]) + "\n") * nodes.size
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for l, t in enumerate(times):
+            rows[:, 0] = t
+            for j, col in enumerate(columns, start=2):
+                rows[:, j] = col[l]
+            fh.write(slice_template % tuple(rows.ravel().tolist()))
 
 
 def _jsonify(obj):

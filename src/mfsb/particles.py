@@ -8,12 +8,16 @@ On the uniform grid one floor index per particle serves both the nearest-node
 deposit and the linear gather of the drift (Hockney & Eastwood 1988), and
 every per-particle array of the step is allocated once per run.
 The counter-based Philox generator makes runs reproducible from the seed
-alone.
+alone. The noise does not depend on the positions, so one worker thread
+draws the next block of steps' noise while the current steps run; with one
+draw in flight at a time the stream is consumed in per-step order, and the
+positions do not depend on scheduling.
 """
 
 from __future__ import annotations
 
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +32,9 @@ _RECOMMENDED_N = 10_000
 # passes of the reflection fold before a step is declared out of bounds: each
 # pass removes two domain widths, and an Euler step is O(sigma sqrt(dt))
 _MAX_FOLDS = 32
+
+# normal draws per noise block (1 MiB): a block holds max(1, this // N) steps
+_NOISE_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -123,27 +130,44 @@ def simulate(
     if not (np.all(np.isfinite(p_init)) and np.all(p_init >= 0.0)):
         raise DomainError("initial density must be finite and nonnegative")
     rng = np.random.Generator(np.random.Philox(seed))
-    dt = tgrid.dt
+    dt, n_t = tgrid.dt, tgrid.n_t
     noise_scale = sigma * np.sqrt(dt)
     x = _sample_initial(p_init, sgrid, rng, n)
-    s, frac, noise = np.empty(n), np.empty(n), np.empty(n)
+    s, frac, scratch = np.empty(n), np.empty(n), np.empty(n)
     i, near = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
-    for l in range(tgrid.n_t):
-        _locate(x, sgrid, s, i, frac)
-        u_step = 0.5 * (u_path[l] + u_path[l + 1])
-        b = mean_field_drift(table, _deposit(i, frac, sgrid, near), sgrid)
-        v = sigma * u_step + sigma * sigma * b
-        # linear gather of the node drift v from the same index: into s
-        np.take(np.diff(v), i, out=s)
-        s *= frac
-        s += np.take(v, i, out=noise)
-        s *= dt
-        x += s
-        rng.standard_normal(n, out=noise)
-        noise *= noise_scale
-        x += noise
-        _reflect(x, sgrid, noise)
-    return ParticleEnsemble(positions=x, seed=seed, steps=tgrid.n_t)
+    k = max(1, _NOISE_BLOCK // n)
+
+    def draw(l: int) -> np.ndarray:
+        """Scaled noise of steps l, ..., l + k - 1 (fewer at the end)."""
+        block = rng.standard_normal((min(k, n_t - l), n))
+        block *= noise_scale
+        return block
+
+    # the worker starts on the first submit, so a run of one block starts none;
+    # an exception leaves the `with` only after the draw in flight has finished
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        noise, pending = draw(0), None
+        for l in range(n_t):
+            if l % k == 0:
+                if pending is not None:
+                    noise = pending.result()
+                pending = worker.submit(draw, l + k) if l + k < n_t else None
+            _locate(x, sgrid, s, i, frac)
+            u_step = 0.5 * (u_path[l] + u_path[l + 1])
+            b = mean_field_drift(table, _deposit(i, frac, sgrid, near), sgrid)
+            v = sigma * u_step + sigma * sigma * b
+            # linear gather of the node drift v from the same index: into s.
+            # i lies in [0, n_x - 2] (_locate clamps it, _reflect keeps x in
+            # the domain or raises), so mode="clip" never clips; it only
+            # spares the copy of `out` that mode="raise" makes
+            np.take(np.diff(v), i, out=s, mode="clip")
+            s *= frac
+            s += np.take(v, i, out=scratch, mode="clip")
+            s *= dt
+            x += s
+            x += noise[l % k]
+            _reflect(x, sgrid, scratch)
+    return ParticleEnsemble(positions=x, seed=seed, steps=n_t)
 
 
 def empirical_density(ensemble: ParticleEnsemble, grid: SpatialGrid) -> np.ndarray:

@@ -168,6 +168,40 @@ def interp_particle_run(u_path: np.ndarray, grad_w: np.ndarray,
     return x
 
 
+def per_step_particle_run(u_path: np.ndarray, p_init: np.ndarray, sigma: float,
+                          n: int, seed: int, x_min: float,
+                          x_max: float) -> np.ndarray:
+    """Euler-Maruyama run without interaction, drawing each step's noise as
+    it goes.
+
+    The README's step formula written out: inverse-CDF start from the
+    piecewise-linear p_init, then per step s = (x - x_min) / h,
+    i = min(floor(s), n_x - 2), frac = s - i, the control's node drift
+    v = sigma (u_l + u_{l+1}) / 2 gathered as v[i] + frac (v[i+1] - v[i]),
+    one standard_normal(n) drawn right there, and the fold at x_min then
+    x_max repeated until every particle is inside. Returns the terminal
+    positions.
+    """
+    n_t, n_x = u_path.shape[0] - 1, u_path.shape[1]
+    nodes = np.linspace(x_min, x_max, n_x)
+    h = (x_max - x_min) / (n_x - 1)
+    dt = 1.0 / n_t
+    rng = np.random.Generator(np.random.Philox(seed))
+    cdf = np.concatenate(([0.0], np.cumsum(0.5 * h * (p_init[:-1] + p_init[1:]))))
+    x = np.interp(rng.random(n), cdf / cdf[-1], nodes)
+    for l in range(n_t):
+        s = (x - x_min) / h
+        i = np.minimum(np.floor(s).astype(int), n_x - 2)
+        frac = s - i
+        v = sigma * (0.5 * (u_path[l] + u_path[l + 1]))
+        x = x + (v[i] + frac * (v[i + 1] - v[i])) * dt
+        x = x + rng.standard_normal(n) * (sigma * math.sqrt(dt))
+        while np.any(x < x_min) or np.any(x > x_max):
+            x = np.where(x < x_min, 2.0 * x_min - x, x)
+            x = np.where(x > x_max, 2.0 * x_max - x, x)
+    return x
+
+
 def gaussian_density(x: np.ndarray, mean: float, variance: float) -> np.ndarray:
     """Normalized Gaussian evaluated on nodes (analytic normalizer)."""
     return np.exp(-((x - mean) ** 2) / (2.0 * variance)) / math.sqrt(

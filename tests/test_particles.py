@@ -1,5 +1,7 @@
 """Particle simulator: sampling, dynamics, noise model, and bookkeeping."""
 
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -20,6 +22,7 @@ from oracles import (
     gaussian_density,
     interp_particle_run,
     midpoint_histogram_density,
+    per_step_particle_run,
 )
 
 
@@ -276,11 +279,46 @@ def test_steps_longer_than_the_span_fold_like_the_mod_fold(sim_grids):
 
 
 def test_a_step_past_the_fold_budget_is_an_error(sim_grids):
+    # at N = 20 000 a block holds 6 of the 50 steps, so the first step raises
+    # with the next block's draw in flight; its worker must not outlive the run
     sgrid, tgrid = sim_grids
     p0 = gaussian_density(sgrid.nodes, 0.0, 0.04)
     u = np.full((tgrid.n_t + 1, sgrid.n_x), 1e200)
-    with pytest.raises(DomainError, match="domain widths"):
-        simulate(u, no_kernel(sgrid), p0, 0.447, 500, 0, sgrid, tgrid)
+    for n in (500, 20_000):
+        threads = threading.active_count()
+        with pytest.raises(DomainError, match="domain widths"):
+            simulate(u, no_kernel(sgrid), p0, 0.447, n, 0, sgrid, tgrid)
+        assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("n", [2_000, 20_000])
+def test_noise_blocks_keep_the_per_step_stream_order(n, monkeypatch):
+    # 10 steps: N = 2 000 draws all its noise in one block, N = 20 000 in a
+    # block of 6 steps and a partial one of 4, drawn on the worker thread
+    # while the first block is used; both must see the stream of one
+    # standard_normal(N) per step, and only the second may start a thread.
+    # A short switch interval makes the two threads interleave finely
+    started, start = [], threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    sgrid, tgrid = SpatialGrid(-2.0, 2.0, 301), TimeGrid(10)
+    x, t = sgrid.nodes, tgrid.times[:, None]
+    u = -1.5 * (1.0 - t) * x + 0.8 * t * np.sin(2.0 * x)
+    p0 = 0.5 * gaussian_density(x, 0.5, 0.04) + 0.5 * gaussian_density(x, -0.4, 0.04)
+    threads, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ens = simulate(u, no_kernel(sgrid), p0, 0.8, n, 17, sgrid, tgrid)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+    assert len(started) == (0 if n == 2_000 else 1)
+    expected = per_step_particle_run(u, p0, 0.8, n, 17, sgrid.x_min, sgrid.x_max)
+    assert np.array_equal(ens.positions, expected)
 
 
 @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
