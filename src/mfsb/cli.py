@@ -42,14 +42,7 @@ from .metrics import l1_distance
 from .particles import simulate, terminal_residual
 from .potentials import PotentialSpec
 from .sinkhorn import PairPath
-from .solver import (
-    SolverConfig,
-    Solution,
-    contraction_constants,
-    control_energy,
-    optimal_control,
-    solve,
-)
+from .solver import SolverConfig, Solution, contraction_constants, solve
 
 logger = logging.getLogger("mfsb")
 
@@ -115,31 +108,28 @@ def _digest(path: Path) -> dict:
 
 def _write_run(
     out: Path,
-    cfg: SolverConfig,
+    sol: Solution,
     status: str,
-    cost: float,
-    trace: dict,
-    p_path: np.ndarray,
-    u_path: np.ndarray,
-    pair: PairPath,
     timings: dict,
-    verification: dict | None = None,
-    error: dict | None = None,
+    verification: dict | None,
+    error: dict | None,
 ) -> RunManifest:
-    """Write the four data files and manifest.json; return the manifest."""
-    config = dataclasses.asdict(cfg)
-    times = cfg.tgrid.times
-    nodes = cfg.sgrid.nodes
-    _write_columns(out / "densities.csv", "t,x,p", times, nodes, [p_path])
-    _write_columns(out / "control.csv", "t,x,u", times, nodes, [u_path])
+    """Write the four data files of a converged or partial solution and
+    manifest.json; return the manifest."""
+    config = dataclasses.asdict(sol.config)
+    times = sol.config.tgrid.times
+    nodes = sol.config.sgrid.nodes
+    _write_columns(out / "densities.csv", "t,x,p", times, nodes, [sol.p])
+    _write_columns(out / "control.csv", "t,x,u", times, nodes, [sol.u])
     _write_columns(
-        out / "pair.csv", "t,x,phi,phihat", times, nodes, [pair.phi, pair.phihat]
+        out / "pair.csv", "t,x,phi,phihat", times, nodes,
+        [sol.pair.phi, sol.pair.phihat],
     )
     _dump_json(out / "trace.json", {
         "status": status,
         "config": config,
-        "cost": cost,
-        "trace": trace,
+        "cost": sol.cost,
+        "trace": dataclasses.asdict(sol.trace),
         "verification": verification,
         "error": error,
     })
@@ -226,10 +216,8 @@ def _solve_and_write(
     t0 = time.perf_counter()
     try:
         sol = solve(cfg, warm_pair=warm_pair)
-        p_path, pair, u_path = sol.p, sol.pair, sol.u
-        trace = sol.trace
-        cost = sol.cost
     except NoConvergence as exc:
+        sol = exc.partial
         status = "no_convergence"
         error = {
             "message": str(exc),
@@ -237,10 +225,6 @@ def _solve_and_write(
             "indices": list(exc.indices),
             "last_distance": exc.last_distance,
         }
-        trace = exc.trace
-        p_path, pair = exc.partial["p"], exc.partial["pair"]
-        u_path = optimal_control(pair, cfg.sigma, cfg.sgrid)
-        cost = control_energy(u_path, p_path, cfg.sgrid, cfg.tgrid)
     solve_seconds = time.perf_counter() - t0
 
     timings = {"solve_seconds": solve_seconds}
@@ -250,12 +234,7 @@ def _solve_and_write(
         timings.update(check_seconds)
     timings["verify_seconds"] = time.perf_counter() - t1
 
-    return _write_run(
-        out, cfg, status, cost, dataclasses.asdict(trace), p_path, u_path, pair,
-        timings,
-        verification=verification,
-        error=error,
-    )
+    return _write_run(out, sol, status, timings, verification, error)
 
 
 def read_pair_csv(path, sgrid: SpatialGrid, tgrid: TimeGrid) -> PairPath:

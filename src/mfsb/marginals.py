@@ -63,10 +63,11 @@ def _tabulated_field(spec: MarginalSpec, grid: SpatialGrid) -> np.ndarray:
     if spec.path is None:
         raise ConfigError("tabulated marginal needs a file path")
     try:
-        data = np.loadtxt(spec.path)
-    except ValueError:
-        data = np.loadtxt(spec.path, delimiter=",")
-    except OSError as exc:
+        try:
+            data = np.loadtxt(spec.path)
+        except ValueError:
+            data = np.loadtxt(spec.path, delimiter=",")
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read marginal file {spec.path}: {exc}") from exc
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 2:
         raise ConfigError(f"{spec.path}: expected two columns (x, p)")

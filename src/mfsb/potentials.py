@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PositivityError, ShapeError
+from .errors import ConfigError, DomainError, PositivityError, ShapeError
 from .grid import SpatialGrid, check_field, gradient
 
 _KINDS = ("zero", "power_repulsive", "gaussian_attractive", "tabulated")
@@ -180,9 +180,12 @@ def eval_potential(spec: PotentialSpec, grid: SpatialGrid) -> PotentialTable:
 def load_tabulated_potential(path, beta: float = 1.0) -> PotentialSpec:
     """Read (displacement, value) rows from a text file (whitespace or comma)."""
     try:
-        data = np.loadtxt(path)
-    except ValueError:
-        data = np.loadtxt(path, delimiter=",")
+        try:
+            data = np.loadtxt(path)
+        except ValueError:
+            data = np.loadtxt(path, delimiter=",")
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read kernel file {path}: {exc}") from exc
     if data.ndim != 2 or data.shape[1] != 2:
         raise DomainError(f"{path}: expected two columns (r, W)")
     return PotentialSpec.tabulated(data[:, 0], data[:, 1], beta=beta)

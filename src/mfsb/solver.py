@@ -133,12 +133,15 @@ class SolverConfig:
 class ConvergenceTrace:
     """Everything the iteration did, one entry per loop event.
 
-    Outer step k is the k-th evaluation of the plain outer map, at a mixed
-    iterate or not. ``middle_dh[k]`` holds the distance its refreeze and
-    pass moved the pair, a supremum over slices that bounds the pass's own
-    anchor distance; ``inner_iterations[k]`` is always ``[1]``. Both stay
-    one-entry lists, the trace.json layout perfbench/run.py reads. The trace
-    holds no timings, so serialized traces stay byte-identical across reruns.
+    ``init_dh`` holds the anchor distance of each pass of the classical
+    bridge start. Outer step k is the k-th evaluation of the plain outer
+    map, at a mixed iterate or not. ``middle_dh[k]`` holds the distance its
+    refreeze and pass moved the pair, a supremum over slices that bounds the
+    pass's own anchor distance; ``inner_iterations[k]`` is always ``[1]``.
+    Both stay one-entry lists, the trace.json layout perfbench/run.py reads.
+    A solve shares one trace between its Solution and, when a budget runs
+    out, its NoConvergence. The trace holds no timings, so serialized traces
+    stay byte-identical across reruns.
     """
 
     init_dh: list[float] = field(default_factory=list)
@@ -159,7 +162,9 @@ class ConvergenceTrace:
 
 @dataclass(frozen=True)
 class Solution:
-    """Converged output of :func:`solve`."""
+    """Output of :func:`solve`: returned when it converges, and attached as
+    the ``partial`` of its NoConvergence (with ``converged`` False) when not.
+    """
 
     config: SolverConfig
     p: np.ndarray
@@ -188,23 +193,42 @@ def classical_bridge_init(
 
     Repeats Sinkhorn passes frozen at the zero kernel (no drift, no
     reaction, unit anchor factors) from the flat start (phi = 1, phihat
-    anchored at p_in) until the anchors move less than tol; the density
-    path is the normalized slice-wise product of the two scalings. Returns
-    (p_path, pair, boundary_dh).
+    anchored at p_in) until a pass moves the anchors less than tol; the
+    density path is the normalized slice-wise product of the two scalings.
+    Returns (p_path, pair, boundary_dh), the anchor distance of every pass.
+    Raises NoConvergence, with the distances as its trace and the last pair
+    as its partial, when max_iter passes do not reach tol.
     """
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
     p_in = check_field(p_in, sgrid)
     p_fin = check_field(p_fin, sgrid)
     for name, p in (("p_in", p_in), ("p_fin", p_fin)):
         if np.any(p <= 0.0) or not np.all(np.isfinite(p)):
             raise PositivityError(f"{name} must be strictly positive")
     flat = np.tile(p_in, (tgrid.n_t + 1, 1))
-    start = PairPath(phi=np.ones(flat.shape), phihat=flat)
+    pair = PairPath(phi=np.ones(flat.shape), phihat=flat)
     problem = freeze_problem(
-        flat, start, eval_potential(PotentialSpec.zero(), sgrid),
+        flat, pair, eval_potential(PotentialSpec.zero(), sgrid),
         p_in, p_fin, sigma, sgrid, tgrid,
     )
-    pair, boundary_dh = inner_sinkhorn(problem, start, tol, max_iter)
-    return normalize(pair.product, sgrid), pair, boundary_dh
+    boundary_dh: list[float] = []
+    for _ in range(max_iter):
+        pair, anchor_dh = inner_sinkhorn(problem, pair)
+        boundary_dh.append(anchor_dh)
+        if anchor_dh < tol:
+            return normalize(pair.product, sgrid), pair, boundary_dh
+    raise NoConvergence(
+        f"inner loop did not reach tol={tol} in {max_iter} iterations "
+        f"(last anchor distance {anchor_dh:.3e})",
+        level="inner",
+        indices=(max_iter,),
+        last_distance=anchor_dh,
+        trace=boundary_dh,
+        partial=pair,
+    )
 
 
 def _refined_density(
@@ -416,7 +440,7 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
     distance, a supremum over slices, bounds the pass's anchor distance, so
     the returned pair is stationary to tol under one more refreeze and pass.
     Raises NoConvergence when n1 or the bridge's BRIDGE_MAX_ITER is
-    exhausted, with the trace and the last {"p", "pair"} attached.
+    exhausted, with the trace and a Solution of the last iterate attached.
     """
     sgrid, tgrid = cfg.sgrid, cfg.tgrid
     p_in = build_marginals(cfg.marginal_in, sgrid)
@@ -424,6 +448,14 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
     table = cfg.kernel_table
     sigma = cfg.sigma
     trace = ConvergenceTrace()
+
+    def outcome(p_path: np.ndarray, pair: PairPath) -> Solution:
+        u = optimal_control(pair, sigma, sgrid)
+        return Solution(
+            config=cfg, p=p_path, pair=pair, u=u,
+            cost=control_energy(u, p_path, sgrid, tgrid), trace=trace,
+            p_in=p_in, p_fin=p_fin,
+        )
 
     if warm_pair is None:
         try:
@@ -436,10 +468,7 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
             trace.init_dh = exc.trace
             trace.init_iterations = len(trace.init_dh)
             exc.trace = trace
-            exc.partial = {
-                "p": normalize(exc.partial.product, sgrid),
-                "pair": exc.partial,
-            }
+            exc.partial = outcome(normalize(exc.partial.product, sgrid), exc.partial)
             raise
         trace.init_dh = init_dh
         trace.init_iterations = len(init_dh)
@@ -458,9 +487,7 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
     for k in range(cfg.n1):
         tick = time.perf_counter()
         problem = freeze_problem(p_path, pair, table, p_in, p_fin, sigma, sgrid, tgrid)
-        # one pass, phi[-1] overwritten by the t = 1 anchor: its anchor
-        # distance is finite, so an infinite tol stops it and cannot raise
-        new_pair = inner_sinkhorn(problem, pair, math.inf, 1)[0]
+        new_pair = inner_sinkhorn(problem, pair)[0]
         del problem  # its factors go before the next freeze builds new ones
         d_pair = pair_distance(new_pair, pair)
         trace.min_phi = min(trace.min_phi, float(new_pair.phi.min()))
@@ -505,6 +532,7 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
             break
 
     trace.outer_iterations = k + 1
+    p_path, pair = p_next, new_pair
     if not step_dh < cfg.tol:
         raise NoConvergence(
             f"outer loop did not reach tol={cfg.tol} in {cfg.n1} iterations "
@@ -513,17 +541,10 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
             indices=(cfg.n1,),
             last_distance=step_dh,
             trace=trace,
-            partial={"p": p_next, "pair": new_pair},
+            partial=outcome(p_path, pair),
         )
     trace.converged = True
-    p_path, pair = p_next, new_pair
-
-    u = optimal_control(pair, sigma, sgrid)
-    cost = control_energy(u, p_path, sgrid, tgrid)
-    return Solution(
-        config=cfg, p=p_path, pair=pair, u=u, cost=cost, trace=trace,
-        p_in=p_in, p_fin=p_fin,
-    )
+    return outcome(p_path, pair)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ PUBLIC = {
     # transport
     "build_generator", "TransportOperators", "integrate_backward",
     "integrate_forward", "propagate_density",
-    # inner loop
+    # one Sinkhorn pass
     "PairPath", "freeze_problem", "inner_sinkhorn",
     # marginals
     "MarginalSpec", "build_marginals",

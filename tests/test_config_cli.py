@@ -445,6 +445,26 @@ def test_cli_bad_input_exits_one(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.cfg"),
                  "--out", str(tmp_path / "o")]) == 1
     assert "error" in capsys.readouterr().err
+    # a tabulated kernel or marginal file that neither whitespace nor comma
+    # splitting can parse is a bad input that names the file
+    table = tmp_path / "letters.txt"
+    table.write_text("a b\nc d\n")
+    without_marginal_in = "".join(
+        line for line in MINI_CONFIG.splitlines(keepends=True)
+        if not line.startswith("marginal_in.")
+    )
+    for name, text in (
+        ("kernel", MINI_CONFIG
+         + f"potential.kind = tabulated\npotential.file = {table}\n"),
+        ("marginal", without_marginal_in
+         + f"marginal_in.kind = tabulated\nmarginal_in.file = {table}\n"),
+    ):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(text)
+        assert main(["run", str(path), "--out", str(tmp_path / name)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot read {name} file {table}"
+        )
 
 
 def test_cli_negative_seed_exits_one_before_solving(

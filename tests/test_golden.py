@@ -27,7 +27,7 @@ import pytest
 
 from mfsb.kolmogorov import propagate_density
 from mfsb.metrics import l1_distance, pair_distance, path_distance
-from mfsb.sinkhorn import freeze_problem, inner_sinkhorn
+from mfsb.sinkhorn import freeze_problem
 from mfsb.solver import (
     BRIDGE_MAX_ITER,
     BRIDGE_TOL,
@@ -35,6 +35,8 @@ from mfsb.solver import (
     classical_bridge_init,
     fit_geometric_rate,
 )
+
+from oracles import repeat_passes
 
 RATE_MAX = 0.95
 
@@ -93,7 +95,7 @@ def plain_outer_solve(cfg, p_in, p_fin):
         problem = freeze_problem(
             p_path, pair, table, p_in, p_fin, cfg.sigma, sgrid, tgrid
         )
-        new_pair, _ = inner_sinkhorn(
+        new_pair, _ = repeat_passes(
             problem, pair, INNER_TOL_FRACTION * cfg.tol, BRIDGE_MAX_ITER
         )
         d_pair = pair_distance(new_pair, pair)

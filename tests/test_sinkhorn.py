@@ -1,5 +1,5 @@
-"""Inner sweep/anchor loop: anchor factors and updates, convergence, and
-invariances."""
+"""One Sinkhorn pass (sweeps and anchor updates) and the classical bridge's
+loop of passes: anchor factors and updates, convergence, and invariances."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,9 @@ from mfsb.errors import DomainError, NoConvergence, PositivityError, ShapeError
 from mfsb.grid import SpatialGrid, TimeGrid, check_path, integrate
 from mfsb.metrics import hilbert_distance, l1_distance, pair_distance
 from mfsb.potentials import PotentialSpec, eval_potential
+from mfsb import sinkhorn as sinkhorn_module
 from mfsb.sinkhorn import PairPath, freeze_problem, inner_sinkhorn
+from mfsb.solver import classical_bridge_init
 
 from oracles import direct_convolution, direct_reaction, gaussian_density
 
@@ -111,23 +113,22 @@ def test_boundary_factors_match_direct_convolution(small_setup, gauss_table):
 
 
 def test_anchor_update_reproduces_initial_marginal(small_setup):
-    # without interaction one anchor update makes phi_0 phihat_0 = p_in, even
-    # before the loop converges
+    # without interaction one anchor update makes phi_0 phihat_0 = p_in, after
+    # a single pass that is far from converged
     sgrid, tgrid, p_in, p_fin = small_setup
     problem = classical_problem(p_in, p_fin, 0.5, sgrid, tgrid)
-    with pytest.raises(NoConvergence) as info:
-        inner_sinkhorn(problem, flat_start(p_in, tgrid), 1e-12, 1)
-    partial = info.value.partial
-    np.testing.assert_allclose(partial.phi[0] * partial.phihat[0], p_in, rtol=1e-15)
+    pair, anchor_dh = inner_sinkhorn(problem, flat_start(p_in, tgrid))
+    assert anchor_dh > 1e-12
+    np.testing.assert_allclose(pair.phi[0] * pair.phihat[0], p_in, rtol=1e-15)
 
 
 def test_anchor_update_formula(small_setup, gauss_table):
-    # with interaction the converged pair satisfies the generalized Hopf-Cole
-    # boundary identities p = e^{-2 W*p} phi phihat at both ends, the
-    # exponent taken by direct quadrature
+    # with interaction the pair of a single pass satisfies the generalized
+    # Hopf-Cole boundary identities p = e^{-2 W*p} phi phihat at both ends,
+    # the exponent taken by direct quadrature
     sgrid, tgrid, p_in, p_fin = small_setup
     problem = kernel_problem(gauss_table, p_in, p_fin, 0.5, sgrid, tgrid)
-    pair, _ = inner_sinkhorn(problem, flat_start(p_in, tgrid), 1e-12, 500)
+    pair, _ = inner_sinkhorn(problem, flat_start(p_in, tgrid))
     for l, p in ((0, p_in), (-1, p_fin)):
         minus = np.exp(-2.0 * direct_convolution(gauss_table.w, p, sgrid.h))
         np.testing.assert_allclose(minus * pair.phi[l] * pair.phihat[l], p, rtol=1e-13)
@@ -196,20 +197,80 @@ def test_freeze_problem_decay_factors_match_reaction(small_setup, rng):
 
 
 # ---------------------------------------------------------------------------
-# the loop itself
+# one pass
+
+
+def test_one_pass_sweeps_each_way_once(small_setup, gauss_table, monkeypatch):
+    sgrid, tgrid, p_in, p_fin = small_setup
+    problem = kernel_problem(gauss_table, p_in, p_fin, 0.5, sgrid, tgrid)
+    calls = []
+
+    def counted(name):
+        real = getattr(sinkhorn_module, name)
+
+        def sweep(*args):
+            calls.append(name)
+            return real(*args)
+
+        return sweep
+
+    for name in ("integrate_backward", "integrate_forward"):
+        monkeypatch.setattr(sinkhorn_module, name, counted(name))
+    inner_sinkhorn(problem, flat_start(p_in, tgrid))
+    assert calls == ["integrate_backward", "integrate_forward"]
+
+
+def test_one_pass_reports_the_larger_anchor_distance(
+    small_setup, gauss_table, rng
+):
+    sgrid, tgrid, p_in, p_fin = small_setup
+    problem = kernel_problem(gauss_table, p_in, p_fin, 0.5, sgrid, tgrid)
+    shape = (tgrid.n_t + 1, sgrid.n_x)
+    start = PairPath(
+        phi=np.exp(rng.normal(size=shape) * 0.3),
+        phihat=np.exp(rng.normal(size=shape) * 0.3),
+    )
+    pair, anchor_dh = inner_sinkhorn(problem, start)
+    assert anchor_dh == max(
+        hilbert_distance(pair.phi[-1], start.phi[-1]),
+        hilbert_distance(pair.phihat[0], start.phihat[0]),
+    )
+
+
+def test_passes_from_the_flat_start_reproduce_the_classical_bridge(small_setup):
+    # the bridge is nothing but repeated passes: as many passes as it made,
+    # from its flat start, give its pair bit for bit
+    sgrid, tgrid, p_in, p_fin = small_setup
+    _, bridge, boundary_dh = classical_bridge_init(
+        p_in, p_fin, 0.5, sgrid, tgrid, tol=1e-10
+    )
+    problem = classical_problem(p_in, p_fin, 0.5, sgrid, tgrid)
+    pair, distances = flat_start(p_in, tgrid), []
+    for _ in boundary_dh:
+        pair, anchor_dh = inner_sinkhorn(problem, pair)
+        distances.append(anchor_dh)
+    assert len(boundary_dh) > 1
+    assert distances == boundary_dh
+    assert np.array_equal(pair.phi, bridge.phi)
+    assert np.array_equal(pair.phihat, bridge.phihat)
+
+
+# ---------------------------------------------------------------------------
+# the classical bridge's loop of passes
 
 
 def test_inner_loop_rejects_nonpositive_tolerance(small_setup):
     sgrid, tgrid, p_in, p_fin = small_setup
-    problem = classical_problem(p_in, p_fin, 0.5, sgrid, tgrid)
     with pytest.raises(DomainError, match="tol"):
-        inner_sinkhorn(problem, flat_start(p_in, tgrid), 0.0, 10)
+        classical_bridge_init(p_in, p_fin, 0.5, sgrid, tgrid, tol=0.0, max_iter=10)
 
 
 def test_inner_loop_matches_both_marginals(small_setup):
     sgrid, tgrid, p_in, p_fin = small_setup
     problem = classical_problem(p_in, p_fin, 0.5, sgrid, tgrid)
-    pair, boundary_dh = inner_sinkhorn(problem, flat_start(p_in, tgrid), 1e-12, 500)
+    _, pair, boundary_dh = classical_bridge_init(
+        p_in, p_fin, 0.5, sgrid, tgrid, tol=1e-12, max_iter=500
+    )
     assert 1 <= len(boundary_dh) < 500
     # both endpoint densities are hit exactly by the anchor construction
     assert max(marginal_residuals(problem, pair, sgrid)) <= 1e-12
@@ -219,27 +280,30 @@ def test_inner_loop_matches_both_marginals(small_setup):
 
 def test_inner_loop_distances_contract(small_setup):
     sgrid, tgrid, p_in, p_fin = small_setup
-    problem = classical_problem(p_in, p_fin, 0.5, sgrid, tgrid)
-    _, b = inner_sinkhorn(problem, flat_start(p_in, tgrid), 1e-12, 500)
+    _, _, b = classical_bridge_init(
+        p_in, p_fin, 0.5, sgrid, tgrid, tol=1e-12, max_iter=500
+    )
     assert b[-1] < 1e-12
     for i in range(1, len(b) - 1):
         assert b[i + 1] < b[i]
 
 
 def test_inner_loop_converged_start_exits_in_one_iteration(small_setup):
+    # from the bridge's converged pair, the first pass already moves the
+    # anchors less than tol, so a loop of passes would stop after it
     sgrid, tgrid, p_in, p_fin = small_setup
     problem = classical_problem(p_in, p_fin, 0.5, sgrid, tgrid)
-    pair, _ = inner_sinkhorn(problem, flat_start(p_in, tgrid), 1e-10, 500)
-    _, boundary_dh = inner_sinkhorn(problem, pair, 1e-10, 500)
-    assert len(boundary_dh) == 1
-    assert boundary_dh[0] < 1e-10
+    _, pair, _ = classical_bridge_init(
+        p_in, p_fin, 0.5, sgrid, tgrid, tol=1e-10, max_iter=500
+    )
+    _, anchor_dh = inner_sinkhorn(problem, pair)
+    assert anchor_dh < 1e-10
 
 
 def test_inner_loop_exhaustion_raises_with_partial_state(small_setup):
     sgrid, tgrid, p_in, p_fin = small_setup
-    problem = classical_problem(p_in, p_fin, 0.5, sgrid, tgrid)
     with pytest.raises(NoConvergence) as info:
-        inner_sinkhorn(problem, flat_start(p_in, tgrid), 1e-12, 1)
+        classical_bridge_init(p_in, p_fin, 0.5, sgrid, tgrid, tol=1e-12, max_iter=1)
     exc = info.value
     assert exc.level == "inner"
     assert exc.indices == (1,)
@@ -250,15 +314,15 @@ def test_inner_loop_exhaustion_raises_with_partial_state(small_setup):
 
 
 def test_inner_loop_is_scale_equivariant(small_setup):
-    # rescaling the start by (2, 1/2) shifts nothing the metric can see: the
-    # iteration count is identical and the result is the same projective pair
+    # rescaling the start by (2, 1/2) shifts nothing the metric can see: a
+    # pass moves the anchors as far and gives the same projective pair
     sgrid, tgrid, p_in, p_fin = small_setup
     problem = classical_problem(p_in, p_fin, 0.5, sgrid, tgrid)
     start = flat_start(p_in, tgrid)
     scaled = PairPath(phi=2.0 * start.phi, phihat=0.5 * start.phihat)
-    pair_a, dh_a = inner_sinkhorn(problem, start, 1e-11, 500)
-    pair_b, dh_b = inner_sinkhorn(problem, scaled, 1e-11, 500)
-    assert len(dh_a) == len(dh_b)
+    pair_a, dh_a = inner_sinkhorn(problem, start)
+    pair_b, dh_b = inner_sinkhorn(problem, scaled)
+    assert dh_a == pytest.approx(dh_b, rel=1e-12)
     assert pair_distance(pair_a, pair_b) <= 1e-12
 
 
@@ -268,8 +332,9 @@ def test_symmetric_bridge_has_time_reversal_symmetry():
     sgrid = SpatialGrid(-2.0, 2.0, 64)
     tgrid = TimeGrid(16)
     p = gaussian_density(sgrid.nodes, 0.0, 0.04)
-    problem = classical_problem(p, p, 0.5, sgrid, tgrid)
-    pair, _ = inner_sinkhorn(problem, flat_start(p, tgrid), 1e-13, 500)
+    _, pair, _ = classical_bridge_init(
+        p, p, 0.5, sgrid, tgrid, tol=1e-13, max_iter=500
+    )
     for l in range(tgrid.n_t + 1):
         assert hilbert_distance(pair.phi[l], pair.phihat[tgrid.n_t - l]) <= 1e-8
 
@@ -277,8 +342,8 @@ def test_symmetric_bridge_has_time_reversal_symmetry():
 def test_inner_loop_on_experiment_marginals(shared_marginals):
     p_in, p_fin, sgrid, tgrid = shared_marginals
     problem = classical_problem(p_in, p_fin, 0.45, sgrid, tgrid)
-    pair, boundary_dh = inner_sinkhorn(
-        problem, flat_start(p_in, tgrid), 1e-10, 1000
+    _, pair, boundary_dh = classical_bridge_init(
+        p_in, p_fin, 0.45, sgrid, tgrid, tol=1e-10, max_iter=1000
     )
     assert len(boundary_dh) < 1000
     assert max(marginal_residuals(problem, pair, sgrid)) <= 1e-12

@@ -18,13 +18,14 @@ from mfsb.grid import SpatialGrid, TimeGrid, integrate, normalize
 from mfsb.marginals import MarginalSpec, build_marginals
 from mfsb.metrics import l1_distance, pair_distance, path_distance
 from mfsb.potentials import PotentialSpec, eval_potential
-from mfsb.sinkhorn import PairPath, freeze_problem, inner_sinkhorn
+from mfsb.sinkhorn import PairPath, freeze_problem
 from mfsb import sinkhorn as sinkhorn_module
 from mfsb import solver as solver_module
 from mfsb.solver import (
     ANDERSON_MEMORY,
     ConvergenceTrace,
     SolverConfig,
+    Solution,
     _AndersonMixer,
     classical_bridge_init,
     _refined_density,
@@ -45,6 +46,7 @@ from oracles import (
     direct_pair_density,
     field_variance,
     gaussian_density,
+    repeat_passes,
 )
 
 
@@ -114,13 +116,6 @@ def test_empty_inner_budget_is_refused(max_iter):
     p_fin = gaussian_density(sgrid.nodes, 0.4, 0.06)
     with pytest.raises(DomainError, match="max_iter"):
         classical_bridge_init(p_in, p_fin, 0.45, sgrid, tgrid, max_iter=max_iter)
-    start = PairPath(phi=np.ones((9, 64)), phihat=np.tile(p_in, (9, 1)))
-    problem = freeze_problem(
-        start.phihat, start, eval_potential(PotentialSpec.zero(), sgrid),
-        p_in, p_fin, 0.45, sgrid, tgrid,
-    )
-    with pytest.raises(DomainError, match="max_iter"):
-        inner_sinkhorn(problem, start, 1e-10, max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +257,8 @@ def test_control_energy_matches_direct_quadrature(rng):
 
 def update_pair(p_path, pair, cfg):
     """Refreeze drift and reaction at (p_path, pair) and repeat Sinkhorn
-    passes at that freeze until the anchors stop moving."""
+    passes at that freeze until the anchors stop moving, which the solver
+    itself never does at a nonzero kernel."""
     sgrid, tgrid = cfg.sgrid, cfg.tgrid
     problem = freeze_problem(
         p_path, pair, cfg.kernel_table,
@@ -270,7 +266,7 @@ def update_pair(p_path, pair, cfg):
         build_marginals(cfg.marginal_fin, sgrid),
         cfg.sigma, sgrid, tgrid,
     )
-    return inner_sinkhorn(problem, pair, cfg.tol, 500)[0]
+    return repeat_passes(problem, pair, cfg.tol, 500)[0]
 
 
 def test_pair_update_without_interaction_is_start_independent(rng):
@@ -379,6 +375,19 @@ def test_solve_makes_one_sinkhorn_pass_per_evaluation(monkeypatch):
     assert sol.trace.inner_iterations == [[1]] * sol.trace.outer_iterations
 
 
+def assert_partial_solution(exc, cfg):
+    """The partial of a solve's NoConvergence is an unconverged Solution of
+    the last iterate, sharing the exception's trace."""
+    sol = exc.partial
+    assert isinstance(sol, Solution)
+    assert sol.converged is False
+    assert sol.config is cfg
+    assert sol.trace is exc.trace
+    u = optimal_control(sol.pair, cfg.sigma, cfg.sgrid)
+    np.testing.assert_array_equal(sol.u, u)
+    assert sol.cost == control_energy(u, sol.p, cfg.sgrid, cfg.tgrid)
+
+
 def test_solve_exhausting_outer_budget_raises_with_partial():
     cfg = small_config(
         potential=PotentialSpec.power_repulsive(c=5.0, alpha=0.2, epsilon=0.01),
@@ -392,7 +401,7 @@ def test_solve_exhausting_outer_budget_raises_with_partial():
     assert exc.level == "outer"
     assert exc.indices == (1,)
     assert np.isfinite(exc.last_distance)
-    assert set(exc.partial) == {"p", "pair"}
+    assert_partial_solution(exc, cfg)
     assert exc.trace.outer_iterations == 1
     assert len(exc.trace.outer_dh) == 1
 
@@ -409,9 +418,10 @@ def test_solve_exhausting_bridge_budget_attaches_normalized_product(monkeypatch)
     assert isinstance(exc.trace, ConvergenceTrace)
     assert exc.trace.init_iterations == solver_module.BRIDGE_MAX_ITER
     assert exc.trace.outer_dh == []
-    pair = exc.partial["pair"]
+    assert_partial_solution(exc, cfg)
+    pair = exc.partial.pair
     np.testing.assert_array_equal(
-        exc.partial["p"], normalize(pair.product, cfg.sgrid)
+        exc.partial.p, normalize(pair.product, cfg.sgrid)
     )
 
 
@@ -496,7 +506,7 @@ def test_solve_exhausting_outer_budget_under_mixing(example1_config):
     exc = info.value
     assert exc.level == "outer"
     assert exc.indices == (3,)
-    p, pair = exc.partial["p"], exc.partial["pair"]
+    p, pair = exc.partial.p, exc.partial.pair
     assert np.all(np.isfinite(p)) and p.min() > 0.0
     for leg in (pair.phi, pair.phihat):
         assert np.all(np.isfinite(leg)) and leg.min() > 0.0
