@@ -115,8 +115,10 @@ def _write_run(
     error: dict | None,
 ) -> RunManifest:
     """Write the four data files of a converged or partial solution and
-    manifest.json; return the manifest."""
+    manifest.json; return the manifest. The directory is made here, so an
+    error raised before writing leaves none."""
     config = dataclasses.asdict(sol.config)
+    out.mkdir(parents=True, exist_ok=True)
     times = sol.config.tgrid.times
     nodes = sol.config.sgrid.nodes
     _write_columns(out / "densities.csv", "t,x,p", times, nodes, [sol.p])
@@ -208,8 +210,6 @@ def _solve_and_write(
     cfg: SolverConfig, out_dir, verify: bool, warm_pair: PairPath | None
 ) -> RunManifest:
     """The body of :func:`run` once the config and warm pair are loaded."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     status = "converged"
     error = None
     verification = None
@@ -234,7 +234,7 @@ def _solve_and_write(
         timings.update(check_seconds)
     timings["verify_seconds"] = time.perf_counter() - t1
 
-    return _write_run(out, sol, status, timings, verification, error)
+    return _write_run(Path(out_dir), sol, status, timings, verification, error)
 
 
 def read_pair_csv(path, sgrid: SpatialGrid, tgrid: TimeGrid) -> PairPath:

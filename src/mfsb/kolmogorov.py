@@ -7,10 +7,10 @@ The linear operator discretized here is
 with monotone (upwind) advection and a no-flux closure at the domain ends:
 off-diagonal entries of A are nonnegative and every row sums to zero, so
 I - dt * A is a strictly diagonally dominant M-matrix. Each step of the two
-sweeps splits the reaction off the transport: solve (I - dt A) once with the
-LU factors cached in :class:`TransportOperators`, then multiply by the
-slice's decay factor exp(-dt sigma^2 q). First order in dt, unconditionally
-stable, positivity preserving.
+sweeps splits the reaction off the transport: one LAPACK tridiagonal solve
+(gtsv) on the bands of I - dt A kept in :class:`TransportOperators`, then a
+multiplication by the slice's decay factor exp(-dt sigma^2 q). First order in
+dt, unconditionally stable, positivity preserving.
 
 Density propagation uses the conservative finite-volume form of the adjoint
 problem on node-centered cells, again implicit, so mass is conserved to
@@ -22,7 +22,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
+from scipy.linalg.lapack import dgtsv
 
 from .errors import CFLWarning, DomainError, PositivityError, ShapeError, SolveError
 from .grid import SpatialGrid, TimeGrid, check_field, check_path
@@ -79,11 +79,11 @@ def _bernoulli(z: np.ndarray) -> np.ndarray:
 
 
 class TransportOperators:
-    """Per-slice LU factors of (I - dt A_l) for one drift path.
+    """The three bands of (I - dt A_l) on every slice l of one drift path.
 
-    The solver sweeps the same drift path hundreds of times per outer
-    iteration, so the generators are assembled for the whole path at once,
-    factored slice by slice (LAPACK gttrf) and reused by every sweep (gttrs).
+    The generators are assembled for the whole path at once; each solve is
+    one LAPACK gtsv call on the slice's bands. An outer step sweeps its
+    operators only twice, too few to repay LU factors kept for reuse.
     """
 
     def __init__(
@@ -98,18 +98,13 @@ class TransportOperators:
         self.sgrid = sgrid
         self.tgrid = tgrid
         dt = tgrid.dt
-        self._factors = []
-        for dl, d, du in zip(-dt * low, 1.0 - dt * diag, -dt * up):
-            dl_f, d_f, du_f, du2, ipiv, info = dgttrf(dl, d, du)
-            if info != 0:  # pragma: no cover - the matrix is an M-matrix
-                raise SolveError(f"gttrf failed with info={info}")
-            self._factors.append((dl_f, d_f, du_f, du2, ipiv))
+        self._low, self._diag, self._up = -dt * low, 1.0 - dt * diag, -dt * up
 
     def solve(self, l: int, rhs: np.ndarray) -> np.ndarray:
         """Apply (I - dt A_l)^{-1} to a slice."""
-        x, info = dgttrs(*self._factors[l], rhs)
-        if info != 0:  # pragma: no cover
-            raise SolveError(f"gttrs failed with info={info}")
+        _, _, _, x, info = dgtsv(self._low[l], self._diag[l], self._up[l], rhs)
+        if info != 0:  # pragma: no cover - the matrix is an M-matrix
+            raise SolveError(f"gtsv failed with info={info}")
         return x
 
 

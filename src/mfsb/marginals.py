@@ -8,6 +8,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import SpatialGrid, normalize
+from .potentials import _read_samples
 
 # relative floor applied before normalization so log-space metrics stay finite
 # on far tails; total mass added is ~1e-13 and invisible at solver tolerances
@@ -62,13 +63,7 @@ def _mixture_field(spec: MarginalSpec, grid: SpatialGrid) -> np.ndarray:
 def _tabulated_field(spec: MarginalSpec, grid: SpatialGrid) -> np.ndarray:
     if spec.path is None:
         raise ConfigError("tabulated marginal needs a file path")
-    try:
-        try:
-            data = np.loadtxt(spec.path)
-        except ValueError:
-            data = np.loadtxt(spec.path, delimiter=",")
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read marginal file {spec.path}: {exc}") from exc
+    data = _read_samples(spec.path, "marginal")
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 2:
         raise ConfigError(f"{spec.path}: expected two columns (x, p)")
     xs, ps = data[:, 0], data[:, 1]

@@ -177,15 +177,22 @@ def eval_potential(spec: PotentialSpec, grid: SpatialGrid) -> PotentialTable:
     return PotentialTable(dgrid, w, grad)
 
 
-def load_tabulated_potential(path, beta: float = 1.0) -> PotentialSpec:
-    """Read (displacement, value) rows from a text file (whitespace or comma)."""
+def _read_samples(path, what: str) -> np.ndarray:
+    """Rows of numbers from a text file, whitespace or comma separated; a
+    file that cannot be read or parsed is a ConfigError naming the ``what``
+    file."""
     try:
         try:
-            data = np.loadtxt(path)
+            return np.loadtxt(path)
         except ValueError:
-            data = np.loadtxt(path, delimiter=",")
+            return np.loadtxt(path, delimiter=",")
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read kernel file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def load_tabulated_potential(path, beta: float = 1.0) -> PotentialSpec:
+    """Read (displacement, value) rows from a text file (whitespace or comma)."""
+    data = _read_samples(path, "kernel")
     if data.ndim != 2 or data.shape[1] != 2:
         raise DomainError(f"{path}: expected two columns (r, W)")
     return PotentialSpec.tabulated(data[:, 0], data[:, 1], beta=beta)

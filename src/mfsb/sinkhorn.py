@@ -57,9 +57,10 @@ class PairPath:
 class FrozenProblem:
     """Everything a Sinkhorn pass needs, with drift and reaction held fixed.
 
-    Built by :func:`freeze_problem`. ``ops`` carries the drift (as cached LU
-    factors) and the grids; the reaction enters through the per-slice decay
-    factors exp(-dt sigma^2 q) of each sweep, computed once per freeze.
+    Built by :func:`freeze_problem`. ``ops`` carries the drift (as the bands
+    of the implicit transport step) and the grids; the reaction enters
+    through the per-slice decay factors exp(-dt sigma^2 q) of each sweep,
+    computed once per freeze.
     """
 
     ops: TransportOperators

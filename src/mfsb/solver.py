@@ -98,26 +98,13 @@ class SolverConfig:
             )
         if self.n1 < 1:
             raise ConfigError("n1 must be at least 1")
-        if self.n_x < 8:
-            raise ConfigError(f"n_x must be at least 8, got {self.n_x}")
-        if self.n_t < 2:
-            raise ConfigError(f"n_t must be at least 2, got {self.n_t}")
-        if self.x_max <= self.x_min:
-            raise ConfigError(
-                f"domain must satisfy x_min < x_max, got [{self.x_min}, {self.x_max}]"
-            )
+        # the grids check the domain, n_x and n_t themselves (DomainError)
+        object.__setattr__(self, "sgrid", SpatialGrid(self.x_min, self.x_max, self.n_x))
+        object.__setattr__(self, "tgrid", TimeGrid(self.n_t))
         if self.verify_n < 100:
             raise ConfigError(f"verify_n must be at least 100, got {self.verify_n}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-
-    @cached_property
-    def sgrid(self) -> SpatialGrid:
-        return SpatialGrid(self.x_min, self.x_max, self.n_x)
-
-    @cached_property
-    def tgrid(self) -> TimeGrid:
-        return TimeGrid(self.n_t)
 
     @property
     def sigma(self) -> float:
@@ -368,7 +355,6 @@ class _AndersonMixer:
         self.count = 0
         self.slot = 0
         self.primed = False
-        self.handed_out_mixed = False
         self.accepted_dh = math.inf
 
     def restart(self) -> None:
@@ -387,7 +373,7 @@ class _AndersonMixer:
         grew; or None and "plain" when g itself is next, while no difference
         is remembered.
         """
-        if self.handed_out_mixed and step_dh > self.accepted_dh:
+        if self.count > 0 and step_dh > self.accepted_dh:
             fallback = self.g_prev.copy()
             self.restart()
             return fallback, "fallback"
@@ -402,8 +388,7 @@ class _AndersonMixer:
         self.g_prev[:] = g
         np.subtract(g, x, out=self.f_prev)
         self.primed = True
-        self.handed_out_mixed = self.count > 0
-        if not self.handed_out_mixed:
+        if self.count == 0:
             return None, "plain"
         rows = self.df[: self.count]
         gamma = np.linalg.lstsq(rows @ rows.T, rows @ self.f_prev, rcond=None)[0]
@@ -488,7 +473,7 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
         tick = time.perf_counter()
         problem = freeze_problem(p_path, pair, table, p_in, p_fin, sigma, sgrid, tgrid)
         new_pair = inner_sinkhorn(problem, pair)[0]
-        del problem  # its factors go before the next freeze builds new ones
+        del problem  # its bands go before the next freeze builds new ones
         d_pair = pair_distance(new_pair, pair)
         trace.min_phi = min(trace.min_phi, float(new_pair.phi.min()))
         trace.min_phihat = min(trace.min_phihat, float(new_pair.phihat.min()))

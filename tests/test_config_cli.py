@@ -446,7 +446,8 @@ def test_cli_bad_input_exits_one(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 1
     assert "error" in capsys.readouterr().err
     # a tabulated kernel or marginal file that neither whitespace nor comma
-    # splitting can parse is a bad input that names the file
+    # splitting can parse is a bad input that names the file, and leaves no
+    # output directory
     table = tmp_path / "letters.txt"
     table.write_text("a b\nc d\n")
     without_marginal_in = "".join(
@@ -465,6 +466,19 @@ def test_cli_bad_input_exits_one(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(
             f"error: cannot read {name} file {table}"
         )
+        assert not (tmp_path / name).exists()
+    # a kernel table short of the displacement grid [-4, 4] is found inside
+    # the solve, still before anything is written
+    short = tmp_path / "short.txt"
+    r = np.linspace(-3.0, 3.0, 61)
+    np.savetxt(short, np.column_stack([r, np.exp(-r * r)]))
+    path = tmp_path / "short.cfg"
+    path.write_text(
+        MINI_CONFIG + f"potential.kind = tabulated\npotential.file = {short}\n"
+    )
+    assert main(["run", str(path), "--out", str(tmp_path / "short")]) == 1
+    assert capsys.readouterr().err.startswith("error: tabulated potential covers")
+    assert not (tmp_path / "short").exists()
 
 
 def test_cli_negative_seed_exits_one_before_solving(

@@ -64,7 +64,7 @@ def test_implicit_matrix_is_diagonally_dominant_m_matrix(grid64, rng):
     assert np.all(diag > 0.0)
     assert np.all(off <= 0.0)
     assert np.all(diag >= np.abs(off).sum(axis=1) + 0.9)  # row sums of A vanish
-    # the cached factors invert it: an M-matrix has a nonnegative inverse,
+    # the transport operators invert it: an M-matrix has a nonnegative inverse,
     # and (I - dt A) 1 = 1 makes every row of that inverse sum to one
     ops = TransportOperators(np.tile(b, (tgrid.n_t + 1, 1)), 0.7, grid64, tgrid)
     inverse = np.column_stack(
@@ -146,7 +146,7 @@ def test_forward_sweep_first_order_in_dt(grid301):
     assert 1.7 <= coarse / fine <= 2.4
 
 
-def test_cached_operators_match_direct_solves(grid64, rng):
+def test_transport_operators_match_direct_solves(grid64, rng):
     tgrid = TimeGrid(8)
     sigma = 0.6
     b_path = rng.normal(size=(9, grid64.n_x))

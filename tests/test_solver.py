@@ -434,6 +434,10 @@ def test_solver_config_validation():
         small_config(n_x=4)
     with pytest.raises(Exception, match="verify_n"):
         small_config(verify_n=10)
+    # the grids check the domain when the config is made
+    for ends in ({"x_min": float("nan")}, {"x_max": float("inf")}):
+        with pytest.raises(DomainError, match="finite"):
+            small_config(**ends)
     # at or below 320 machine epsilons tol sits within about 3x of where the
     # outer steps stall
     for tol in (0.0, float("nan"), 5e-324, 1e-14, 320 * np.finfo(float).eps):
