@@ -46,8 +46,6 @@ from .solver import SolverConfig, Solution, contraction_constants, solve
 
 logger = logging.getLogger("mfsb")
 
-_FILES = ("densities.csv", "control.csv", "pair.csv", "trace.json")
-
 
 @dataclass
 class RunManifest:
@@ -61,20 +59,28 @@ class RunManifest:
     created_at: str
 
 
-def _write_columns(path: Path, header: str, times, nodes, columns) -> None:
-    """Write (t, x, *columns) rows for every (time slice, node) pair; one
-    %-format fills a template of a whole slice's rows, so a single slice, and
-    never the file, is held as text."""
+def _write_columns(path: Path, header: str, times, nodes, columns) -> dict:
+    """Write (t, x, *columns) rows for every (time slice, node) pair and
+    return the file's digest, hashed as it is written. One %-format fills a
+    template of a whole slice's rows, so a single slice, and never the file,
+    is held as text."""
     rows = np.empty((nodes.size, 2 + len(columns)))
     rows[:, 1] = nodes
     slice_template = (",".join(["%.17g"] * rows.shape[1]) + "\n") * nodes.size
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
+    head = (header + "\n").encode("ascii")
+    sha = hashlib.sha256(head)
+    size = len(head)
+    with open(path, "wb") as fh:
+        fh.write(head)
         for l, t in enumerate(times):
             rows[:, 0] = t
             for j, col in enumerate(columns, start=2):
                 rows[:, j] = col[l]
-            fh.write(slice_template % tuple(rows.ravel().tolist()))
+            blob = (slice_template % tuple(rows.ravel().tolist())).encode("ascii")
+            sha.update(blob)
+            size += len(blob)
+            fh.write(blob)
+    return {"sha256": sha.hexdigest(), "bytes": size}
 
 
 def _jsonify(obj):
@@ -95,14 +101,10 @@ def _jsonify(obj):
     return obj
 
 
-def _dump_json(path: Path, obj) -> None:
-    with open(path, "w", newline="") as fh:
-        json.dump(_jsonify(obj), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _digest(path: Path) -> dict:
-    blob = path.read_bytes()
+def _dump_json(path: Path, obj) -> dict:
+    """Write obj as indented, key-sorted JSON; return the file's digest."""
+    blob = (json.dumps(_jsonify(obj), indent=2, sort_keys=True) + "\n").encode("ascii")
+    path.write_bytes(blob)
     return {"sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob)}
 
 
@@ -121,13 +123,14 @@ def _write_run(
     out.mkdir(parents=True, exist_ok=True)
     times = sol.config.tgrid.times
     nodes = sol.config.sgrid.nodes
-    _write_columns(out / "densities.csv", "t,x,p", times, nodes, [sol.p])
-    _write_columns(out / "control.csv", "t,x,u", times, nodes, [sol.u])
-    _write_columns(
-        out / "pair.csv", "t,x,phi,phihat", times, nodes,
-        [sol.pair.phi, sol.pair.phihat],
-    )
-    _dump_json(out / "trace.json", {
+    files = {}
+    for name, header, columns in (
+        ("densities.csv", "t,x,p", [sol.p]),
+        ("control.csv", "t,x,u", [sol.u]),
+        ("pair.csv", "t,x,phi,phihat", [sol.pair.phi, sol.pair.phihat]),
+    ):
+        files[name] = _write_columns(out / name, header, times, nodes, columns)
+    files["trace.json"] = _dump_json(out / "trace.json", {
         "status": status,
         "config": config,
         "cost": sol.cost,
@@ -139,7 +142,7 @@ def _write_run(
         status=status,
         config=config,
         version=__version__,
-        files={name: _digest(out / name) for name in _FILES},
+        files=files,
         timings=timings,
         verification=verification,
         error=error,

@@ -3,7 +3,9 @@
 Euler-Maruyama on N particles driven by the control plus the sampled
 interaction drift, with reflection at the domain ends. The interaction is
 evaluated particle-in-cell: each step bins the cloud onto the grid and reuses
-the kernel convolution of the PDE side, so a step costs O(N + n_x log n_x).
+the kernel convolution of the PDE side, so a step costs O(N + n_x^2): the
+convolution is one matrix-vector product with the memoized n_x x n_x
+quadrature matrix of W'.
 On the uniform grid one floor index per particle serves both the nearest-node
 deposit and the linear gather of the drift (Hockney & Eastwood 1988), and
 every per-particle array of the step is allocated once per run.

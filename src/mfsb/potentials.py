@@ -6,7 +6,9 @@ the same spacing h as the state grid, so that the discrete convolution
 
     (K * f)(x_i) = h * sum_j K(x_i - x_j) f(x_j)
 
-is a plain (fast) linear convolution of the two sample vectors. Built-in
+is a product with the n_x x n_x matrix M[j, i] = h K[i - j + n_x - 1], built
+once per kernel and grid and memoized (two entries: a run needs W and W'), so
+a path of rows is convolved by one BLAS matrix product. Built-in
 kernel families are evaluated analytically; tabulated kernels are fitted with
 a cubic spline, whose first derivative is O(h^3) accurate for smooth data.
 Both tables carry the overall strength factor beta.
@@ -14,9 +16,11 @@ Both tables carry the overall strength factor beta.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DomainError, PositivityError, ShapeError
 from .grid import SpatialGrid, check_field, gradient
@@ -94,6 +98,13 @@ class PotentialSpec:
         w = np.asarray(w, dtype=float)
         if r.ndim != 1 or r.shape != w.shape:
             raise DomainError("tabulated samples must be two equal 1-d arrays")
+        bad = np.flatnonzero(~(np.isfinite(r) & np.isfinite(w)))
+        if bad.size:
+            listed = ", ".join(f"(r, W)[{i}] = ({r[i]}, {w[i]})" for i in bad[:3])
+            more = f" and {bad.size - 3} more" if bad.size > 3 else ""
+            raise DomainError(
+                f"tabulated potential samples must be finite: {listed}{more}"
+            )
         order = np.argsort(r)
         return cls(
             kind="tabulated",
@@ -201,8 +212,8 @@ def load_tabulated_potential(path, beta: float = 1.0) -> PotentialSpec:
 def convolve(kernel: np.ndarray, f: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     """Quadrature convolution of a displacement-grid kernel with a field.
 
-    out[i] = h * sum_j kernel[(i - j) + n - 1] * f[j]. Computed by FFT; agrees
-    with the direct sum to round-off.
+    out[i] = h * sum_j kernel[(i - j) + n - 1] * f[j], computed as this sum: a
+    matrix-vector product with the memoized quadrature matrix, O(n^2).
     """
     f = check_field(f, grid)
     return _convolve_rows(kernel, f[None, :], grid)[0]
@@ -224,26 +235,22 @@ def _convolve_rows(kernel: np.ndarray, rows: np.ndarray, grid: SpatialGrid):
             f"kernel must live on the displacement grid ({2 * n - 1},), "
             f"got {kernel.shape}"
         )
-    size = _fast_length(3 * n - 2)  # the full linear convolution, zero-padded
-    spectrum = np.fft.rfft(rows, size, axis=1) * np.fft.rfft(kernel, size)
-    full = np.fft.irfft(spectrum, size, axis=1)
-    return grid.h * full[:, n - 1 : 2 * n - 1]
+    return rows @ _quadrature_matrix(kernel.tobytes(), n, grid.h)
 
 
-def _fast_length(n: int) -> int:
-    """Smallest 2^a 3^b 5^c >= n: an FFT length with only small prime factors."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            m = p35
-            while m < n:
-                m *= 2
-            best = min(best, m)
-            p35 *= 3
-        p5 *= 5
-    return best
+@functools.lru_cache(maxsize=2)
+def _quadrature_matrix(kernel_bytes: bytes, n: int, h: float) -> np.ndarray:
+    """Read-only n x n matrix M[j, i] = h * kernel[i - j + n - 1], so that a
+    convolution of rows is ``rows @ M``.
+
+    Keyed on the samples' bytes, not the array, so a kernel edited in place
+    gets a new matrix; two entries hold a run's W and W' (0.72 MB each at
+    n = 301).
+    """
+    windows = sliding_window_view(np.frombuffer(kernel_bytes), n)
+    matrix = h * windows[::-1]  # windows[k, i] = kernel[k + i]
+    matrix.flags.writeable = False
+    return matrix
 
 
 def mean_field_drift(

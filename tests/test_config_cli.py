@@ -479,6 +479,23 @@ def test_cli_bad_input_exits_one(tmp_path, capsys):
     assert main(["run", str(path), "--out", str(tmp_path / "short")]) == 1
     assert capsys.readouterr().err.startswith("error: tabulated potential covers")
     assert not (tmp_path / "short").exists()
+    # a non-finite sample in either column is refused by name, before the
+    # spline fit sees it
+    r = np.linspace(-5.0, 5.0, 101)
+    for name, column, value in (("nan", 1, np.nan), ("inf", 0, np.inf)):
+        samples = np.column_stack([r, np.exp(-r * r)])
+        samples[40, column] = value
+        table = tmp_path / f"{name}.txt"
+        np.savetxt(table, samples)
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(
+            MINI_CONFIG + f"potential.kind = tabulated\npotential.file = {table}\n"
+        )
+        assert main(["run", str(path), "--out", str(tmp_path / name)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: tabulated potential samples must be finite")
+        assert "[40] = " in err and name in err
+        assert not (tmp_path / name).exists()
 
 
 def test_cli_negative_seed_exits_one_before_solving(

@@ -15,7 +15,12 @@ from mfsb import (
     mean_field_drift,
     reaction_term_path,
 )
-from mfsb.potentials import displacement_grid, load_tabulated_potential
+from mfsb.potentials import (
+    _quadrature_matrix,
+    convolve_path,
+    displacement_grid,
+    load_tabulated_potential,
+)
 from conftest import positive_field
 from oracles import (
     HAND_POWER_KERNEL_AT_ZERO,
@@ -139,6 +144,78 @@ def test_convolve_matches_direct_sum(grid64, rng):
     direct = direct_convolution(kernel, f, grid64.h)
     scale = max(1.0, float(np.max(np.abs(direct))))
     assert np.max(np.abs(fast - direct)) / scale <= 1e-10
+
+
+def _round_off_bound(kernel, f, h):
+    """Entrywise bound on |convolve - direct_convolution| for one row.
+
+    Each side is a dot product of n terms h K f, with one rounding in every
+    product (the library rounds h K, the oracle h times the sum) and n - 1 in
+    the sum, so each is within gamma_{n+1} ~ (n + 1) eps of the exact sum of
+    |terms| (Higham 2002, §3.1); the difference is within twice that.
+    """
+    n = f.shape[0]
+    terms = direct_convolution(np.abs(kernel), np.abs(f), h)
+    return 2.0 * (n + 1) * np.finfo(float).eps * terms
+
+
+def test_convolve_memo_serves_interleaved_kernels(grid64, rng):
+    # three kernels of one shape, one more than the memo holds, in turn
+    kernels = [rng.normal(size=2 * grid64.n_x - 1) for _ in range(3)]
+    f = rng.normal(size=grid64.n_x)
+    for _ in range(2):
+        for kernel in kernels:
+            fast = convolve(kernel, f, grid64)
+            direct = direct_convolution(kernel, f, grid64.h)
+            assert np.all(
+                np.abs(fast - direct) <= _round_off_bound(kernel, f, grid64.h)
+            )
+
+
+def test_convolve_sees_a_kernel_edited_in_place(grid64, rng):
+    kernel = rng.normal(size=2 * grid64.n_x - 1)
+    f = rng.normal(size=grid64.n_x)
+    before = convolve(kernel, f, grid64)
+    kernel[grid64.n_x - 1] += 1.0
+    after = convolve(kernel, f, grid64)
+    direct = direct_convolution(kernel, f, grid64.h)
+    assert np.all(np.abs(after - direct) <= _round_off_bound(kernel, f, grid64.h))
+    assert not np.allclose(after, before)
+
+
+def test_convolve_scales_with_the_grid_spacing(rng):
+    # the same samples on a grid of half the spacing: h is exactly halved, so
+    # every term and partial sum is too, and the results agree bit for bit
+    wide = SpatialGrid(-2.0, 2.0, 64)
+    narrow = SpatialGrid(-1.0, 1.0, 64)
+    assert narrow.h == 0.5 * wide.h
+    kernel = rng.normal(size=2 * wide.n_x - 1)
+    f = rng.normal(size=wide.n_x)
+    np.testing.assert_array_equal(
+        convolve(kernel, f, narrow), 0.5 * convolve(kernel, f, wide)
+    )
+
+
+def test_quadrature_matrix_is_read_only(grid64, rng):
+    kernel = rng.normal(size=2 * grid64.n_x - 1)
+    matrix = _quadrature_matrix(kernel.tobytes(), grid64.n_x, grid64.h)
+    assert matrix.shape == (grid64.n_x, grid64.n_x)
+    assert not matrix.flags.writeable
+    with pytest.raises(ValueError):
+        matrix[0, 0] = 1.0
+
+
+def test_convolve_path_of_an_asymmetric_kernel(grid64, rng):
+    # an odd-plus-even kernel fixes the orientation of every row of M, and a
+    # path of 5 rows (not n_x) checks the product's row axis
+    r = displacement_grid(grid64).nodes
+    kernel = np.exp(-r * r) + r
+    path = rng.normal(size=(5, grid64.n_x))
+    fast = convolve_path(kernel, path, grid64)
+    assert fast.shape == path.shape
+    for row, out in zip(path, fast):
+        direct = direct_convolution(kernel, row, grid64.h)
+        assert np.all(np.abs(out - direct) <= _round_off_bound(kernel, row, grid64.h))
 
 
 def test_convolve_rejects_bad_kernel_length(grid64):
