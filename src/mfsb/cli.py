@@ -59,24 +59,32 @@ class RunManifest:
     created_at: str
 
 
+def _format_floats(values) -> list[str]:
+    """Each value as the data files write it: 17 significant digits."""
+    return ["%.17g" % v for v in np.asarray(values, dtype=float).tolist()]
+
+
 def _write_columns(path: Path, header: str, times, nodes, columns) -> dict:
     """Write (t, x, *columns) rows for every (time slice, node) pair and
-    return the file's digest, hashed as it is written. One %-format fills a
-    template of a whole slice's rows, so a single slice, and never the file,
-    is held as text."""
-    rows = np.empty((nodes.size, 2 + len(columns)))
-    rows[:, 1] = nodes
-    slice_template = (",".join(["%.17g"] * rows.shape[1]) + "\n") * nodes.size
+    return the file's digest, hashed as it is written.
+
+    ``times`` and ``nodes`` are the t and x columns already formatted by
+    :func:`_format_floats`. A slice's template joins its rows' ",x,%.17g..."
+    parts with its t string, and one %-format fills in the data columns, so
+    a single slice, and never the file, is held as text."""
+    values = "%.17g" + ",%.17g" * (len(columns) - 1)
+    parts = [f",{x},{values}\n" for x in nodes]
+    data = np.empty((len(parts), len(columns)))
     head = (header + "\n").encode("ascii")
     sha = hashlib.sha256(head)
     size = len(head)
     with open(path, "wb") as fh:
         fh.write(head)
         for l, t in enumerate(times):
-            rows[:, 0] = t
-            for j, col in enumerate(columns, start=2):
-                rows[:, j] = col[l]
-            blob = (slice_template % tuple(rows.ravel().tolist())).encode("ascii")
+            for j, col in enumerate(columns):
+                data[:, j] = col[l]
+            template = t + t.join(parts)
+            blob = (template % tuple(data.ravel().tolist())).encode("ascii")
             sha.update(blob)
             size += len(blob)
             fh.write(blob)
@@ -121,8 +129,9 @@ def _write_run(
     error raised before writing leaves none."""
     config = dataclasses.asdict(sol.config)
     out.mkdir(parents=True, exist_ok=True)
-    times = sol.config.tgrid.times
-    nodes = sol.config.sgrid.nodes
+    # the t and x columns are formatted once, for all three files
+    times = _format_floats(sol.config.tgrid.times)
+    nodes = _format_floats(sol.config.sgrid.nodes)
     files = {}
     for name, header, columns in (
         ("densities.csv", "t,x,p", [sol.p]),

@@ -19,6 +19,7 @@ round-off regardless of step size.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -63,19 +64,6 @@ def build_generator(
     up = np.full(lead + (n - 1,), dcoef) + vp[..., :-1] / h
     low = np.full(lead + (n - 1,), dcoef) - vm[..., 1:] / h
     return low, diag, up
-
-
-def _bernoulli(z: np.ndarray) -> np.ndarray:
-    """B(z) = z / (e^z - 1), the exponential-fitting weight; B(0) = 1."""
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    small = np.abs(z) < 1e-5
-    zs = z[small]
-    out[small] = 1.0 - 0.5 * zs + zs * zs / 12.0
-    zb = z[~small]
-    with np.errstate(over="ignore"):
-        out[~small] = zb / np.expm1(zb)  # overflow -> inf -> B = 0, the upwind limit
-    return out
 
 
 class TransportOperators:
@@ -187,8 +175,12 @@ def propagate_density(
 
     h = sgrid.h
     dt = tgrid.dt
-    w = sgrid.weights
+    weights = sgrid.weights
+    w_dt = weights / dt
     dcoef = 0.5 * sigma * sigma / h
+    sigma2 = sigma * sigma
+    # sigma times the control of every step, sampled at its midpoint
+    control = sigma * (0.5 * (u_path[:-1] + u_path[1:]))
 
     path = np.empty((tgrid.n_t + 1, sgrid.n_x))
     mass = float(np.trapezoid(p_init, dx=h))
@@ -196,31 +188,41 @@ def propagate_density(
         raise PositivityError("initial density has nonpositive mass")
     path[0] = p_init / mass
 
-    cfl_max = 0.0
+    speed_max = 0.0
     drift_max = 0.0
     for l in range(tgrid.n_t):
         p = path[l]
-        u_step = 0.5 * (u_path[l] + u_path[l + 1])
-        v = sigma * u_step + sigma * sigma * mean_field_drift(table, p, sgrid)
+        v = control[l] + sigma2 * mean_field_drift(table, p, sgrid)
         v_if = 0.5 * (v[:-1] + v[1:])
-        cfl_max = max(cfl_max, float(np.abs(v_if).max()) * dt / h)
-        # interface flux F_k = a_k p_k + c_k p_{k+1}, exponentially fitted:
-        # a_k = (D/h) B(-z_k) >= 0, c_k = -(D/h) B(z_k) <= 0, z_k = v_k h / D
-        z_if = v_if / dcoef
-        a_if = dcoef * _bernoulli(-z_if)
-        c_if = -dcoef * _bernoulli(z_if)
-        diag = w / dt
-        diag[:-1] += a_if
-        diag[1:] -= c_if
-        _, _, _, p_new, info = dgtsv(-a_if, diag, c_if, (w / dt) * p)
+        speed = np.abs(v_if)
+        speed_max = max(speed_max, float(speed.max()))
+        # interface flux F_k = a_k p_k - c_k p_{k+1}, exponentially fitted:
+        # a_k = (D/h) B(-z_k), c_k = (D/h) B(z_k), z_k = v_k h / D and
+        # B(z) = z / (e^z - 1). One evaluation at |z_k| gives both sides, as
+        # B(-|z|) = B(|z|) + |z| adds two nonnegative terms.
+        # (D/h) B(|z_k|) = |v_k| / (e^|z_k| - 1) is 0 where e^|z_k| overflows,
+        # the upwind limit; fmin caps it at (D/h) B(0) = D/h, which B never
+        # exceeds, and so also stands in for the 0/0 at v_k = 0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            fitted = np.fmin(speed / np.expm1(speed / dcoef), dcoef)
+        low = -fitted  # the sub-diagonal, -a_k
+        low -= np.maximum(v_if, 0.0)
+        up = np.minimum(v_if, 0.0)  # the super-diagonal, -c_k
+        up -= fitted
+        diag = w_dt.copy()
+        diag[:-1] -= low
+        diag[1:] -= up
+        # the four arguments are temporaries, so gtsv may overwrite them
+        _, _, _, p_new, info = dgtsv(low, diag, up, w_dt * p, 1, 1, 1, 1)
         if info != 0:  # pragma: no cover - the matrix is an M-matrix
             raise SolveError(f"gtsv failed with info={info}")
-        new_mass = float(np.trapezoid(p_new, dx=h))
-        drift_max = max(drift_max, abs(new_mass - 1.0))
-        if p_new.min() < 0.0 or not np.all(np.isfinite(p_new)):
+        mass = float(weights @ p_new)
+        if not (p_new.min() >= 0.0 and math.isfinite(mass)):
             raise PositivityError(f"density propagation lost positivity at step {l}")
-        path[l + 1] = p_new / new_mass
+        drift_max = max(drift_max, abs(mass - 1.0))
+        np.divide(p_new, mass, out=path[l + 1])
 
+    cfl_max = speed_max * dt / h
     if cfl_max > 1.0:
         warnings.warn(
             f"advective CFL number {cfl_max:.3g} exceeds 1; "

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ZeroMassError
-from .grid import SpatialGrid, TimeGrid, check_field, check_path, normalize
+from .grid import SpatialGrid, TimeGrid, check_field, check_path
 from .metrics import l1_distance
 from .potentials import PotentialTable, mean_field_drift
 
@@ -74,21 +74,29 @@ def _locate(x, grid: SpatialGrid, s, i, frac) -> None:
 
 
 def _deposit(i, frac, grid: SpatialGrid, near) -> np.ndarray:
-    """Nearest-node density of located positions, normalized to unit mass.
+    """Nearest-node density of at least one located position, normalized to
+    unit trapezoid mass.
 
     Node i + (frac >= 1/2) is the cell between the midpoints around it (half
     cells at the ends); ``near`` receives the node indices.
     """
     np.add(i, frac >= 0.5, out=near)
     counts = np.bincount(near, minlength=grid.n_x)
-    return normalize(counts / (near.size * grid.weights), grid)
+    density = counts / (near.size * grid.weights)
+    # the trapezoid mass, in np.trapezoid's own arithmetic without the cost
+    # of its argument handling: one in every particle step
+    density /= (grid.h * (density[1:] + density[:-1]) / 2.0).sum()
+    return density
 
 
 def _reflect(x, grid: SpatialGrid, scratch) -> None:
     """Fold positions into [x_min, x_max] in place, bouncing off the ends as
     often as a step needs: each pass mirrors at x_min, then at x_max, and
-    takes two spans off the farthest excursion."""
+    takes two spans off the farthest excursion. A cloud already inside is
+    left untouched, without a pass."""
     lo, hi = grid.x_min, grid.x_max
+    if x.min() >= lo and x.max() <= hi:
+        return
     for _ in range(_MAX_FOLDS):
         np.subtract(2.0 * lo, x, out=scratch)
         np.maximum(x, scratch, out=x)
@@ -138,6 +146,8 @@ def simulate(
     s, frac, scratch = np.empty(n), np.empty(n), np.empty(n)
     i, near = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
     k = max(1, _NOISE_BLOCK // n)
+    # sigma times the control of every step, sampled at its midpoint
+    control = sigma * (0.5 * (u_path[:-1] + u_path[1:]))
 
     def draw(l: int) -> np.ndarray:
         """Scaled noise of steps l, ..., l + k - 1 (fewer at the end)."""
@@ -155,14 +165,13 @@ def simulate(
                     noise = pending.result()
                 pending = worker.submit(draw, l + k) if l + k < n_t else None
             _locate(x, sgrid, s, i, frac)
-            u_step = 0.5 * (u_path[l] + u_path[l + 1])
             b = mean_field_drift(table, _deposit(i, frac, sgrid, near), sgrid)
-            v = sigma * u_step + sigma * sigma * b
+            v = control[l] + sigma * sigma * b
             # linear gather of the node drift v from the same index: into s.
             # i lies in [0, n_x - 2] (_locate clamps it, _reflect keeps x in
             # the domain or raises), so mode="clip" never clips; it only
             # spares the copy of `out` that mode="raise" makes
-            np.take(np.diff(v), i, out=s, mode="clip")
+            np.take(v[1:] - v[:-1], i, out=s, mode="clip")
             s *= frac
             s += np.take(v, i, out=scratch, mode="clip")
             s *= dt
@@ -182,6 +191,8 @@ def empirical_density(ensemble: ParticleEnsemble, grid: SpatialGrid) -> np.ndarr
     if not np.all(np.isfinite(x)):
         raise DomainError("particle positions must be finite")
     x = x[(x >= grid.x_min) & (x <= grid.x_max)]
+    if x.size == 0:
+        raise ZeroMassError("no particle lies in the domain")
     s, frac = np.empty(x.size), np.empty(x.size)
     i, near = np.empty(x.size, dtype=np.intp), np.empty(x.size, dtype=np.intp)
     _locate(x, grid, s, i, frac)

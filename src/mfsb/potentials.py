@@ -45,7 +45,8 @@ class PotentialSpec:
     # gaussian_attractive parameters: -beta * a * exp(-r^2 / s)
     a: float = 0.0
     s: float = 0.0
-    # tabulated samples (displacement, value), symmetrized on load
+    # tabulated samples (displacement, value), stored sorted by displacement
+    # and symmetrized on load
     table_r: tuple[float, ...] | None = None
     table_w: tuple[float, ...] | None = None
 
@@ -73,6 +74,20 @@ class PotentialSpec:
                 raise DomainError("tabulated potential needs sample arrays")
             if len(self.table_r) != len(self.table_w) or len(self.table_r) < 4:
                 raise DomainError("tabulated potential needs >= 4 (r, W) samples")
+            r = np.asarray(self.table_r, dtype=float)
+            w = np.asarray(self.table_w, dtype=float)
+            bad = np.flatnonzero(~(np.isfinite(r) & np.isfinite(w)))
+            if bad.size:
+                listed = ", ".join(f"(r, W)[{i}] = ({r[i]}, {w[i]})" for i in bad[:3])
+                more = f" and {bad.size - 3} more" if bad.size > 3 else ""
+                raise DomainError(
+                    f"tabulated potential samples must be finite: {listed}{more}"
+                )
+            # checked in the given order, so the message names the given
+            # indices; stored sorted by displacement
+            order = np.argsort(r)
+            object.__setattr__(self, "table_r", tuple(r[order]))
+            object.__setattr__(self, "table_w", tuple(w[order]))
 
     @classmethod
     def zero(cls) -> "PotentialSpec":
@@ -98,20 +113,7 @@ class PotentialSpec:
         w = np.asarray(w, dtype=float)
         if r.ndim != 1 or r.shape != w.shape:
             raise DomainError("tabulated samples must be two equal 1-d arrays")
-        bad = np.flatnonzero(~(np.isfinite(r) & np.isfinite(w)))
-        if bad.size:
-            listed = ", ".join(f"(r, W)[{i}] = ({r[i]}, {w[i]})" for i in bad[:3])
-            more = f" and {bad.size - 3} more" if bad.size > 3 else ""
-            raise DomainError(
-                f"tabulated potential samples must be finite: {listed}{more}"
-            )
-        order = np.argsort(r)
-        return cls(
-            kind="tabulated",
-            beta=beta,
-            table_r=tuple(r[order]),
-            table_w=tuple(w[order]),
-        )
+        return cls(kind="tabulated", beta=beta, table_r=tuple(r), table_w=tuple(w))
 
 
 @dataclass(frozen=True)

@@ -124,6 +124,55 @@ def direct_sweep(boundary: np.ndarray, b_path: np.ndarray, q_path: np.ndarray,
     return path
 
 
+def bernoulli(z: float) -> float:
+    """B(z) = z / (e^z - 1) at one point, with B(0) = 1; where e^z
+    overflows, B is 0."""
+    if z == 0.0:
+        return 1.0
+    try:
+        return z / math.expm1(z)
+    except OverflowError:
+        return 0.0
+
+
+def direct_propagation(p_init: np.ndarray, u_path: np.ndarray,
+                       grad_w: np.ndarray, sigma: float, x_min: float,
+                       x_max: float) -> np.ndarray:
+    """Closed-loop finite-volume propagation with a dense solve per step.
+
+    Per step: the drift -(W' * p) by a direct np.convolve, the node velocity
+    v = sigma (u_l + u_{l+1}) / 2 + sigma^2 b, its interface means v_k, and
+    the fitted flux F_k = (D/h) [B(-z_k) p_k - B(z_k) p_{k+1}] with
+    D = sigma^2 / 2, z_k = v_k h / D and both B values from bernoulli. The
+    no-flux implicit step w_i (p_i' - p_i) / dt + F_i - F_{i-1} = 0 is
+    assembled entry by entry and solved by np.linalg.solve; each slice is
+    rescaled to unit trapezoid mass.
+    """
+    n_t, n_x = u_path.shape[0] - 1, u_path.shape[1]
+    h = (x_max - x_min) / (n_x - 1)
+    dt = 1.0 / n_t
+    w = trapezoid_weights(n_x, h)
+    diff = 0.5 * sigma * sigma
+    path = np.empty((n_t + 1, n_x))
+    path[0] = p_init / np.sum(w * p_init)
+    for l in range(n_t):
+        p = path[l]
+        b = -h * np.convolve(p, grad_w)[n_x - 1 : 2 * n_x - 1]
+        v = sigma * 0.5 * (u_path[l] + u_path[l + 1]) + sigma * sigma * b
+        m = np.diag(w / dt)
+        for k in range(n_x - 1):
+            z = 0.5 * (v[k] + v[k + 1]) * h / diff
+            a = diff / h * bernoulli(-z)  # F_k's weight on p_k
+            c = diff / h * bernoulli(z)   # and on p_{k+1}, with a minus
+            m[k, k] += a
+            m[k, k + 1] -= c
+            m[k + 1, k] -= a
+            m[k + 1, k + 1] += c
+        p_new = np.linalg.solve(m, w / dt * p)
+        path[l + 1] = p_new / np.sum(w * p_new)
+    return path
+
+
 def midpoint_histogram_density(x: np.ndarray, x_min: float, x_max: float,
                                n_x: int) -> np.ndarray:
     """np.histogram of positions on the node midpoints (half cells at the

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfsb.cli import _write_columns, main, read_pair_csv, run
+from mfsb.cli import _format_floats, _write_columns, main, read_pair_csv, run
 from mfsb.config import (
     example_config_path,
     load_config,
@@ -244,7 +244,10 @@ def test_csv_writer_matches_whole_file_formatting(tmp_path):
     times = np.linspace(0.0, 1.0, 4)
     nodes = np.linspace(-1.0, 1.0, 5)
     columns = [rng.normal(size=(4, 5)), np.exp(rng.normal(size=(4, 5)) * 100.0)]
-    _write_columns(tmp_path / "out.csv", "t,x,a,b", times, nodes, columns)
+    _write_columns(
+        tmp_path / "out.csv", "t,x,a,b",
+        _format_floats(times), _format_floats(nodes), columns,
+    )
     lines = ["t,x,a,b\n"]
     for l, t in enumerate(times):
         for i, x in enumerate(nodes):

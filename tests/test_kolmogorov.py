@@ -19,7 +19,8 @@ from mfsb import (
     integrate_forward,
     propagate_density,
 )
-from oracles import direct_sweep, field_variance, gaussian_density
+import mfsb.kolmogorov
+from oracles import direct_propagation, direct_sweep, field_variance, gaussian_density
 
 
 def dense_matrix(bands):
@@ -232,6 +233,59 @@ def test_propagate_warns_on_large_advective_cfl(grid301):
     no_kernel = eval_potential(PotentialSpec.zero(), grid301)
     with pytest.warns(CFLWarning):
         propagate_density(p0, u, no_kernel, 1.0, grid301, tgrid)
+
+
+def test_propagate_matches_the_dense_oracle(grid301):
+    # example-sized run under a nonzero control and example1's kernel; the
+    # oracle evaluates B(z) and B(-z) each directly and solves densely
+    tgrid = TimeGrid(100)
+    x, t = grid301.nodes, tgrid.times[:, None]
+    u = -1.5 * (1.0 - t) * x + 0.8 * t * np.sin(2.0 * x)
+    p0 = 0.5 * gaussian_density(x, 0.5, 0.04) + 0.5 * gaussian_density(x, -0.4, 0.04)
+    table = eval_potential(
+        PotentialSpec.power_repulsive(c=5.0, alpha=0.2, epsilon=0.01), grid301
+    )
+    path = propagate_density(p0, u, table, 0.447, grid301, tgrid)
+    want = direct_propagation(p0, u, table.grad_w, 0.447, -2.0, 2.0)
+    np.testing.assert_allclose(path, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.filterwarnings("ignore::mfsb.errors.CFLWarning")
+def test_propagate_steep_control_keeps_the_band_signs(grid301, monkeypatch):
+    # v = -K x pulls the mass to the centre: |z| = |v| h / D runs from 0 past
+    # the overflow of e^|z| (about 709.8) on both signs, so both fitted
+    # weights meet their cancelling and their overflowing side, and the tails
+    # fall through the subnormal range
+    tgrid = TimeGrid(100)
+    x, sigma = grid301.nodes, 0.447
+    u = np.tile(-3e4 * x / sigma, (tgrid.n_t + 1, 1))
+    v_if = sigma * 0.5 * (u[0, :-1] + u[0, 1:])
+    z = v_if * grid301.h / (0.5 * sigma * sigma)
+    assert z.max() > 710.0 and z.min() < -710.0
+    bands = []
+
+    def recording_gtsv(low, diag, up, rhs, *flags):
+        bands.append((low.copy(), diag.copy(), up.copy()))
+        return mfsb.kolmogorov.dgtsv.__wrapped__(low, diag, up, rhs, *flags)
+
+    recording_gtsv.__wrapped__ = mfsb.kolmogorov.dgtsv
+    monkeypatch.setattr(mfsb.kolmogorov, "dgtsv", recording_gtsv)
+    p0 = 0.5 * gaussian_density(x, 0.5, 0.04) + 0.5 * gaussian_density(x, -0.4, 0.04)
+    no_kernel = eval_potential(PotentialSpec.zero(), grid301)
+    path = propagate_density(p0, u, no_kernel, sigma, grid301, tgrid)
+    assert len(bands) == tgrid.n_t
+    for low, diag, up in bands:
+        # -a_k on the sub-diagonal and -c_k on the super-diagonal: an M-matrix
+        assert low.max() <= 0.0 and up.max() <= 0.0 and diag.min() > 0.0
+    assert path.min() >= 0.0
+    masses = [integrate(slice_, grid301) for slice_ in path]
+    np.testing.assert_allclose(masses, 1.0, rtol=1e-14)
+    # where the oracle is a normal float the two agree to round-off; below,
+    # both are at most subnormal
+    want = direct_propagation(p0, u, no_kernel.grad_w, sigma, -2.0, 2.0)
+    normal = want >= np.finfo(float).tiny
+    np.testing.assert_allclose(path[normal], want[normal], rtol=1e-12, atol=0.0)
+    assert (~normal).any() and path[~normal].max() < np.finfo(float).tiny
 
 
 def test_propagate_rejects_negative_initial_density(grid64):

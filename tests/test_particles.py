@@ -11,6 +11,7 @@ from mfsb.errors import DomainError, ZeroMassError
 from mfsb.grid import SpatialGrid, TimeGrid, integrate
 from mfsb.particles import (
     ParticleEnsemble,
+    _reflect,
     empirical_density,
     sampling_noise_l1,
     simulate,
@@ -22,6 +23,7 @@ from oracles import (
     gaussian_density,
     interp_particle_run,
     midpoint_histogram_density,
+    mod_fold,
     per_step_particle_run,
 )
 
@@ -276,6 +278,35 @@ def test_steps_longer_than_the_span_fold_like_the_mod_fold(sim_grids):
         u, table.grad_w, p0, 40.0, 5_000, 8, sgrid.x_min, sgrid.x_max
     )
     np.testing.assert_allclose(ens.positions, expected, rtol=0.0, atol=1e-12)
+
+
+def test_reflect_checks_the_bounds_before_folding(sim_grids):
+    sgrid, _ = sim_grids
+    rng = np.random.Generator(np.random.Philox(4))
+    inside = np.concatenate((rng.uniform(-2.0, 2.0, 1_000), [-2.0, 2.0]))
+    x, scratch = inside.copy(), np.full(inside.size, np.nan)
+    _reflect(x, sgrid, scratch)
+    # bitwise unchanged, and no fold pass ran: the scratch was not written
+    assert x.tobytes() == inside.tobytes()
+    assert np.isnan(scratch).all()
+    # particles past both ends, some by several spans, land on the triangle
+    # wave; the ones inside stay bitwise where they were
+    cloud = np.concatenate((
+        inside, rng.uniform(-15.0, -2.0, 200), rng.uniform(2.0, 19.0, 200)
+    ))
+    x = cloud.copy()
+    _reflect(x, sgrid, np.empty(cloud.size))
+    assert x[: inside.size].tobytes() == inside.tobytes()
+    np.testing.assert_allclose(
+        x, mod_fold(cloud, sgrid.x_min, sgrid.x_max), rtol=0.0, atol=1e-12
+    )
+
+
+def test_empirical_density_of_a_cloud_outside_the_domain(sim_grids):
+    sgrid, _ = sim_grids
+    ens = ParticleEnsemble(positions=np.array([-3.0, 2.5]), seed=0, steps=0)
+    with pytest.raises(ZeroMassError, match="no particle"):
+        empirical_density(ens, sgrid)
 
 
 def test_a_step_past_the_fold_budget_is_an_error(sim_grids):

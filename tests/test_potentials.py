@@ -117,6 +117,30 @@ def test_tabulated_potential_must_cover_domain(tmp_path, grid64):
         eval_potential(spec, grid64)
 
 
+@pytest.mark.parametrize("column, value", [(1, np.nan), (0, np.inf)])
+def test_generic_tabulated_spec_rejects_non_finite_samples(column, value):
+    # the generic constructor round-trips configs; it must run the same check
+    # as PotentialSpec.tabulated and name the sample by its given index
+    r = np.linspace(-5.0, 5.0, 101)
+    samples = [r, np.exp(-r * r)]
+    samples[column][40] = value
+    r, w = tuple(samples[0]), tuple(samples[1])
+    with pytest.raises(DomainError, match=r"must be finite: \(r, W\)\[40\]"):
+        PotentialSpec(kind="tabulated", table_r=r, table_w=w)
+    with pytest.raises(DomainError, match=r"must be finite: \(r, W\)\[40\]"):
+        PotentialSpec.tabulated(r, w)
+
+
+def test_generic_tabulated_spec_is_stored_sorted():
+    r = np.linspace(-5.0, 5.0, 101)
+    w = np.exp(-r * r)
+    spec = PotentialSpec(
+        kind="tabulated", table_r=tuple(r[::-1]), table_w=tuple(w[::-1])
+    )
+    assert spec == PotentialSpec.tabulated(r, w)
+    assert spec.table_r == tuple(r)
+
+
 def test_convolve_delta_identity(power_table, grid64):
     # grid delta of unit plain-sum mass picks out one kernel translate
     i0 = 20
