@@ -262,13 +262,12 @@ def test_propagate_steep_control_keeps_the_band_signs(grid301, monkeypatch):
     v_if = sigma * 0.5 * (u[0, :-1] + u[0, 1:])
     z = v_if * grid301.h / (0.5 * sigma * sigma)
     assert z.max() > 710.0 and z.min() < -710.0
-    bands = []
+    bands, gtsv = [], mfsb.kolmogorov.dgtsv
 
     def recording_gtsv(low, diag, up, rhs, *flags):
         bands.append((low.copy(), diag.copy(), up.copy()))
-        return mfsb.kolmogorov.dgtsv.__wrapped__(low, diag, up, rhs, *flags)
+        return gtsv(low, diag, up, rhs, *flags)
 
-    recording_gtsv.__wrapped__ = mfsb.kolmogorov.dgtsv
     monkeypatch.setattr(mfsb.kolmogorov, "dgtsv", recording_gtsv)
     p0 = 0.5 * gaussian_density(x, 0.5, 0.04) + 0.5 * gaussian_density(x, -0.4, 0.04)
     no_kernel = eval_potential(PotentialSpec.zero(), grid301)
