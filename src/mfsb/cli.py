@@ -234,7 +234,6 @@ def _solve_and_write(
         error = {
             "message": str(exc),
             "level": exc.level,
-            "indices": list(exc.indices),
             "last_distance": exc.last_distance,
         }
     solve_seconds = time.perf_counter() - t0

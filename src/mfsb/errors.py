@@ -39,8 +39,9 @@ class NoConvergence(MfsbError, RuntimeError):
     """An iteration budget was exhausted before the stopping test passed.
 
     Carries enough state to diagnose (and optionally serialize) the failure:
-    which loop gave up, the loop indices reached, the last distance seen, and
-    whatever partial iterate was available.
+    which loop gave up, the last distance seen, the trace (its list for the
+    loop that gave up is as long as that loop's budget, which the message
+    also names), and whatever partial iterate was available.
     """
 
     def __init__(
@@ -48,14 +49,12 @@ class NoConvergence(MfsbError, RuntimeError):
         message: str,
         *,
         level: str,
-        indices: tuple[int, ...] = (),
         last_distance: float = float("nan"),
         trace=None,
         partial=None,
     ):
         super().__init__(message)
         self.level = level
-        self.indices = indices
         self.last_distance = last_distance
         self.trace = trace
         self.partial = partial

@@ -31,6 +31,8 @@ class SpatialGrid:
             raise DomainError(
                 f"x_max must exceed x_min, got [{self.x_min}, {self.x_max}]"
             )
+        if not isinstance(self.n_x, (int, np.integer)):
+            raise DomainError(f"n_x must be an integer, got {self.n_x!r}")
         if self.n_x < 8:
             raise DomainError(f"n_x must be at least 8, got {self.n_x}")
 
@@ -58,6 +60,8 @@ class TimeGrid:
     n_t: int
 
     def __post_init__(self):
+        if not isinstance(self.n_t, (int, np.integer)):
+            raise DomainError(f"n_t must be an integer, got {self.n_t!r}")
         if self.n_t < 2:
             raise DomainError(f"n_t must be at least 2, got {self.n_t}")
 
@@ -120,5 +124,7 @@ def normalize(f: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     masses = np.trapezoid(f, dx=grid.h, axis=-1)
     if not np.all(np.isfinite(masses)) or np.any(masses <= 0.0):
         bad = int(np.argmin(masses))
-        raise ZeroMassError(f"slice {bad} has nonpositive mass {masses.flat[bad]}")
+        raise ZeroMassError(
+            f"slice {bad} has nonpositive or non-finite mass {masses.flat[bad]}"
+        )
     return f / masses[..., None]

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import SpatialGrid, normalize
-from .potentials import _read_samples
+from .potentials import _non_finite_samples, _read_samples
 
 # relative floor applied before normalization so log-space metrics stay finite
 # on far tails; total mass added is ~1e-13 and invisible at solver tolerances
@@ -67,6 +67,10 @@ def _tabulated_field(spec: MarginalSpec, grid: SpatialGrid) -> np.ndarray:
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 2:
         raise ConfigError(f"{spec.path}: expected two columns (x, p)")
     xs, ps = data[:, 0], data[:, 1]
+    # checked in the given order, so the message names the given indices
+    bad = _non_finite_samples("x, p", xs, ps)
+    if bad:
+        raise ConfigError(f"{spec.path}: samples must be finite: {bad}")
     order = np.argsort(xs)
     xs, ps = xs[order], ps[order]
     if np.any(ps < 0.0):

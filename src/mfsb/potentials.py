@@ -76,13 +76,9 @@ class PotentialSpec:
                 raise DomainError("tabulated potential needs >= 4 (r, W) samples")
             r = np.asarray(self.table_r, dtype=float)
             w = np.asarray(self.table_w, dtype=float)
-            bad = np.flatnonzero(~(np.isfinite(r) & np.isfinite(w)))
-            if bad.size:
-                listed = ", ".join(f"(r, W)[{i}] = ({r[i]}, {w[i]})" for i in bad[:3])
-                more = f" and {bad.size - 3} more" if bad.size > 3 else ""
-                raise DomainError(
-                    f"tabulated potential samples must be finite: {listed}{more}"
-                )
+            bad = _non_finite_samples("r, W", r, w)
+            if bad:
+                raise DomainError(f"tabulated potential samples must be finite: {bad}")
             # checked in the given order, so the message names the given
             # indices; stored sorted by displacement
             order = np.argsort(r)
@@ -188,6 +184,14 @@ def eval_potential(spec: PotentialSpec, grid: SpatialGrid) -> PotentialTable:
     w = 0.5 * (w + w[::-1])
     grad = 0.5 * (grad - grad[::-1])
     return PotentialTable(dgrid, w, grad)
+
+
+def _non_finite_samples(columns: str, a: np.ndarray, b: np.ndarray) -> str:
+    """Up to three samples (a, b) that are not finite, named by their index,
+    and how many more; empty when every sample is finite."""
+    bad = np.flatnonzero(~(np.isfinite(a) & np.isfinite(b)))
+    listed = ", ".join(f"({columns})[{i}] = ({a[i]}, {b[i]})" for i in bad[:3])
+    return listed + (f" and {bad.size - 3} more" if bad.size > 3 else "")
 
 
 def _read_samples(path, what: str) -> np.ndarray:

@@ -43,7 +43,7 @@ from .errors import (
 )
 from .grid import SpatialGrid, TimeGrid, check_field, check_path, gradient, normalize
 from .marginals import MarginalSpec, build_marginals
-from .metrics import l1_distance, pair_distance, path_distance
+from .metrics import pair_distance, path_distance
 from .potentials import PotentialSpec, PotentialTable, convolve_path, eval_potential
 from .sinkhorn import PairPath, freeze_problem, inner_sinkhorn
 
@@ -96,6 +96,10 @@ class SolverConfig:
                 f"tol must be finite and exceed {TOL_FLOOR:.3g}: the outer "
                 f"steps stall near 1e-14; got {self.tol}"
             )
+        for name in ("n1", "verify_n", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n1 < 1:
             raise ConfigError("n1 must be at least 1")
         # the grids check the domain, n_x and n_t themselves (DomainError)
@@ -121,24 +125,25 @@ class ConvergenceTrace:
     """Everything the iteration did, one entry per loop event.
 
     ``init_dh`` holds the anchor distance of each pass of the classical
-    bridge start. Outer step k is the k-th evaluation of the plain outer
-    map, at a mixed iterate or not. ``middle_dh[k]`` holds the distance its
-    refreeze and pass moved the pair, a supremum over slices that bounds the
-    pass's own anchor distance; ``inner_iterations[k]`` is always ``[1]``.
-    Both stay one-entry lists, the trace.json layout perfbench/run.py reads.
-    A solve shares one trace between its Solution and, when a budget runs
-    out, its NoConvergence. The trace holds no timings, so serialized traces
-    stay byte-identical across reruns.
+    bridge start, so its length is the number of passes. Outer step k is the
+    k-th evaluation of the plain outer map, at a mixed iterate or not.
+    ``middle_dh[k]`` holds the distance its refreeze and pass moved the pair,
+    a supremum over slices that bounds the pass's own anchor distance;
+    ``inner_iterations[k]`` is always ``[1]``. Three fields keep a redundant
+    form only because perfbench/run.py reads them from trace.json:
+    ``outer_iterations`` (the length of ``outer_dh``), ``inner_iterations``
+    and the one-entry lists of ``middle_dh``. The endpoint slices need no
+    record: the anchors reproduce both marginals by construction. A solve
+    shares one trace between its Solution and, when a budget runs out, its
+    NoConvergence. The trace holds no timings, so serialized traces stay
+    byte-identical across reruns.
     """
 
     init_dh: list[float] = field(default_factory=list)
-    init_iterations: int = 0
     outer_dh: list[float] = field(default_factory=list)
     outer_dh_raw: list[float] = field(default_factory=list)
     middle_dh: list[list[float]] = field(default_factory=list)
     inner_iterations: list[list[int]] = field(default_factory=list)
-    endpoint_l1_in: list[float] = field(default_factory=list)
-    endpoint_l1_fin: list[float] = field(default_factory=list)
     slice_mass_dev: list[float] = field(default_factory=list)
     min_phi: float = float("inf")
     min_phihat: float = float("inf")
@@ -211,7 +216,6 @@ def classical_bridge_init(
         f"inner loop did not reach tol={tol} in {max_iter} iterations "
         f"(last anchor distance {anchor_dh:.3e})",
         level="inner",
-        indices=(max_iter,),
         last_distance=anchor_dh,
         trace=boundary_dh,
         partial=pair,
@@ -451,12 +455,10 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
             )
         except NoConvergence as exc:
             trace.init_dh = exc.trace
-            trace.init_iterations = len(trace.init_dh)
             exc.trace = trace
             exc.partial = outcome(normalize(exc.partial.product, sgrid), exc.partial)
             raise
         trace.init_dh = init_dh
-        trace.init_iterations = len(init_dh)
     else:
         check_path(warm_pair.phi, sgrid, tgrid)
         pair = warm_pair
@@ -488,8 +490,6 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
         trace.outer_dh.append(d_outer)
         trace.outer_dh_raw.append(d_raw)
         trace.slice_mass_dev.append(mass_dev)
-        trace.endpoint_l1_in.append(l1_distance(p_next[0], p_in, sgrid))
-        trace.endpoint_l1_fin.append(l1_distance(p_next[-1], p_fin, sgrid))
         trace.min_density = min(trace.min_density, float(p_next.min()))
 
         step_dh = max(d_outer, d_pair)
@@ -523,7 +523,6 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
             f"outer loop did not reach tol={cfg.tol} in {cfg.n1} iterations "
             f"(last density or pair distance {step_dh:.3e})",
             level="outer",
-            indices=(cfg.n1,),
             last_distance=step_dh,
             trace=trace,
             partial=outcome(p_path, pair),

@@ -1,6 +1,7 @@
 """Config parsing and the command-line entry point with its artifacts."""
 
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -21,6 +22,8 @@ from mfsb.marginals import MarginalSpec, build_marginals
 from mfsb.metrics import l1_distance
 from mfsb.potentials import PotentialSpec
 from mfsb.solver import SolverConfig, solve
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MINI_CONFIG = """\
 # zero-kernel steering problem small enough for fast tests
@@ -280,6 +283,27 @@ def test_trace_bookkeeping_is_consistent(mini_run):
     assert "wall_times" not in trace
 
 
+def test_perfbench_reads_the_run_artifacts(mini_run):
+    # perfbench/checks.py and perfbench/run.py read a run's files without
+    # importing mfsb; a key or layout they read that is gone fails here. The
+    # closed-loop gate (verified=True) is set for the shipped grid, not this
+    # one, so only the answer itself is checked
+    cfg_path, out, _ = mini_run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_checks", ROOT / "perfbench" / "checks.py"
+    )
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    fails, facts = checks.check_run(checks.Problem(cfg_path), out, verified=False)
+    assert fails == []
+    # the trace expressions of run.py's layer_metrics
+    trace = facts["trace"]
+    outer = trace["outer_iterations"]
+    assert outer >= 1
+    assert sum(map(sum, trace["inner_iterations"])) == outer
+    assert [len(seq) for seq in trace["middle_dh"]] == [1] * outer
+
+
 def test_reruns_are_byte_identical(mini_config_path, tmp_path):
     first = run(mini_config_path, tmp_path / "a")
     second = run(mini_config_path, tmp_path / "b")
@@ -292,7 +316,7 @@ def test_warm_start_round_trip(mini_run, tmp_path):
     warm = run(cfg_path, tmp_path / "warm", warm_start_path=out / "pair.csv")
     assert warm.status == "converged"
     trace = json.loads((tmp_path / "warm" / "trace.json").read_text())["trace"]
-    assert trace["init_iterations"] == 0  # no fresh bridge was computed
+    assert trace["init_dh"] == []  # no fresh bridge was computed
     assert trace["outer_iterations"] >= 1
     data_cold = np.loadtxt(out / "densities.csv", delimiter=",", skiprows=1)
     data_warm = np.loadtxt(tmp_path / "warm" / "densities.csv",
@@ -347,9 +371,13 @@ def test_classic_subcommand_writes_bridge_artifacts(tmp_path):
     assert manifest["verification"] is None
     assert manifest["config"]["potential"]["kind"] == "zero"
     trace = json.loads((out / "trace.json").read_text())["trace"]
-    assert trace["init_iterations"] >= 1
+    assert len(trace["init_dh"]) >= 1
     assert trace["outer_iterations"] == 1
-    assert trace["endpoint_l1_in"][-1] <= 1e-10
+    cfg = load_config(path)
+    data = np.loadtxt(out / "densities.csv", delimiter=",", skiprows=1)
+    p = data[:, 2].reshape(cfg.n_t + 1, cfg.n_x)
+    assert l1_distance(p[0], build_marginals(cfg.marginal_in, cfg.sgrid),
+                       cfg.sgrid) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +527,39 @@ def test_cli_bad_input_exits_one(tmp_path, capsys):
         assert err.startswith("error: tabulated potential samples must be finite")
         assert "[40] = " in err and name in err
         assert not (tmp_path / name).exists()
+    # so is a non-finite sample of a tabulated marginal, by file and index
+    x = np.linspace(-2.5, 2.5, 101)
+    for name, column, value in (("nan", 1, np.nan), ("inf", 0, np.inf)):
+        samples = np.column_stack([x, np.exp(-x * x / 0.08)])
+        samples[40, column] = value
+        table = tmp_path / f"marginal-{name}.txt"
+        np.savetxt(table, samples)
+        path = tmp_path / f"marginal-{name}.cfg"
+        path.write_text(
+            without_marginal_in
+            + f"marginal_in.kind = tabulated\nmarginal_in.file = {table}\n"
+        )
+        out = tmp_path / f"marginal-{name}"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {table}: samples must be finite: (x, p)[40] = ")
+        assert name in err and "Traceback" not in err
+        assert not out.exists()
+
+
+def test_tabulated_marginal_names_at_most_three_non_finite_samples(tmp_path):
+    x = np.linspace(-2.5, 2.5, 51)
+    samples = np.column_stack([x, np.exp(-x * x)])
+    samples[[3, 7, 9, 11, 20], 1] = [np.nan, np.inf, -np.inf, np.nan, np.nan]
+    table = tmp_path / "p.txt"
+    np.savetxt(table, samples)
+    spec = MarginalSpec.tabulated(table)
+    with pytest.raises(ConfigError) as info:
+        build_marginals(spec, SpatialGrid(-2.0, 2.0, 64))
+    assert str(info.value) == (
+        f"{table}: samples must be finite: (x, p)[3] = ({x[3]}, nan), "
+        f"(x, p)[7] = ({x[7]}, inf), (x, p)[9] = ({x[9]}, -inf) and 2 more"
+    )
 
 
 def test_cli_negative_seed_exits_one_before_solving(

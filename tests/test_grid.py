@@ -32,6 +32,10 @@ def test_spatial_grid_rejects_bad_parameters():
         SpatialGrid(-2.0, 2.0, 7)
     with pytest.raises(DomainError):
         SpatialGrid(2.0, -2.0, 64)
+    for n_x in (41.0, 41.5, float("nan")):
+        with pytest.raises(DomainError, match="n_x must be an integer"):
+            SpatialGrid(-2.0, 2.0, n_x)
+    assert SpatialGrid(-2.0, 2.0, np.int64(41)).nodes.size == 41
 
 
 def test_time_grid_spacing():
@@ -40,6 +44,10 @@ def test_time_grid_spacing():
     assert t.times[0] == 0.0 and t.times[-1] == 1.0
     with pytest.raises(DomainError):
         TimeGrid(1)
+    for n_t in (10.0, 2.5):
+        with pytest.raises(DomainError, match="n_t must be an integer"):
+            TimeGrid(n_t)
+    assert TimeGrid(np.int32(10)).times.size == 11
 
 
 def test_gradient_matches_analytic_derivative():
@@ -93,8 +101,12 @@ def test_normalize_returns_unit_mass(rng):
 
 def test_normalize_zero_field_raises():
     g = SpatialGrid(-2.0, 2.0, 64)
-    with pytest.raises(ZeroMassError):
+    with pytest.raises(ZeroMassError, match="nonpositive or non-finite mass 0.0"):
         normalize(np.zeros(64), g)
+    f = np.ones((3, 64))
+    f[1, 5] = np.nan
+    with pytest.raises(ZeroMassError, match="slice 1 .* non-finite mass nan"):
+        normalize(f, g)
 
 
 def test_normalize_path_each_slice(rng):

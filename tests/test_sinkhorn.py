@@ -306,7 +306,7 @@ def test_inner_loop_exhaustion_raises_with_partial_state(small_setup):
         classical_bridge_init(p_in, p_fin, 0.5, sgrid, tgrid, tol=1e-12, max_iter=1)
     exc = info.value
     assert exc.level == "inner"
-    assert exc.indices == (1,)
+    assert len(exc.trace) == 1
     assert np.isfinite(exc.last_distance) and exc.last_distance > 1e-12
     assert isinstance(exc.partial, PairPath)
     assert exc.partial.phi.shape == (tgrid.n_t + 1, sgrid.n_x)

@@ -17,7 +17,7 @@ from mfsb.errors import (
 from mfsb.grid import SpatialGrid, TimeGrid, integrate, normalize
 from mfsb.marginals import MarginalSpec, build_marginals
 from mfsb.metrics import l1_distance, pair_distance, path_distance
-from mfsb.potentials import PotentialSpec, eval_potential
+from mfsb.potentials import PotentialSpec, convolve, eval_potential
 from mfsb.sinkhorn import PairPath, freeze_problem
 from mfsb import sinkhorn as sinkhorn_module
 from mfsb import solver as solver_module
@@ -349,10 +349,38 @@ def test_warm_start_from_a_converged_pair_stays_at_the_fixed_point(
     sol, _ = request.getfixturevalue(run_fixture)
     cfg = sol.config
     warm = solve(cfg, warm_pair=sol.pair)
-    assert warm.trace.init_iterations == 0
+    assert warm.trace.init_dh == []
     assert warm.trace.outer_iterations <= 2
     assert path_distance(warm.p, sol.p) <= 10.0 * cfg.tol
     assert abs(warm.cost - sol.cost) / abs(sol.cost) <= 10.0 * cfg.tol
+
+
+@pytest.mark.parametrize("run_fixture", ["example1_run", "example2_run"])
+def test_returned_endpoints_are_the_marginals_to_round_off(request, run_fixture):
+    # Both solves end on an evaluation at a mixed iterate, whose end slices
+    # are the marginals themselves. The anchors then make the end slice of
+    # the returned density normalize(p e^{2c - 2c'}) times round-off, with c
+    # and c' the same convolution W * p taken in two BLAS products. Counted
+    # in units of u = eps/2, to first order:
+    # - the exponent: each n-term dot product of same-sign terms is off by
+    #   at most n u |c| (Higham's gamma_n), so 2c - 2c' by 4 n u |c|;
+    # - two exps (1 ulp each, 4), the anchor's division and product (2), the
+    #   product phi phihat (1), the product with e^{-2c'} (1): 8;
+    # - normalizing: the raw error enters twice (pointwise and through the
+    #   mass), the trapezoid mass is off by n u and the marginal's own mass
+    #   by (n + 1) u, and the division adds 1;
+    # - damping by theta: two products and a sum, 3.
+    # Total (21 + 2n + 8 n |c|) u: 9.4e-13 to 1.1e-12 on example1 and 2.1e-13
+    # to 3.1e-13 on example2, where the largest gaps are 6.7e-15 and 2.2e-15.
+    sol, _ = request.getfixturevalue(run_fixture)
+    cfg = sol.config
+    n = cfg.n_x
+    u = np.finfo(float).eps / 2.0
+    for got, spec in ((sol.p[0], cfg.marginal_in), (sol.p[-1], cfg.marginal_fin)):
+        marginal = build_marginals(spec, cfg.sgrid)
+        c = np.abs(convolve(cfg.kernel_table.w, marginal, cfg.sgrid)).max()
+        bound = (21 + 2 * n + 8 * n * c) * u
+        assert np.abs(got / marginal - 1.0).max() <= bound
 
 
 def test_solve_makes_one_sinkhorn_pass_per_evaluation(monkeypatch):
@@ -371,7 +399,7 @@ def test_solve_makes_one_sinkhorn_pass_per_evaluation(monkeypatch):
         n1=30,
     ))
     assert sol.trace.outer_iterations > 1
-    assert len(sweeps) == sol.trace.init_iterations + sol.trace.outer_iterations
+    assert len(sweeps) == len(sol.trace.init_dh) + sol.trace.outer_iterations
     assert sol.trace.inner_iterations == [[1]] * sol.trace.outer_iterations
 
 
@@ -399,7 +427,6 @@ def test_solve_exhausting_outer_budget_raises_with_partial():
         solve(cfg)
     exc = info.value
     assert exc.level == "outer"
-    assert exc.indices == (1,)
     assert np.isfinite(exc.last_distance)
     assert_partial_solution(exc, cfg)
     assert exc.trace.outer_iterations == 1
@@ -416,7 +443,7 @@ def test_solve_exhausting_bridge_budget_attaches_normalized_product(monkeypatch)
     exc = info.value
     assert exc.level == "inner"
     assert isinstance(exc.trace, ConvergenceTrace)
-    assert exc.trace.init_iterations == solver_module.BRIDGE_MAX_ITER
+    assert len(exc.trace.init_dh) == solver_module.BRIDGE_MAX_ITER
     assert exc.trace.outer_dh == []
     assert_partial_solution(exc, cfg)
     pair = exc.partial.pair
@@ -445,6 +472,18 @@ def test_solver_config_validation():
             small_config(tol=tol)
     for tol in (1e-13, 1e-6):
         assert small_config(tol=tol).tol == tol
+    # a count must be an integer when the config is made, not a TypeError
+    # deep in the solve or the verification; numpy integers are integers
+    for name, value in (("n1", 2.5), ("n1", 10.0), ("verify_n", 1000.0),
+                        ("seed", 1.5), ("seed", "0")):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            small_config(**{name: value})
+    for name, value in (("n_x", 41.0), ("n_t", 10.0)):
+        with pytest.raises(DomainError, match=f"{name} must be an integer"):
+            small_config(**{name: value})
+    cfg = small_config(n_x=np.int64(41), n_t=np.int32(10), n1=np.int64(3),
+                       verify_n=np.int64(1000), seed=np.uint8(1))
+    assert (cfg.sgrid.n_x, cfg.tgrid.n_t) == (41, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +548,6 @@ def test_solve_exhausting_outer_budget_under_mixing(example1_config):
         solve(cfg)
     exc = info.value
     assert exc.level == "outer"
-    assert exc.indices == (3,)
     p, pair = exc.partial.p, exc.partial.pair
     assert np.all(np.isfinite(p)) and p.min() > 0.0
     for leg in (pair.phi, pair.phihat):
@@ -521,7 +559,7 @@ def test_solve_exhausting_outer_budget_under_mixing(example1_config):
     trace = exc.trace
     assert trace.outer_iterations == 3
     for name in ("outer_dh", "outer_dh_raw", "middle_dh", "inner_iterations",
-                 "endpoint_l1_in", "endpoint_l1_fin", "slice_mass_dev"):
+                 "slice_mass_dev"):
         assert len(getattr(trace, name)) == 3, name
 
 
