@@ -41,8 +41,11 @@ def build_generator(
     slice, stacked along the leading axis of each band. At the two
     boundary rows the advection uses the inward difference with speed |v|
     (even-reflection ghost), which keeps the off-diagonals nonnegative and
-    the row sums exactly zero for either drift sign.
+    the row sums exactly zero for either drift sign. A sigma that is not
+    finite and positive is a DomainError.
     """
+    if not (np.isfinite(sigma) and sigma > 0.0):
+        raise DomainError(f"sigma must be finite and positive, got {sigma}")
     b = np.asarray(b, dtype=float)
     if b.ndim not in (1, 2) or b.shape[-1] != grid.n_x:
         raise ShapeError(
@@ -192,7 +195,7 @@ def propagate_density(
     drift_max = 0.0
     for l in range(tgrid.n_t):
         p = path[l]
-        v = control[l] + sigma2 * mean_field_drift(table, p, sgrid)
+        v = control[l] + sigma2 * mean_field_drift(table, p)
         v_if = 0.5 * (v[:-1] + v[1:])
         speed = np.abs(v_if)
         speed_max = max(speed_max, float(speed.max()))

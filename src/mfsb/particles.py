@@ -4,8 +4,8 @@ Euler-Maruyama on N particles driven by the control plus the sampled
 interaction drift, with reflection at the domain ends. The interaction is
 evaluated particle-in-cell: each step bins the cloud onto the grid and reuses
 the kernel convolution of the PDE side, so a step costs O(N + n_x^2): the
-convolution is one matrix-vector product with the memoized n_x x n_x
-quadrature matrix of W'.
+convolution is one product with the n_x x n_x quadrature matrix of W' that
+the kernel table holds.
 On the uniform grid one floor index per particle serves both the nearest-node
 deposit and the linear gather of the drift (Hockney & Eastwood 1988), and
 every per-particle array of the step is allocated once per run.
@@ -125,12 +125,18 @@ def simulate(
     The control is interpolated linearly in space and, as in the closed-loop
     PDE, sampled over each step as the mean of its two endpoint slices.
     Positions reflect at the domain ends. ``table`` is the kernel the solver
-    used (``SolverConfig.kernel_table``). A sigma that is not finite and
-    positive, a control or initial density that is not finite, or an initial
-    density with a negative value, is a DomainError.
+    used (``SolverConfig.kernel_table``). A count n or seed that is not an
+    integer, a negative seed, a sigma that is not finite and positive, a
+    control or initial density that is not finite, or an initial density
+    with a negative value, is a DomainError.
     """
+    for name, value in (("n", n), ("seed", seed)):
+        if not isinstance(value, (int, np.integer)):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
     if n < 100:
         raise DomainError(f"need at least 100 particles, got {n}")
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     if not (np.isfinite(sigma) and sigma > 0.0):
         raise DomainError(f"sigma must be finite and positive, got {sigma}")
     u_path = check_path(u_path, sgrid, tgrid)
@@ -165,7 +171,7 @@ def simulate(
                     noise = pending.result()
                 pending = worker.submit(draw, l + k) if l + k < n_t else None
             _locate(x, sgrid, s, i, frac)
-            b = mean_field_drift(table, _deposit(i, frac, sgrid, near), sgrid)
+            b = mean_field_drift(table, _deposit(i, frac, sgrid, near))
             v = control[l] + sigma * sigma * b
             # linear gather of the node drift v from the same index: into s.
             # i lies in [0, n_x - 2] (_locate clamps it, _reflect keeps x in

@@ -6,9 +6,9 @@ the same spacing h as the state grid, so that the discrete convolution
 
     (K * f)(x_i) = h * sum_j K(x_i - x_j) f(x_j)
 
-is a product with the n_x x n_x matrix M[j, i] = h K[i - j + n_x - 1], built
-once per kernel and grid and memoized (two entries: a run needs W and W'), so
-a path of rows is convolved by one BLAS matrix product. Built-in
+is a product with the n_x x n_x matrix M[j, i] = h K[i - j + n_x - 1]. A
+:class:`PotentialTable` builds the matrices of W and W' once, when it is
+made, so a path of rows is convolved by one BLAS matrix product. Built-in
 kernel families are evaluated analytically; tabulated kernels are fitted with
 a cubic spline, whose first derivative is O(h^3) accurate for smooth data.
 Both tables carry the overall strength factor beta.
@@ -16,14 +16,13 @@ Both tables carry the overall strength factor beta.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DomainError, PositivityError, ShapeError
-from .grid import SpatialGrid, check_field, gradient
+from .grid import SpatialGrid
 
 _KINDS = ("zero", "power_repulsive", "gaussian_attractive", "tabulated")
 
@@ -114,11 +113,32 @@ class PotentialSpec:
 
 @dataclass(frozen=True)
 class PotentialTable:
-    """Sampled kernel and its derivative on the displacement grid."""
+    """Sampled kernel and its derivative on the displacement grid, copied and
+    read-only, with the read-only quadrature matrix of each: M[j, i] =
+    h K[i - j + n - 1] for samples K of a state grid with n nodes, so that a
+    convolution of rows is ``rows @ M``. Samples that are not one value per
+    node of an odd grid are a ShapeError."""
 
     grid: SpatialGrid
     w: np.ndarray
     grad_w: np.ndarray
+    w_matrix: np.ndarray = field(init=False, repr=False)
+    grad_w_matrix: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        m = self.grid.n_x
+        for name in ("w", "grad_w"):
+            samples = np.array(getattr(self, name), dtype=float)
+            if m % 2 == 0 or samples.shape != (m,):
+                raise ShapeError(
+                    f"{name} must live on an odd displacement grid, got "
+                    f"{samples.shape} samples on {m} nodes"
+                )
+            # windows[k, i] = samples[k + i]
+            matrix = self.grid.h * sliding_window_view(samples, (m + 1) // 2)[::-1]
+            samples.flags.writeable = matrix.flags.writeable = False
+            object.__setattr__(self, name, samples)
+            object.__setattr__(self, f"{name}_matrix", matrix)
 
 
 def displacement_grid(grid: SpatialGrid) -> SpatialGrid:
@@ -174,7 +194,7 @@ def eval_potential(spec: PotentialSpec, grid: SpatialGrid) -> PotentialTable:
     r = dgrid.nodes
     if spec.kind == "zero":
         z = np.zeros_like(r)
-        return PotentialTable(dgrid, z, z.copy())
+        return PotentialTable(dgrid, z, z)
     if spec.kind == "power_repulsive":
         w, grad = _power_tables(spec, r)
     elif spec.kind == "gaussian_attractive":
@@ -215,73 +235,56 @@ def load_tabulated_potential(path, beta: float = 1.0) -> PotentialSpec:
     return PotentialSpec.tabulated(data[:, 0], data[:, 1], beta=beta)
 
 
-def convolve(kernel: np.ndarray, f: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    """Quadrature convolution of a displacement-grid kernel with a field.
-
-    out[i] = h * sum_j kernel[(i - j) + n - 1] * f[j], computed as this sum: a
-    matrix-vector product with the memoized quadrature matrix, O(n^2).
-    """
-    f = check_field(f, grid)
-    return _convolve_rows(kernel, f[None, :], grid)[0]
-
-
-def convolve_path(kernel: np.ndarray, f: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    """Same quadrature convolution applied to every row of a path."""
+def _product(matrix: np.ndarray, f: np.ndarray, ndim: int) -> np.ndarray:
+    """A field (ndim 1, taken as one row) or a path of rows (ndim 2) times a
+    quadrature matrix; rows of another length are a ShapeError."""
     f = np.asarray(f, dtype=float)
-    if f.ndim != 2 or f.shape[1] != grid.n_x:
-        raise ShapeError(f"expected (*, {grid.n_x}) path, got {f.shape}")
-    return _convolve_rows(kernel, f, grid)
+    n = matrix.shape[0]
+    if f.ndim != ndim or f.shape[-1] != n:
+        raise ShapeError(f"expected {ndim}-d rows of length {n}, got {f.shape}")
+    return f @ matrix if ndim == 2 else (f[None, :] @ matrix)[0]
 
 
-def _convolve_rows(kernel: np.ndarray, rows: np.ndarray, grid: SpatialGrid):
-    kernel = np.asarray(kernel, dtype=float)
-    n = grid.n_x
-    if kernel.shape != (2 * n - 1,):
-        raise ShapeError(
-            f"kernel must live on the displacement grid ({2 * n - 1},), "
-            f"got {kernel.shape}"
-        )
-    return rows @ _quadrature_matrix(kernel.tobytes(), n, grid.h)
+def convolve(table: PotentialTable, f: np.ndarray) -> np.ndarray:
+    """Quadrature convolution W * f of the table's kernel with a field.
 
-
-@functools.lru_cache(maxsize=2)
-def _quadrature_matrix(kernel_bytes: bytes, n: int, h: float) -> np.ndarray:
-    """Read-only n x n matrix M[j, i] = h * kernel[i - j + n - 1], so that a
-    convolution of rows is ``rows @ M``.
-
-    Keyed on the samples' bytes, not the array, so a kernel edited in place
-    gets a new matrix; two entries hold a run's W and W' (0.72 MB each at
-    n = 301).
+    out[i] = h * sum_j W[(i - j) + n - 1] * f[j], computed as this sum: the
+    product of f, as one row, with the table's matrix, O(n^2).
     """
-    windows = sliding_window_view(np.frombuffer(kernel_bytes), n)
-    matrix = h * windows[::-1]  # windows[k, i] = kernel[k + i]
-    matrix.flags.writeable = False
-    return matrix
+    return _product(table.w_matrix, f, 1)
 
 
-def mean_field_drift(
-    table: PotentialTable, p: np.ndarray, grid: SpatialGrid
-) -> np.ndarray:
+def convolve_path(table: PotentialTable, f: np.ndarray) -> np.ndarray:
+    """Same quadrature convolution applied to every row of a path."""
+    return _product(table.w_matrix, f, 2)
+
+
+def mean_field_drift(table: PotentialTable, p: np.ndarray) -> np.ndarray:
     """Drift induced by a density through the kernel: -(W' * p)."""
-    return -convolve(table.grad_w, p, grid)
+    return -_product(table.grad_w_matrix, p, 1)
 
 
-def mean_field_drift_path(
-    table: PotentialTable, p: np.ndarray, grid: SpatialGrid
-) -> np.ndarray:
-    return -convolve_path(table.grad_w, p, grid)
+def mean_field_drift_path(table: PotentialTable, p: np.ndarray) -> np.ndarray:
+    return -_product(table.grad_w_matrix, p, 2)
 
 
 def reaction_term_path(
-    table: PotentialTable, xi: np.ndarray, p: np.ndarray, grid: SpatialGrid
+    table: PotentialTable, xi: np.ndarray, p: np.ndarray
 ) -> np.ndarray:
     """Nonlocal reaction profiles -(W' * (p_t * d/dx log xi_t)), one per row
-    of xi and p.
+    of xi and p, differentiated as :func:`mfsb.grid.gradient` does. xi and
+    p of different shapes are a ShapeError.
 
     Invariant under xi -> c * xi for c > 0 (only log-gradients enter).
     """
     xi = np.asarray(xi, dtype=float)
+    p = np.asarray(p, dtype=float)
+    n = table.grad_w_matrix.shape[0]
+    if xi.ndim != 2 or xi.shape[1] != n or p.shape != xi.shape:
+        raise ShapeError(
+            f"expected xi and p of one shape (*, {n}), got {xi.shape} and {p.shape}"
+        )
     if np.any(xi <= 0.0) or not np.all(np.isfinite(xi)):
         raise PositivityError("reaction term needs strictly positive slices")
-    integrand = np.asarray(p, dtype=float) * gradient(np.log(xi), grid)
-    return -convolve_path(table.grad_w, integrand, grid)
+    integrand = p * np.gradient(np.log(xi), table.grid.h, axis=-1, edge_order=2)
+    return -_product(table.grad_w_matrix, integrand, 2)

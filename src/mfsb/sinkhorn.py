@@ -96,20 +96,16 @@ def freeze_problem(
     for name, p in (("p_in", p_in), ("p_fin", p_fin)):
         if not (np.all(np.isfinite(p)) and p.min() > 0.0):
             raise PositivityError(f"{name} must be strictly positive and finite")
-    ops = TransportOperators(
-        mean_field_drift_path(table, p_path, sgrid), sigma, sgrid, tgrid
-    )
+    ops = TransportOperators(mean_field_drift_path(table, p_path), sigma, sgrid, tgrid)
     rate = -tgrid.dt * ops.sigma**2
     return FrozenProblem(
         ops=ops,
-        decay_phi=np.exp(rate * reaction_term_path(table, pair.phi, p_path, sgrid)),
-        decay_phihat=np.exp(
-            rate * reaction_term_path(table, pair.phihat, p_path, sgrid)
-        ),
+        decay_phi=np.exp(rate * reaction_term_path(table, pair.phi, p_path)),
+        decay_phihat=np.exp(rate * reaction_term_path(table, pair.phihat, p_path)),
         p_in=p_in,
         p_fin=p_fin,
-        exp_in_plus=np.exp(2.0 * convolve(table.w, p_in, sgrid)),
-        exp_fin_plus=np.exp(2.0 * convolve(table.w, p_fin, sgrid)),
+        exp_in_plus=np.exp(2.0 * convolve(table, p_in)),
+        exp_fin_plus=np.exp(2.0 * convolve(table, p_fin)),
     )
 
 

@@ -193,6 +193,8 @@ def classical_bridge_init(
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
+    if not isinstance(max_iter, (int, np.integer)):
+        raise DomainError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 1:
         raise DomainError(f"max_iter must be at least 1, got {max_iter}")
     p_in = check_field(p_in, sgrid)
@@ -229,7 +231,7 @@ def _refined_density(
     sgrid: SpatialGrid,
 ) -> tuple[np.ndarray, float]:
     """Normalized e^{-2 W*p} phi phihat and the worst raw-slice mass deviation."""
-    raw = np.exp(-2.0 * convolve_path(table.w, p_path, sgrid)) * pair.product
+    raw = np.exp(-2.0 * convolve_path(table, p_path)) * pair.product
     masses = np.trapezoid(raw, dx=sgrid.h, axis=1)
     if not np.all(np.isfinite(masses)) or np.any(masses <= 0.0):
         raise PositivityError("density refinement produced a nonpositive slice")

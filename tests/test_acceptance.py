@@ -236,7 +236,7 @@ def test_fast_paths_match_direct_oracles(rng):
         f = np.exp(rng.uniform(-2.0, 2.0, size=n))
         for spec in specs:
             table = eval_potential(spec, grid)
-            fast = convolve(table.w, f, grid)
+            fast = convolve(table, f)
             direct = direct_convolution(table.w, f, grid.h)
             worst_conv = max(
                 worst_conv,
@@ -250,7 +250,7 @@ def test_fast_paths_match_direct_oracles(rng):
     for _ in range(5):
         xi = np.exp(rng.uniform(-1.0, 1.0, size=64))
         p = normalize(np.exp(rng.uniform(-1.0, 1.0, size=64)), grid)
-        fast = reaction_term_path(table, xi[None], p[None], grid)[0]
+        fast = reaction_term_path(table, xi[None], p[None])[0]
         direct = direct_reaction(table.grad_w, xi, p, grid.h)
         worst_reaction = max(worst_reaction, float(np.abs(fast - direct).max()))
     checks.append(("reaction profile vs direct quadrature", worst_reaction <= 1e-8))
@@ -321,8 +321,8 @@ def test_scaling_invariances(example1_run, example1_config, rng):
     table = cfg.kernel_table
     xi = np.exp(rng.uniform(-1.0, 1.0, size=sgrid.n_x))
     p = normalize(np.exp(rng.uniform(-1.0, 1.0, size=sgrid.n_x)), sgrid)
-    q_base = reaction_term_path(table, xi[None], p[None], sgrid)[0]
-    q_scaled = reaction_term_path(table, 3.7 * xi[None], p[None], sgrid)[0]
+    q_base = reaction_term_path(table, xi[None], p[None])[0]
+    q_scaled = reaction_term_path(table, 3.7 * xi[None], p[None])[0]
 
     verdict(8, "scaling invariances of control, refinement, and reaction", [
         ("control ignores pair rescaling",

@@ -55,6 +55,16 @@ def test_generator_of_a_drift_path_stacks_its_slices(grid64, rng):
         build_generator(np.zeros((2, 3, grid64.n_x)), 0.7, grid64)
 
 
+@pytest.mark.parametrize("sigma", [0.0, -0.7, np.nan, np.inf])
+def test_generator_rejects_bad_sigma(grid64, sigma):
+    # a nan sigma used to give nan bands, and a sweep's PositivityError later
+    tgrid = TimeGrid(4)
+    with pytest.raises(DomainError, match="sigma"):
+        build_generator(np.zeros(grid64.n_x), sigma, grid64)
+    with pytest.raises(DomainError, match="sigma"):
+        TransportOperators(np.zeros((tgrid.n_t + 1, grid64.n_x)), sigma, grid64, tgrid)
+
+
 def test_implicit_matrix_is_diagonally_dominant_m_matrix(grid64, rng):
     tgrid = TimeGrid(100)
     b = rng.normal(size=grid64.n_x) * 5.0

@@ -7,6 +7,7 @@ from mfsb import (
     DomainError,
     PositivityError,
     PotentialSpec,
+    PotentialTable,
     ShapeError,
     SpatialGrid,
     convolve,
@@ -16,7 +17,6 @@ from mfsb import (
     reaction_term_path,
 )
 from mfsb.potentials import (
-    _quadrature_matrix,
     convolve_path,
     displacement_grid,
     load_tabulated_potential,
@@ -141,12 +141,18 @@ def test_generic_tabulated_spec_is_stored_sorted():
     assert spec.table_r == tuple(r)
 
 
+def w_table(kernel, grid):
+    """A table whose W samples are ``kernel`` on the displacement grid of
+    ``grid``; its W' is zero."""
+    return PotentialTable(displacement_grid(grid), kernel, np.zeros_like(kernel))
+
+
 def test_convolve_delta_identity(power_table, grid64):
     # grid delta of unit plain-sum mass picks out one kernel translate
     i0 = 20
     f = np.zeros(grid64.n_x)
     f[i0] = 1.0 / grid64.h
-    out = convolve(power_table.w, f, grid64)
+    out = convolve(power_table, f)
     n = grid64.n_x
     expected = power_table.w[np.arange(n) - i0 + n - 1]
     np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
@@ -156,18 +162,9 @@ def test_convolve_constant_kernel_returns_mass(grid64):
     from mfsb import normalize
 
     p = normalize(gaussian_density(grid64.nodes, 0.1, 0.04), grid64)
-    kernel = np.ones(2 * grid64.n_x - 1)
-    out = convolve(kernel, p, grid64)
+    table = w_table(np.ones(2 * grid64.n_x - 1), grid64)
+    out = convolve(table, p)
     np.testing.assert_allclose(out, np.ones(grid64.n_x), atol=1e-10)
-
-
-def test_convolve_matches_direct_sum(grid64, rng):
-    f = rng.normal(size=grid64.n_x)
-    kernel = rng.normal(size=2 * grid64.n_x - 1)
-    fast = convolve(kernel, f, grid64)
-    direct = direct_convolution(kernel, f, grid64.h)
-    scale = max(1.0, float(np.max(np.abs(direct))))
-    assert np.max(np.abs(fast - direct)) / scale <= 1e-10
 
 
 def _round_off_bound(kernel, f, h):
@@ -183,28 +180,19 @@ def _round_off_bound(kernel, f, h):
     return 2.0 * (n + 1) * np.finfo(float).eps * terms
 
 
-def test_convolve_memo_serves_interleaved_kernels(grid64, rng):
-    # three kernels of one shape, one more than the memo holds, in turn
+def test_convolve_matches_direct_sum(grid64, rng):
+    # three tables of one shape, used in turn: each convolves with its own
+    # samples, to within the round-off of the two summation orders
     kernels = [rng.normal(size=2 * grid64.n_x - 1) for _ in range(3)]
+    tables = [w_table(kernel, grid64) for kernel in kernels]
     f = rng.normal(size=grid64.n_x)
     for _ in range(2):
-        for kernel in kernels:
-            fast = convolve(kernel, f, grid64)
+        for kernel, table in zip(kernels, tables):
+            fast = convolve(table, f)
             direct = direct_convolution(kernel, f, grid64.h)
             assert np.all(
                 np.abs(fast - direct) <= _round_off_bound(kernel, f, grid64.h)
             )
-
-
-def test_convolve_sees_a_kernel_edited_in_place(grid64, rng):
-    kernel = rng.normal(size=2 * grid64.n_x - 1)
-    f = rng.normal(size=grid64.n_x)
-    before = convolve(kernel, f, grid64)
-    kernel[grid64.n_x - 1] += 1.0
-    after = convolve(kernel, f, grid64)
-    direct = direct_convolution(kernel, f, grid64.h)
-    assert np.all(np.abs(after - direct) <= _round_off_bound(kernel, f, grid64.h))
-    assert not np.allclose(after, before)
 
 
 def test_convolve_scales_with_the_grid_spacing(rng):
@@ -216,17 +204,47 @@ def test_convolve_scales_with_the_grid_spacing(rng):
     kernel = rng.normal(size=2 * wide.n_x - 1)
     f = rng.normal(size=wide.n_x)
     np.testing.assert_array_equal(
-        convolve(kernel, f, narrow), 0.5 * convolve(kernel, f, wide)
+        convolve(w_table(kernel, narrow), f), 0.5 * convolve(w_table(kernel, wide), f)
     )
 
 
-def test_quadrature_matrix_is_read_only(grid64, rng):
+def test_table_samples_and_matrices_are_read_only(grid64, rng):
     kernel = rng.normal(size=2 * grid64.n_x - 1)
-    matrix = _quadrature_matrix(kernel.tobytes(), grid64.n_x, grid64.h)
-    assert matrix.shape == (grid64.n_x, grid64.n_x)
-    assert not matrix.flags.writeable
-    with pytest.raises(ValueError):
-        matrix[0, 0] = 1.0
+    table = PotentialTable(displacement_grid(grid64), kernel, -kernel)
+    original = kernel.copy()
+    kernel[0] += 1.0  # the table holds its own copy
+    np.testing.assert_array_equal(table.w, original)
+    for matrix in (table.w_matrix, table.grad_w_matrix):
+        assert matrix.shape == (grid64.n_x, grid64.n_x)
+    for array in (table.w, table.grad_w, table.w_matrix, table.grad_w_matrix):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
+def test_convolve_rejects_bad_kernel_length(grid64):
+    # a kernel of 2 n samples for a grid of n nodes: refused when its table
+    # is built, before any convolution
+    with pytest.raises(ShapeError):
+        w_table(np.ones(2 * grid64.n_x), grid64)
+
+
+@pytest.mark.parametrize("samples", ["w", "grad_w"])
+@pytest.mark.parametrize("shape", [(126,), (128,), (1, 127)])
+def test_table_rejects_bad_sample_length(grid64, samples, shape):
+    # the kernel check runs once, when the table is built
+    dgrid = displacement_grid(grid64)
+    assert dgrid.n_x == 127
+    arrays = {"w": np.ones(dgrid.n_x), "grad_w": np.ones(dgrid.n_x)}
+    arrays[samples] = np.ones(shape)
+    with pytest.raises(ShapeError, match=samples):
+        PotentialTable(dgrid, **arrays)
+
+
+def test_table_rejects_an_even_displacement_grid():
+    dgrid = SpatialGrid(-4.0, 4.0, 128)
+    with pytest.raises(ShapeError, match="odd"):
+        PotentialTable(dgrid, np.ones(128), np.ones(128))
 
 
 def test_convolve_path_of_an_asymmetric_kernel(grid64, rng):
@@ -235,27 +253,36 @@ def test_convolve_path_of_an_asymmetric_kernel(grid64, rng):
     r = displacement_grid(grid64).nodes
     kernel = np.exp(-r * r) + r
     path = rng.normal(size=(5, grid64.n_x))
-    fast = convolve_path(kernel, path, grid64)
+    fast = convolve_path(w_table(kernel, grid64), path)
     assert fast.shape == path.shape
     for row, out in zip(path, fast):
         direct = direct_convolution(kernel, row, grid64.h)
         assert np.all(np.abs(out - direct) <= _round_off_bound(kernel, row, grid64.h))
 
 
-def test_convolve_rejects_bad_kernel_length(grid64):
+@pytest.mark.parametrize("shape", [(65,), (63,), (1, 64), ()])
+def test_convolve_rejects_a_field_of_another_shape(gauss_table, shape):
     with pytest.raises(ShapeError):
-        convolve(np.ones(2 * grid64.n_x), np.ones(grid64.n_x), grid64)
+        convolve(gauss_table, np.ones(shape))
+    with pytest.raises(ShapeError):
+        mean_field_drift(gauss_table, np.ones(shape))
+
+
+@pytest.mark.parametrize("shape", [(3, 65), (64,), (2, 3, 64)])
+def test_convolve_path_rejects_rows_of_another_shape(gauss_table, shape):
+    with pytest.raises(ShapeError):
+        convolve_path(gauss_table, np.ones(shape))
 
 
 def test_drift_zero_potential(grid64, rng):
     table = eval_potential(PotentialSpec.zero(), grid64)
     p = positive_field(rng, grid64.n_x, spread=1.0)
-    assert not mean_field_drift(table, p, grid64).any()
+    assert not mean_field_drift(table, p).any()
 
 
 def test_drift_is_odd_for_symmetric_density(gauss_table, grid64):
     p = gaussian_density(grid64.nodes, 0.0, 0.1)
-    b = mean_field_drift(gauss_table, p, grid64)
+    b = mean_field_drift(gauss_table, p)
     np.testing.assert_allclose(b, -b[::-1], atol=1e-10)
 
 
@@ -263,37 +290,36 @@ def test_drift_of_delta_is_shifted_kernel_gradient(gauss_table, grid64):
     i0 = 40
     p = np.zeros(grid64.n_x)
     p[i0] = 1.0 / grid64.h
-    b = mean_field_drift(gauss_table, p, grid64)
+    b = mean_field_drift(gauss_table, p)
     n = grid64.n_x
     expected = -gauss_table.grad_w[np.arange(n) - i0 + n - 1]
     np.testing.assert_allclose(b, expected, rtol=1e-12, atol=1e-12)
 
 
-def reaction_row(table, xi, p, grid):
+def reaction_row(table, xi, p):
     """One-slice reaction profile: reaction_term_path on a one-row path."""
-    rows = reaction_term_path(table, np.asarray(xi)[None], np.asarray(p)[None], grid)
-    return rows[0]
+    return reaction_term_path(table, np.asarray(xi)[None], np.asarray(p)[None])[0]
 
 
 def test_reaction_constant_xi_is_zero(gauss_table, grid64, rng):
     # the one-sided edge stencil leaves ~1e-16 of cancellation noise, so the
     # profile is zero only to floating-point accuracy
     p = positive_field(rng, grid64.n_x, spread=1.0)
-    q = reaction_row(gauss_table, np.full(grid64.n_x, 3.7), p, grid64)
+    q = reaction_row(gauss_table, np.full(grid64.n_x, 3.7), p)
     assert np.abs(q).max() <= 1e-14
 
 
 def test_reaction_zero_potential_is_zero(grid64, rng):
     table = eval_potential(PotentialSpec.zero(), grid64)
     xi = positive_field(rng, grid64.n_x)
-    q = reaction_row(table, xi, np.ones(grid64.n_x), grid64)
+    q = reaction_row(table, xi, np.ones(grid64.n_x))
     assert not q.any()
 
 
 def test_reaction_matches_direct_quadrature(gauss_table, grid64, rng):
     xi = positive_field(rng, grid64.n_x)
     p = positive_field(rng, grid64.n_x, spread=1.0)
-    fast = reaction_row(gauss_table, xi, p, grid64)
+    fast = reaction_row(gauss_table, xi, p)
     direct = direct_reaction(gauss_table.grad_w, xi, p, grid64.h)
     np.testing.assert_allclose(fast, direct, atol=1e-8)
 
@@ -302,14 +328,25 @@ def test_reaction_rejects_nonpositive_xi(gauss_table, grid64):
     xi = np.ones(grid64.n_x)
     xi[5] = 0.0
     with pytest.raises(PositivityError):
-        reaction_row(gauss_table, xi, np.ones(grid64.n_x), grid64)
+        reaction_row(gauss_table, xi, np.ones(grid64.n_x))
+
+
+@pytest.mark.parametrize(
+    "xi_shape, p_shape",
+    [((3, 64), (1, 64)), ((3, 64), (64,)), ((3, 64), (2, 64)), ((64,), (64,)),
+     ((3, 65), (3, 65))],
+)
+def test_reaction_rejects_xi_and_p_of_other_shapes(gauss_table, xi_shape, p_shape):
+    # a one-row p used to broadcast silently over a three-row xi
+    with pytest.raises(ShapeError):
+        reaction_term_path(gauss_table, np.ones(xi_shape), np.ones(p_shape))
 
 
 def test_reaction_invariant_under_xi_rescaling(gauss_table, grid64, rng):
     xi = positive_field(rng, grid64.n_x)
     p = positive_field(rng, grid64.n_x, spread=1.0)
-    base = reaction_row(gauss_table, xi, p, grid64)
-    scaled = reaction_row(gauss_table, 17.0 * xi, p, grid64)
+    base = reaction_row(gauss_table, xi, p)
+    scaled = reaction_row(gauss_table, 17.0 * xi, p)
     np.testing.assert_allclose(scaled, base, rtol=1e-12, atol=1e-12)
 
 

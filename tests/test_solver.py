@@ -17,6 +17,7 @@ from mfsb.errors import (
 from mfsb.grid import SpatialGrid, TimeGrid, integrate, normalize
 from mfsb.marginals import MarginalSpec, build_marginals
 from mfsb.metrics import l1_distance, pair_distance, path_distance
+from mfsb.particles import simulate
 from mfsb.potentials import PotentialSpec, convolve, eval_potential
 from mfsb.sinkhorn import PairPath, freeze_problem
 from mfsb import sinkhorn as sinkhorn_module
@@ -116,6 +117,37 @@ def test_empty_inner_budget_is_refused(max_iter):
     p_fin = gaussian_density(sgrid.nodes, 0.4, 0.06)
     with pytest.raises(DomainError, match="max_iter"):
         classical_bridge_init(p_in, p_fin, 0.45, sgrid, tgrid, max_iter=max_iter)
+
+
+@pytest.mark.parametrize(
+    "call, name, value",
+    [
+        ("simulate", "n", 200.0),
+        ("simulate", "seed", 1.5),
+        ("simulate", "seed", -1),
+        ("simulate", "seed", "0"),
+        ("bridge", "max_iter", 2.5),
+        ("bridge", "max_iter", None),
+    ],
+)
+def test_counts_and_seeds_of_public_functions_are_checked(call, name, value):
+    # each used to end in a bare TypeError or numpy's ValueError; numpy
+    # integers are counts too, as in SolverConfig
+    sgrid = SpatialGrid(-2.0, 2.0, 41)
+    tgrid = TimeGrid(10)
+    p = gaussian_density(sgrid.nodes, 0.0, 0.04)
+    if call == "simulate":
+        u = np.zeros((tgrid.n_t + 1, sgrid.n_x))
+        table = eval_potential(PotentialSpec.zero(), sgrid)
+        args = {"n": np.int64(200), "seed": np.int32(1)}
+        assert simulate(u, table, p, 0.5, **args, sgrid=sgrid, tgrid=tgrid).n == 200
+        args[name] = value
+        with pytest.raises(DomainError, match=name):
+            simulate(u, table, p, 0.5, **args, sgrid=sgrid, tgrid=tgrid)
+    else:
+        classical_bridge_init(p, p, 0.45, sgrid, tgrid, max_iter=np.int64(50))
+        with pytest.raises(DomainError, match=name):
+            classical_bridge_init(p, p, 0.45, sgrid, tgrid, max_iter=value)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +410,7 @@ def test_returned_endpoints_are_the_marginals_to_round_off(request, run_fixture)
     u = np.finfo(float).eps / 2.0
     for got, spec in ((sol.p[0], cfg.marginal_in), (sol.p[-1], cfg.marginal_fin)):
         marginal = build_marginals(spec, cfg.sgrid)
-        c = np.abs(convolve(cfg.kernel_table.w, marginal, cfg.sgrid)).max()
+        c = np.abs(convolve(cfg.kernel_table, marginal)).max()
         bound = (21 + 2 * n + 8 * n * c) * u
         assert np.abs(got / marginal - 1.0).max() <= bound
 
