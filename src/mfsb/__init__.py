@@ -13,7 +13,6 @@ independently by closed-loop density propagation and particle simulation.
 __version__ = "1.0.0"
 
 from .errors import (
-    CFLWarning,
     ConfigError,
     DomainError,
     InsufficientData,
@@ -57,8 +56,8 @@ from .particles import empirical_density, sampling_noise_l1, simulate, terminal_
 from .config import load_config
 
 __all__ = [
-    "CFLWarning", "ConfigError", "DomainError", "InsufficientData", "MfsbError",
-    "NoConvergence", "PositivityError", "ShapeError", "SolveError", "ZeroMassError",
+    "ConfigError", "DomainError", "InsufficientData", "MfsbError", "NoConvergence",
+    "PositivityError", "ShapeError", "SolveError", "ZeroMassError",
     "SpatialGrid", "TimeGrid", "gradient", "integrate", "normalize",
     "hilbert_distance", "l1_distance", "pair_distance", "path_distance",
     "PotentialSpec", "PotentialTable", "convolve", "eval_potential",

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 from __future__ import annotations
 
@@ -58,7 +58,3 @@ class NoConvergence(MfsbError, RuntimeError):
         self.last_distance = last_distance
         self.trace = trace
         self.partial = partial
-
-
-class CFLWarning(UserWarning):
-    """Advective CFL number exceeded 1; accuracy (not stability) may suffer."""

@@ -25,6 +25,8 @@ from .errors import ConfigError, DomainError, PositivityError, ShapeError
 from .grid import SpatialGrid
 
 _KINDS = ("zero", "power_repulsive", "gaussian_attractive", "tabulated")
+# the parameters of each kind that must be finite and positive
+_POSITIVE = {"power_repulsive": ("c", "epsilon"), "gaussian_attractive": ("a", "s")}
 
 
 @dataclass(frozen=True)
@@ -54,21 +56,17 @@ class PotentialSpec:
             raise DomainError(f"unknown potential kind {self.kind!r}")
         if not np.isfinite(self.beta) or self.beta < 0.0:
             raise DomainError(f"beta must be finite and >= 0, got {self.beta}")
-        if self.kind == "power_repulsive":
-            if self.c <= 0.0:
-                raise DomainError("power_repulsive needs c > 0")
-            if not 0.0 < self.alpha < 1.0:
+        for name in _POSITIVE.get(self.kind, ()):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
                 raise DomainError(
-                    f"power_repulsive needs alpha in (0, 1), got {self.alpha}"
+                    f"{self.kind} needs a finite {name} > 0, got {value}"
                 )
-            if self.epsilon <= 0.0:
-                raise DomainError("power_repulsive needs epsilon > 0")
-        elif self.kind == "gaussian_attractive":
-            if self.a <= 0.0:
-                raise DomainError("gaussian_attractive needs a > 0")
-            if self.s <= 0.0:
-                raise DomainError("gaussian_attractive needs s > 0")
-        elif self.kind == "tabulated":
+        if self.kind == "power_repulsive" and not 0.0 < self.alpha < 1.0:
+            raise DomainError(
+                f"power_repulsive needs alpha in (0, 1), got {self.alpha}"
+            )
+        if self.kind == "tabulated":
             if self.table_r is None or self.table_w is None:
                 raise DomainError("tabulated potential needs sample arrays")
             if len(self.table_r) != len(self.table_w) or len(self.table_r) < 4:
@@ -111,7 +109,7 @@ class PotentialSpec:
         return cls(kind="tabulated", beta=beta, table_r=tuple(r), table_w=tuple(w))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PotentialTable:
     """Sampled kernel and its derivative on the displacement grid, copied and
     read-only, with the read-only quadrature matrix of each: M[j, i] =

@@ -28,7 +28,7 @@ from .potentials import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairPath:
     """Backward/forward scaling paths (phi, phihat), both (n_t + 1, n_x) > 0."""
 
@@ -53,7 +53,7 @@ class PairPath:
         return self.phi * self.phihat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrozenProblem:
     """Everything a Sinkhorn pass needs, with drift and reaction held fixed.
 

@@ -152,7 +152,7 @@ class ConvergenceTrace:
     outer_iterations: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Solution:
     """Output of :func:`solve`: returned when it converges, and attached as
     the ``partial`` of its NoConvergence (with ``converged`` False) when not.

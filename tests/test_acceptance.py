@@ -9,7 +9,6 @@ of the command-line artifacts.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -94,13 +93,9 @@ def closed_loop(example1_run, example2_run, example1_config, example2_config):
         ("repulsive", example1_run, example1_config),
         ("attractive", example2_run, example2_config),
     ):
-        report: dict = {}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            path = propagate_density(
-                sol.p_in, sol.u, cfg.kernel_table, cfg.sigma,
-                cfg.sgrid, cfg.tgrid, report=report,
-            )
+        path, report = propagate_density(
+            sol.p_in, sol.u, cfg.kernel_table, cfg.sigma, cfg.sgrid, cfg.tgrid
+        )
         report["terminal_l1"] = l1_distance(path[-1], sol.p_fin, cfg.sgrid)
         out[name] = report
     return out
@@ -161,13 +156,11 @@ def test_closed_loop_and_particle_verification(
     ):
         residuals = []
         for n in ladder_sizes:
-            ens = simulate(
+            positions = simulate(
                 sol.u, cfg.kernel_table, sol.p_in, cfg.sigma,
                 n, cfg.seed, cfg.sgrid, cfg.tgrid,
             )
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                residuals.append(terminal_residual(ens, sol.p_fin, cfg.sgrid))
+            residuals.append(terminal_residual(positions, sol.p_fin, cfg.sgrid))
         checks.append((f"{name} particle residual at 1e5", residuals[-1] <= 0.05))
         for i in range(len(ladder_sizes) - 1):
             noise = sampling_noise_l1(sol.p_fin, cfg.sgrid, ladder_sizes[i])

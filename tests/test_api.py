@@ -1,20 +1,26 @@
 """The public surface: what ``mfsb`` exports, and the call sites the trace
 probe of ``perfbench/probe.py`` wraps."""
 
+import copy
+import dataclasses
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import mfsb
 import mfsb.cli  # noqa: F401  (the probe runs mfsb.cli, which loads every layer)
+from mfsb.config import example_config_path
+from mfsb.sinkhorn import freeze_problem
 
 ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC = {
     # errors
-    "CFLWarning", "ConfigError", "DomainError", "InsufficientData", "MfsbError",
-    "NoConvergence", "PositivityError", "ShapeError", "SolveError", "ZeroMassError",
+    "ConfigError", "DomainError", "InsufficientData", "MfsbError", "NoConvergence",
+    "PositivityError", "ShapeError", "SolveError", "ZeroMassError",
     # grid
     "SpatialGrid", "TimeGrid", "gradient", "integrate", "normalize",
     # metrics
@@ -80,3 +86,35 @@ def test_every_traced_function_has_a_call_site_to_wrap():
             if (own or name != home) and getattr(mod, attr, None) is original
         ]
         assert sites, f"no caller of {home}.{attr} to wrap"
+
+
+@pytest.fixture(scope="module")
+def array_holders():
+    """One instance of each dataclass that holds arrays, from a small solve."""
+    cfg = dataclasses.replace(
+        mfsb.load_config(example_config_path("example1")), n_x=41, n_t=10
+    )
+    sol = mfsb.solve(cfg)
+    frozen = freeze_problem(
+        sol.p, sol.pair, cfg.kernel_table, sol.p_in, sol.p_fin,
+        cfg.sigma, cfg.sgrid, cfg.tgrid,
+    )
+    return {
+        "PotentialTable": cfg.kernel_table,
+        "PairPath": sol.pair,
+        "FrozenProblem": frozen,
+        "Solution": sol,
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["PotentialTable", "PairPath", "FrozenProblem", "Solution"]
+)
+def test_array_holders_compare_and_hash_by_identity(array_holders, name):
+    # a field-wise == would ask numpy for the truth value of an array, and a
+    # field-wise hash would hash an array: both raise
+    obj = array_holders[name]
+    twin = copy.deepcopy(obj)
+    assert type(obj).__name__ == name
+    assert obj == obj and hash(obj) == hash(obj)
+    assert (obj == twin) is False and obj != twin

@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +222,31 @@ def test_run_writes_the_full_artifact_set(mini_run):
     assert pde > 0.0 and particles > 0.0
     assert pde + particles <= manifest.timings["verify_seconds"]
     assert "seconds" not in (out / "trace.json").read_text()
+
+
+def test_verified_run_is_silent_and_reports_three_pde_numbers(tmp_path, capsys):
+    # example1 on a coarse grid, where the closed-loop advective CFL number
+    # exceeds one (the bundled runs reach 5.03 and 19.8): a number in the
+    # report, and neither a warning nor any other line on stderr
+    text = "\n".join(
+        line for line in example_config_path("example1").read_text().splitlines()
+        if not line.startswith(("n_x ", "n_t ", "verify.N "))
+    ) + "\nn_x = 41\nn_t = 10\nverify.N = 1000\n"
+    path = tmp_path / "coarse.cfg"
+    path.write_text(text)
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", str(path), "--out", str(out)]) == 0
+    assert caught == []
+    assert capsys.readouterr().err == ""
+    trace = json.loads((out / "trace.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["verification"] == trace["verification"]
+    pde = trace["verification"]["pde"]
+    assert set(pde) == {"terminal_l1", "cfl_max", "mass_drift_max"}
+    assert pde["cfl_max"] > 1.0
+    assert trace["verification"]["particles"]["n"] == 1000
 
 
 def test_csv_format_and_round_trip(mini_run):
@@ -527,6 +553,27 @@ def test_cli_bad_input_exits_one(tmp_path, capsys):
         assert err.startswith("error: tabulated potential samples must be finite")
         assert "[40] = " in err and name in err
         assert not (tmp_path / name).exists()
+    # so is a kernel parameter that is not finite, by its name: potential.s
+    # = inf used to run to "converged" on a constant kernel, potential.epsilon
+    # = inf on a zero one, and c = nan or a = inf to end in a sweep's
+    # PositivityError
+    for kind, params in (
+        ("gaussian_attractive", {"a": "inf", "s": "0.3"}),
+        ("gaussian_attractive", {"a": "1.0", "s": "inf"}),
+        ("power_repulsive", {"c": "nan", "alpha": "0.2", "epsilon": "0.01"}),
+        ("power_repulsive", {"c": "5.0", "alpha": "0.2", "epsilon": "inf"}),
+    ):
+        bad = next(key for key, value in params.items() if value in ("inf", "nan"))
+        path = tmp_path / f"{kind}-{bad}.cfg"
+        path.write_text(MINI_CONFIG + f"potential.kind = {kind}\n" + "".join(
+            f"potential.{key} = {value}\n" for key, value in params.items()
+        ))
+        out = tmp_path / f"{kind}-{bad}"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {kind} needs a finite {bad} > 0, got {params[bad]}"
+        )
+        assert not out.exists()
     # so is a non-finite sample of a tabulated marginal, by file and index
     x = np.linspace(-2.5, 2.5, 101)
     for name, column, value in (("nan", 1, np.nan), ("inf", 0, np.inf)):
@@ -560,6 +607,25 @@ def test_tabulated_marginal_names_at_most_three_non_finite_samples(tmp_path):
         f"{table}: samples must be finite: (x, p)[3] = ({x[3]}, nan), "
         f"(x, p)[7] = ({x[7]}, inf), (x, p)[9] = ({x[9]}, -inf) and 2 more"
     )
+
+
+def test_cli_huge_kernel_exits_one_without_artifacts(tmp_path, capsys):
+    # beta = 1e300 is finite and accepted, but its transport bands overflow
+    # in the tridiagonal elimination (a SolveError from gtsv) or in a sweep
+    # (a PositivityError), depending on the LAPACK build; either is a bad
+    # input that exits 1 with an error line and writes nothing
+    text = "\n".join(
+        line for line in example_config_path("example1").read_text().splitlines()
+        if not line.startswith(("n_x ", "n_t ", "potential.beta "))
+    ) + "\nn_x = 41\nn_t = 10\npotential.beta = 1e300\n"
+    path = tmp_path / "huge.cfg"
+    path.write_text(text)
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert any(line.startswith("error: ") for line in err.splitlines())
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_negative_seed_exits_one_before_solving(

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mfsb import (
-    CFLWarning,
     DomainError,
     PositivityError,
     PotentialSpec,
@@ -184,7 +183,7 @@ def test_propagate_pure_diffusion_widens_gaussian(grid301):
     tgrid = TimeGrid(100)
     u = np.zeros((101, 301))
     p0 = gaussian_density(grid301.nodes, 0.0, 0.04)
-    path = propagate_density(
+    path, _ = propagate_density(
         p0, u, eval_potential(PotentialSpec.zero(), grid301), np.sqrt(sigma2),
         grid301, tgrid,
     )
@@ -193,20 +192,17 @@ def test_propagate_pure_diffusion_widens_gaussian(grid301):
     assert err <= 2e-2
 
 
-@pytest.mark.filterwarnings("ignore::mfsb.errors.CFLWarning")
 def test_propagate_conserves_mass_and_positivity(grid301, rng):
     tgrid = TimeGrid(50)
     u = np.tile(np.sin(grid301.nodes), (51, 1))
     p0 = gaussian_density(grid301.nodes, 0.2, 0.05)
-    report = {}
-    path = propagate_density(
+    path, report = propagate_density(
         p0,
         u,
         eval_potential(PotentialSpec.gaussian_attractive(a=1.0, s=0.3), grid301),
         1.0,
         grid301,
         tgrid,
-        report=report,
     )
     assert report["mass_drift_max"] <= 1e-10
     assert report["min_density"] >= 0.0
@@ -215,14 +211,13 @@ def test_propagate_conserves_mass_and_positivity(grid301, rng):
     np.testing.assert_allclose(masses, 1.0, rtol=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore::mfsb.errors.CFLWarning")
 def test_propagate_keeps_even_symmetry(grid301):
     # even initial data, even kernel, no control: the path stays even
     tgrid = TimeGrid(40)
     u = np.zeros((41, 301))
     p0 = gaussian_density(grid301.nodes, 0.0, 0.05)
     table = eval_potential(PotentialSpec.gaussian_attractive(a=0.8, s=0.3), grid301)
-    path = propagate_density(p0, u, table, 0.8, grid301, tgrid)
+    path, _ = propagate_density(p0, u, table, 0.8, grid301, tgrid)
     assert np.max(np.abs(path - path[:, ::-1])) <= 1e-10
 
 
@@ -232,17 +227,20 @@ def test_propagate_preserves_uniform_density(grid64):
     u = np.zeros((11, grid64.n_x))
     p0 = np.full(grid64.n_x, 0.25)
     no_kernel = eval_potential(PotentialSpec.zero(), grid64)
-    path = propagate_density(p0, u, no_kernel, 0.5, grid64, tgrid)
+    path, _ = propagate_density(p0, u, no_kernel, 0.5, grid64, tgrid)
     np.testing.assert_allclose(path, 0.25, rtol=1e-13)
 
 
-def test_propagate_warns_on_large_advective_cfl(grid301):
+def test_propagate_reports_its_largest_advective_cfl(grid301):
+    # a uniform control and no kernel: every interface moves at sigma u, so
+    # the report's CFL number is sigma u dt / h, here far above one
     tgrid = TimeGrid(10)
     u = np.full((11, 301), 40.0)
     p0 = gaussian_density(grid301.nodes, 0.0, 0.05)
     no_kernel = eval_potential(PotentialSpec.zero(), grid301)
-    with pytest.warns(CFLWarning):
-        propagate_density(p0, u, no_kernel, 1.0, grid301, tgrid)
+    _, report = propagate_density(p0, u, no_kernel, 1.0, grid301, tgrid)
+    assert report["cfl_max"] == pytest.approx(40.0 * tgrid.dt / grid301.h, rel=1e-14)
+    assert report["cfl_max"] > 1.0
 
 
 def test_propagate_matches_the_dense_oracle(grid301):
@@ -255,12 +253,11 @@ def test_propagate_matches_the_dense_oracle(grid301):
     table = eval_potential(
         PotentialSpec.power_repulsive(c=5.0, alpha=0.2, epsilon=0.01), grid301
     )
-    path = propagate_density(p0, u, table, 0.447, grid301, tgrid)
+    path, _ = propagate_density(p0, u, table, 0.447, grid301, tgrid)
     want = direct_propagation(p0, u, table.grad_w, 0.447, -2.0, 2.0)
     np.testing.assert_allclose(path, want, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.filterwarnings("ignore::mfsb.errors.CFLWarning")
 def test_propagate_steep_control_keeps_the_band_signs(grid301, monkeypatch):
     # v = -K x pulls the mass to the centre: |z| = |v| h / D runs from 0 past
     # the overflow of e^|z| (about 709.8) on both signs, so both fitted
@@ -281,7 +278,7 @@ def test_propagate_steep_control_keeps_the_band_signs(grid301, monkeypatch):
     monkeypatch.setattr(mfsb.kolmogorov, "dgtsv", recording_gtsv)
     p0 = 0.5 * gaussian_density(x, 0.5, 0.04) + 0.5 * gaussian_density(x, -0.4, 0.04)
     no_kernel = eval_potential(PotentialSpec.zero(), grid301)
-    path = propagate_density(p0, u, no_kernel, sigma, grid301, tgrid)
+    path, _ = propagate_density(p0, u, no_kernel, sigma, grid301, tgrid)
     assert len(bands) == tgrid.n_t
     for low, diag, up in bands:
         # -a_k on the sub-diagonal and -c_k on the super-diagonal: an M-matrix

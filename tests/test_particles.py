@@ -2,7 +2,6 @@
 
 import sys
 import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ import pytest
 from mfsb.errors import DomainError, ZeroMassError
 from mfsb.grid import SpatialGrid, TimeGrid, integrate
 from mfsb.particles import (
-    ParticleEnsemble,
     _reflect,
     empirical_density,
     sampling_noise_l1,
@@ -59,19 +57,18 @@ def test_free_diffusion_adds_the_right_variance(sim_grids):
     sgrid, tgrid = sim_grids
     sigma2 = 0.2
     p0 = gaussian_density(sgrid.nodes, 0.0, 1e-4)
-    ens = simulate(
+    positions = simulate(
         zero_control(sgrid, tgrid), no_kernel(sgrid), p0,
         np.sqrt(sigma2), 100_000, 7, sgrid, tgrid,
     )
-    assert ens.positions.var() == pytest.approx(1e-4 + sigma2, abs=5e-3)
-    assert abs(ens.positions.mean()) <= 5e-3
+    assert positions.var() == pytest.approx(1e-4 + sigma2, abs=5e-3)
+    assert abs(positions.mean()) <= 5e-3
 
 
 def test_empirical_density_of_a_one_cell_cloud():
     sgrid = SpatialGrid(-2.0, 2.0, 41)
     node = sgrid.nodes[13]
-    ens = ParticleEnsemble(positions=np.full(500, node), seed=0, steps=1)
-    dens = empirical_density(ens, sgrid)
+    dens = empirical_density(np.full(500, node), sgrid)
     assert integrate(dens, sgrid) == pytest.approx(1.0, rel=1e-12)
     mask = np.zeros(sgrid.n_x, dtype=bool)
     mask[13] = True
@@ -84,11 +81,10 @@ def test_histogram_of_many_gaussian_draws_recovers_the_density():
     variance = 0.04
     rng = np.random.Generator(np.random.Philox(42))
     positions = rng.normal(0.0, np.sqrt(variance), size=1_000_000)
-    ens = ParticleEnsemble(positions=positions, seed=42, steps=0)
     p = gaussian_density(sgrid.nodes, 0.0, variance)
-    residual = terminal_residual(ens, p, sgrid)
+    residual = terminal_residual(positions, p, sgrid)
     assert residual <= 0.01
-    assert residual <= 2.0 * sampling_noise_l1(p, sgrid, ens.n)
+    assert residual <= 2.0 * sampling_noise_l1(p, sgrid, positions.size)
 
 
 def test_noise_model_predicts_mean_histogram_error():
@@ -97,15 +93,10 @@ def test_noise_model_predicts_mean_histogram_error():
     p = gaussian_density(sgrid.nodes, 0.0, variance)
     n = 3000
     rng = np.random.Generator(np.random.Philox(99))
-    residuals = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        for _ in range(30):
-            ens = ParticleEnsemble(
-                positions=rng.normal(0.0, np.sqrt(variance), size=n),
-                seed=99, steps=0,
-            )
-            residuals.append(terminal_residual(ens, p, sgrid))
+    residuals = [
+        terminal_residual(rng.normal(0.0, np.sqrt(variance), size=n), p, sgrid)
+        for _ in range(30)
+    ]
     ratio = np.mean(residuals) / sampling_noise_l1(p, sgrid, n)
     assert 0.75 <= ratio <= 1.25
 
@@ -123,36 +114,12 @@ def test_wrong_target_is_loudly_rejected(sim_grids):
     p0 = 0.5 * gaussian_density(sgrid.nodes, 0.5, 0.04) + 0.5 * gaussian_density(
         sgrid.nodes, -0.4, 0.04
     )
-    ens = simulate(
+    positions = simulate(
         zero_control(sgrid, tgrid), no_kernel(sgrid), p0,
         0.447, 20_000, 3, sgrid, tgrid,
     )
     target = gaussian_density(sgrid.nodes, 0.4, 0.04)
-    assert terminal_residual(ens, target, sgrid) > 0.1
-
-
-def test_small_ensembles_warn_about_noise(sim_grids):
-    sgrid, tgrid = sim_grids
-    p0 = gaussian_density(sgrid.nodes, 0.0, 0.04)
-    ens = simulate(
-        zero_control(sgrid, tgrid), no_kernel(sgrid), p0,
-        0.447, 500, 0, sgrid, tgrid,
-    )
-    with pytest.warns(UserWarning, match="sampling noise"):
-        value = terminal_residual(ens, p0, sgrid)
-    assert np.isfinite(value)
-
-
-def test_big_ensembles_do_not_warn(sim_grids):
-    sgrid, tgrid = sim_grids
-    p0 = gaussian_density(sgrid.nodes, 0.0, 0.04)
-    ens = simulate(
-        zero_control(sgrid, tgrid), no_kernel(sgrid), p0,
-        0.447, 20_000, 0, sgrid, tgrid,
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        terminal_residual(ens, p0, sgrid)
+    assert terminal_residual(positions, target, sgrid) > 0.1
 
 
 def test_same_seed_reproduces_positions_bitwise():
@@ -165,12 +132,12 @@ def test_same_seed_reproduces_positions_bitwise():
     )
     a = simulate(*args)
     b = simulate(*args)
-    np.testing.assert_array_equal(a.positions, b.positions)
+    np.testing.assert_array_equal(a, b)
     c = simulate(
         zero_control(sgrid, tgrid), no_kernel(sgrid), p0,
         0.447, 500, 12, sgrid, tgrid,
     )
-    assert not np.array_equal(a.positions, c.positions)
+    assert not np.array_equal(a, c)
 
 
 def test_control_is_sampled_at_the_step_midpoint():
@@ -184,12 +151,12 @@ def test_control_is_sampled_at_the_step_midpoint():
     u = np.repeat((a + b * tgrid.times)[:, None], sgrid.n_x, axis=1)
     p0 = gaussian_density(sgrid.nodes, -0.2, 0.01)
     n = 20_000
-    ens = simulate(u, no_kernel(sgrid), p0, sigma, n, 4, sgrid, tgrid)
-    assert ens.steps == tgrid.n_t
+    positions = simulate(u, no_kernel(sgrid), p0, sigma, n, 4, sgrid, tgrid)
+    assert positions.shape == (n,)
     start_mean = float(np.sum(sgrid.nodes * p0 * sgrid.weights))
     expected = start_mean + sigma * (a + 0.5 * b)
     std_err = np.sqrt(0.01 + sigma**2) / np.sqrt(n)
-    assert abs(ens.positions.mean() - expected) <= 4.0 * std_err
+    assert abs(positions.mean() - expected) <= 4.0 * std_err
 
 
 def test_kernel_sign_moves_ensemble_spread():
@@ -200,8 +167,8 @@ def test_kernel_sign_moves_ensemble_spread():
 
     def spread(spec):
         table = eval_potential(spec, sgrid)
-        ens = simulate(u, table, p0, 0.447, 800, 5, sgrid, tgrid)
-        return ens.positions.var()
+        positions = simulate(u, table, p0, 0.447, 800, 5, sgrid, tgrid)
+        return positions.var()
 
     base = spread(PotentialSpec.zero())
     repulsive = spread(PotentialSpec.power_repulsive(c=5.0, alpha=0.2, epsilon=0.01))
@@ -214,13 +181,13 @@ def test_reflection_keeps_particles_inside_the_domain():
     sgrid = SpatialGrid(-2.0, 2.0, 64)
     tgrid = TimeGrid(8)
     p0 = np.ones(sgrid.n_x) / (sgrid.x_max - sgrid.x_min)
-    ens = simulate(
+    positions = simulate(
         zero_control(sgrid, tgrid), no_kernel(sgrid), p0,
         3.0, 5000, 21, sgrid, tgrid,
     )
-    assert np.all(np.isfinite(ens.positions))
-    assert ens.positions.min() >= sgrid.x_min
-    assert ens.positions.max() <= sgrid.x_max
+    assert np.all(np.isfinite(positions))
+    assert positions.min() >= sgrid.x_min
+    assert positions.max() <= sgrid.x_max
 
 
 def test_index_pass_matches_the_interp_histogram_oracle():
@@ -233,11 +200,11 @@ def test_index_pass_matches_the_interp_histogram_oracle():
     table = eval_potential(
         PotentialSpec.power_repulsive(c=5.0, alpha=0.2, epsilon=0.01), sgrid
     )
-    ens = simulate(u, table, p0, 0.447, 20_000, 3, sgrid, tgrid)
+    positions = simulate(u, table, p0, 0.447, 20_000, 3, sgrid, tgrid)
     expected = interp_particle_run(
         u, table.grad_w, p0, 0.447, 20_000, 3, sgrid.x_min, sgrid.x_max
     )
-    np.testing.assert_allclose(ens.positions, expected, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(positions, expected, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -255,9 +222,8 @@ def test_deposit_equals_the_midpoint_histogram(x_min, x_max, n_x):
             sgrid.nodes,
             [x_min - 1.0, x_max + 0.5],  # outside the domain: not counted
         ))
-        ens = ParticleEnsemble(positions=cloud, seed=0, steps=0)
         np.testing.assert_allclose(
-            empirical_density(ens, sgrid),
+            empirical_density(cloud, sgrid),
             midpoint_histogram_density(cloud, x_min, x_max, n_x),
             rtol=1e-13, atol=0.0,
         )
@@ -271,13 +237,13 @@ def test_steps_longer_than_the_span_fold_like_the_mod_fold(sim_grids):
     p0 = gaussian_density(sgrid.nodes, 0.0, 0.04)
     table = no_kernel(sgrid)
     u = zero_control(sgrid, tgrid)
-    ens = simulate(u, table, p0, 40.0, 5_000, 8, sgrid, tgrid)
-    assert ens.positions.min() >= sgrid.x_min
-    assert ens.positions.max() <= sgrid.x_max
+    positions = simulate(u, table, p0, 40.0, 5_000, 8, sgrid, tgrid)
+    assert positions.min() >= sgrid.x_min
+    assert positions.max() <= sgrid.x_max
     expected = interp_particle_run(
         u, table.grad_w, p0, 40.0, 5_000, 8, sgrid.x_min, sgrid.x_max
     )
-    np.testing.assert_allclose(ens.positions, expected, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(positions, expected, rtol=0.0, atol=1e-12)
 
 
 def test_reflect_checks_the_bounds_before_folding(sim_grids):
@@ -304,9 +270,8 @@ def test_reflect_checks_the_bounds_before_folding(sim_grids):
 
 def test_empirical_density_of_a_cloud_outside_the_domain(sim_grids):
     sgrid, _ = sim_grids
-    ens = ParticleEnsemble(positions=np.array([-3.0, 2.5]), seed=0, steps=0)
     with pytest.raises(ZeroMassError, match="no particle"):
-        empirical_density(ens, sgrid)
+        empirical_density(np.array([-3.0, 2.5]), sgrid)
 
 
 def test_a_step_past_the_fold_budget_is_an_error(sim_grids):
@@ -343,13 +308,13 @@ def test_noise_blocks_keep_the_per_step_stream_order(n, monkeypatch):
     threads, interval = threading.active_count(), sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        ens = simulate(u, no_kernel(sgrid), p0, 0.8, n, 17, sgrid, tgrid)
+        positions = simulate(u, no_kernel(sgrid), p0, 0.8, n, 17, sgrid, tgrid)
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == threads
     assert len(started) == (0 if n == 2_000 else 1)
     expected = per_step_particle_run(u, p0, 0.8, n, 17, sgrid.x_min, sgrid.x_max)
-    assert np.array_equal(ens.positions, expected)
+    assert np.array_equal(positions, expected)
 
 
 @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
@@ -381,10 +346,7 @@ def test_non_finite_inputs_are_rejected(sim_grids):
                  0.447, 2_000, 0, sgrid, tgrid)
     positions = np.linspace(-1.0, 1.0, 2_000)
     positions[::12] = np.nan
-    ens = ParticleEnsemble(positions=positions, seed=0, steps=1)
     with pytest.raises(DomainError, match="finite"):
-        empirical_density(ens, sgrid)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        with pytest.raises(DomainError, match="finite"):
-            terminal_residual(ens, p0, sgrid)
+        empirical_density(positions, sgrid)
+    with pytest.raises(DomainError, match="finite"):
+        terminal_residual(positions, p0, sgrid)

@@ -359,3 +359,15 @@ def test_spec_validation():
         PotentialSpec.gaussian_attractive(a=-1.0, s=0.3)
     with pytest.raises(DomainError):
         PotentialSpec.gaussian_attractive(a=1.0, s=0.0)
+    # a nan or inf kernel parameter used to pass: s = inf gave a constant
+    # kernel, epsilon = inf a zero one, and c = nan or a = inf a sweep's
+    # PositivityError later; each is refused by name
+    for kind, params in (
+        ("power_repulsive", {"c": 5.0, "alpha": 0.2, "epsilon": 0.01}),
+        ("gaussian_attractive", {"a": 1.0, "s": 0.3}),
+    ):
+        PotentialSpec(kind=kind, **params)
+        for name in set(params) - {"alpha"}:
+            for value in (np.nan, np.inf, -np.inf):
+                with pytest.raises(DomainError, match=f"finite {name} > 0"):
+                    PotentialSpec(kind=kind, **{**params, name: value})

@@ -140,7 +140,7 @@ def test_counts_and_seeds_of_public_functions_are_checked(call, name, value):
         u = np.zeros((tgrid.n_t + 1, sgrid.n_x))
         table = eval_potential(PotentialSpec.zero(), sgrid)
         args = {"n": np.int64(200), "seed": np.int32(1)}
-        assert simulate(u, table, p, 0.5, **args, sgrid=sgrid, tgrid=tgrid).n == 200
+        assert simulate(u, table, p, 0.5, **args, sgrid=sgrid, tgrid=tgrid).size == 200
         args[name] = value
         with pytest.raises(DomainError, match=name):
             simulate(u, table, p, 0.5, **args, sgrid=sgrid, tgrid=tgrid)
