@@ -9,11 +9,12 @@ the kernel table holds.
 On the uniform grid one floor index per particle serves both the nearest-node
 deposit and the linear gather of the drift (Hockney & Eastwood 1988), and
 every per-particle array of the step is allocated once per run.
-The counter-based Philox generator makes runs reproducible from the seed
-alone. The noise does not depend on the positions, so one worker thread
-draws the next block of steps' noise while the current steps run; with one
-draw in flight at a time the stream is consumed in per-step order, and the
-positions do not depend on scheduling.
+The noise comes from one SFC64 stream seeded by the run's seed. A run is
+reproducible because that one stream is consumed in per-step order, not
+because of the generator's kind. The noise does not depend on the
+positions, so one worker thread draws the next block of steps' noise while
+the current steps run; with one draw in flight at a time the order holds,
+and the positions do not depend on scheduling.
 :func:`simulate` returns the terminal positions as a plain (N,) array, which
 :func:`empirical_density` and :func:`terminal_residual` take as they are.
 """
@@ -131,7 +132,7 @@ def simulate(
         raise DomainError("control path must be finite")
     if not (np.all(np.isfinite(p_init)) and np.all(p_init >= 0.0)):
         raise DomainError("initial density must be finite and nonnegative")
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.SFC64(seed))
     dt, n_t = tgrid.dt, tgrid.n_t
     noise_scale = sigma * np.sqrt(dt)
     x = _sample_initial(p_init, sgrid, rng, n)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PositivityError, ShapeError
+from .errors import DomainError, PositivityError, ShapeError
 from .grid import SpatialGrid, TimeGrid, check_field, check_path
 from .kolmogorov import TransportOperators, integrate_backward, integrate_forward
 from .metrics import hilbert_distance
@@ -88,7 +88,8 @@ def freeze_problem(
     Builds the transport operators of the drift -(W' * p_t), the anchor
     factors of both marginals and the decay factors of both legs: everything
     a Sinkhorn pass holds fixed. A marginal that is not finite and strictly
-    positive is a PositivityError.
+    positive is a PositivityError; a kernel so large that a decay or anchor
+    factor overflows is a DomainError naming those factors.
     """
     p_path = check_path(p_path, sgrid, tgrid)
     p_in = check_field(p_in, sgrid)
@@ -98,15 +99,23 @@ def freeze_problem(
             raise PositivityError(f"{name} must be strictly positive and finite")
     ops = TransportOperators(mean_field_drift_path(table, p_path), sigma, sgrid, tgrid)
     rate = -tgrid.dt * ops.sigma**2
-    return FrozenProblem(
-        ops=ops,
-        decay_phi=np.exp(rate * reaction_term_path(table, pair.phi, p_path)),
-        decay_phihat=np.exp(rate * reaction_term_path(table, pair.phihat, p_path)),
-        p_in=p_in,
-        p_fin=p_fin,
-        exp_in_plus=np.exp(2.0 * convolve(table, p_in)),
-        exp_fin_plus=np.exp(2.0 * convolve(table, p_fin)),
-    )
+    # a finite but huge kernel overflows these exponentials; the factors are
+    # checked below, so numpy's own overflow warning would only repeat that
+    with np.errstate(over="ignore"):
+        factors = {
+            "decay_phi": np.exp(rate * reaction_term_path(table, pair.phi, p_path)),
+            "decay_phihat": np.exp(
+                rate * reaction_term_path(table, pair.phihat, p_path)
+            ),
+            "exp_in_plus": np.exp(2.0 * convolve(table, p_in)),
+            "exp_fin_plus": np.exp(2.0 * convolve(table, p_fin)),
+        }
+    overflowed = [name for name, f in factors.items() if not np.all(np.isfinite(f))]
+    if overflowed:
+        raise DomainError(
+            f"the kernel is too large: exp overflows in {', '.join(overflowed)}"
+        )
+    return FrozenProblem(ops=ops, p_in=p_in, p_fin=p_fin, **factors)
 
 
 def inner_sinkhorn(

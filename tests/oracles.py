@@ -201,7 +201,7 @@ def interp_particle_run(u_path: np.ndarray, grad_w: np.ndarray,
     Inverse-CDF start from the piecewise-linear p_init, then per step: the
     midpoint histogram, the drift -(W' * p) by a direct np.convolve, the
     control as the mean of the step's two slices, np.interp to gather the
-    node drift at the unsorted positions, and the np.mod fold. The Philox
+    node drift at the unsorted positions, and the np.mod fold. The SFC64
     draws are the library's: one random(n), then one standard_normal(n) per
     step. Returns the terminal positions.
     """
@@ -209,7 +209,7 @@ def interp_particle_run(u_path: np.ndarray, grad_w: np.ndarray,
     nodes = np.linspace(x_min, x_max, n_x)
     h = (x_max - x_min) / (n_x - 1)
     dt = 1.0 / n_t
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.SFC64(seed))
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * h * (p_init[:-1] + p_init[1:]))))
     x = np.interp(rng.random(n), cdf / cdf[-1], nodes)
     for l in range(n_t):
@@ -239,7 +239,7 @@ def per_step_particle_run(u_path: np.ndarray, p_init: np.ndarray, sigma: float,
     nodes = np.linspace(x_min, x_max, n_x)
     h = (x_max - x_min) / (n_x - 1)
     dt = 1.0 / n_t
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.SFC64(seed))
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * h * (p_init[:-1] + p_init[1:]))))
     x = np.interp(rng.random(n), cdf / cdf[-1], nodes)
     for l in range(n_t):
