@@ -26,7 +26,6 @@ import json
 import logging
 import sys
 import time
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -44,18 +43,6 @@ from .sinkhorn import PairPath
 from .solver import SolverConfig, Solution, contraction_constants, solve
 
 logger = logging.getLogger("mfsb")
-
-
-@dataclass
-class RunManifest:
-    status: str
-    config: dict
-    version: str
-    files: dict
-    timings: dict
-    verification: dict | None
-    error: dict | None
-    created_at: str
 
 
 def _format_floats(values) -> list[str]:
@@ -122,10 +109,10 @@ def _write_run(
     timings: dict,
     verification: dict | None,
     error: dict | None,
-) -> RunManifest:
+) -> dict:
     """Write the four data files of a converged or partial solution and
-    manifest.json; return the manifest. The directory is made here, so an
-    error raised before writing leaves none."""
+    manifest.json; return the manifest dict. The directory is made here, so
+    an error raised before writing leaves none."""
     config = dataclasses.asdict(sol.config)
     out.mkdir(parents=True, exist_ok=True)
     # the t and x columns are formatted once, for all three files
@@ -146,17 +133,17 @@ def _write_run(
         "verification": verification,
         "error": error,
     })
-    manifest = RunManifest(
-        status=status,
-        config=config,
-        version=__version__,
-        files=files,
-        timings=timings,
-        verification=verification,
-        error=error,
-        created_at=datetime.now(timezone.utc).isoformat(),
-    )
-    _dump_json(out / "manifest.json", dataclasses.asdict(manifest))
+    manifest = {
+        "status": status,
+        "config": config,
+        "version": __version__,
+        "files": files,
+        "timings": timings,
+        "verification": verification,
+        "error": error,
+        "created_at": datetime.now(timezone.utc).isoformat(),
+    }
+    _dump_json(out / "manifest.json", manifest)
     return manifest
 
 
@@ -199,11 +186,12 @@ def run(
     out_dir,
     verify: bool = True,
     warm_start_path=None,
-) -> RunManifest:
+) -> dict:
     """Solve a configured problem and write the artifact set.
 
-    Returns the manifest; NoConvergence is captured into the artifacts and
-    reflected in manifest.status rather than raised.
+    Returns the manifest dict written to manifest.json; NoConvergence is
+    captured into the artifacts and reflected in manifest["status"] rather
+    than raised.
     """
     cfg = load_config(resolve_config_path(config_path))
     warm_pair = None
@@ -214,7 +202,7 @@ def run(
 
 def _solve_and_write(
     cfg: SolverConfig, out_dir, verify: bool, warm_pair: PairPath | None
-) -> RunManifest:
+) -> dict:
     """The body of :func:`run` once the config and warm pair are loaded."""
     status = "converged"
     error = None
@@ -338,8 +326,8 @@ def main(argv=None) -> int:
     except (MfsbError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(f"status: {manifest.status} (artifacts in {args.out})")
-    return 0 if manifest.status == "converged" else 2
+    print(f"status: {manifest['status']} (artifacts in {args.out})")
+    return 0 if manifest["status"] == "converged" else 2
 
 
 if __name__ == "__main__":

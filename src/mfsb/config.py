@@ -29,6 +29,9 @@ _KNOWN_KEYS = {
     "verify.N",
 }
 
+# keys naming a table file, read relative to the config file's directory
+_FILE_KEYS = ("potential.file", "marginal_in.file", "marginal_fin.file")
+
 # optional integer keys and the SolverConfig fields they set
 _INT_FIELDS = {
     "n_x": "n_x", "n_t": "n_t", "N1": "n1", "seed": "seed",
@@ -167,8 +170,13 @@ def solver_config_from(raw: dict[str, str]) -> SolverConfig:
 
 
 def load_config(path) -> SolverConfig:
-    """parse_config + solver_config_from in one call."""
-    return solver_config_from(parse_config(path))
+    """parse_config + solver_config_from in one call. A relative table file
+    path is taken relative to the config file's directory."""
+    raw = parse_config(path)
+    for key in _FILE_KEYS:
+        if key in raw:
+            raw[key] = str(Path(path).parent / raw[key])
+    return solver_config_from(raw)
 
 
 def example_config_path(name: str) -> Path:

@@ -123,8 +123,10 @@ def integrate_backward(
     n_t = ops.tgrid.n_t
     path = np.empty(decay.shape)
     path[n_t] = phi_terminal
-    for l in range(n_t - 1, -1, -1):
-        path[l] = decay[l] * ops.solve(l, path[l + 1])
+    # a diverging outer loop can overflow a sweep; the check below raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l in range(n_t - 1, -1, -1):
+            path[l] = decay[l] * ops.solve(l, path[l + 1])
     if path.min() <= 0.0 or not np.all(np.isfinite(path)):
         raise PositivityError("backward sweep lost positivity")
     return path
@@ -138,8 +140,9 @@ def integrate_forward(
     phihat_initial, decay = _check_sweep_inputs(phihat_initial, decay, ops)
     path = np.empty(decay.shape)
     path[0] = phihat_initial
-    for l in range(ops.tgrid.n_t):
-        path[l + 1] = decay[l + 1] * ops.solve(l + 1, path[l])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l in range(ops.tgrid.n_t):
+            path[l + 1] = decay[l + 1] * ops.solve(l + 1, path[l])
     if path.min() <= 0.0 or not np.all(np.isfinite(path)):
         raise PositivityError("forward sweep lost positivity")
     return path

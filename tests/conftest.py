@@ -7,8 +7,9 @@ import time
 import numpy as np
 import pytest
 
-from mfsb import SpatialGrid, TimeGrid, build_marginals, load_config, solve
+from mfsb import SpatialGrid, TimeGrid, load_config, solve
 from mfsb.config import example_config_path
+from mfsb.marginals import build_marginals
 
 _acceptance_lines: list[str] = []
 

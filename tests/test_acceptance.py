@@ -363,13 +363,13 @@ def test_byte_identical_reruns(tmp_path):
     second = run("example2", tmp_path / "b", verify=True)
     names = ("densities.csv", "control.csv", "pair.csv", "trace.json")
     checks = [("both runs converged",
-               first.status == "converged" and second.status == "converged")]
+               first["status"] == "converged" and second["status"] == "converged")]
     for name in names:
         same = (tmp_path / "a" / name).read_bytes() == (
             tmp_path / "b" / name
         ).read_bytes()
         checks.append((f"{name} byte-identical", same))
     checks.append(("verification reports equal",
-                   first.verification == second.verification))
+                   first["verification"] == second["verification"]))
     verdict(10, "identical config and seed reproduce artifacts byte for byte",
             checks)

@@ -21,29 +21,37 @@ PUBLIC = {
     # errors
     "ConfigError", "DomainError", "InsufficientData", "MfsbError", "NoConvergence",
     "PositivityError", "ShapeError", "SolveError", "ZeroMassError",
-    # grid
-    "SpatialGrid", "TimeGrid", "gradient", "integrate", "normalize",
-    # metrics
-    "hilbert_distance", "l1_distance", "pair_distance", "path_distance",
-    # potentials
-    "PotentialSpec", "PotentialTable", "eval_potential", "convolve",
-    "mean_field_drift", "reaction_term_path",
-    # transport
-    "build_generator", "TransportOperators", "integrate_backward",
-    "integrate_forward", "propagate_density",
-    # one Sinkhorn pass
-    "PairPath", "freeze_problem", "inner_sinkhorn",
-    # marginals
-    "MarginalSpec", "build_marginals",
-    # solver
-    "SolverConfig", "Solution", "solve", "classical_bridge_init",
-    "optimal_control", "control_energy", "fit_geometric_rate",
-    "contraction_constants",
-    # particles
-    "simulate", "empirical_density", "sampling_noise_l1", "terminal_residual",
-    # config
-    "load_config",
-    "__version__",
+    # grids
+    "SpatialGrid", "TimeGrid",
+    # problem data
+    "PotentialSpec", "PotentialTable", "MarginalSpec", "PairPath",
+    # the run
+    "SolverConfig", "Solution", "solve", "load_config",
+    # the two independent checks
+    "propagate_density", "simulate", "terminal_residual",
+    "contraction_constants", "__version__",
+}
+
+# building blocks of the iteration: importable from their modules only
+INTERNAL = {
+    "mfsb.grid": ["gradient", "integrate", "normalize"],
+    "mfsb.metrics": [
+        "hilbert_distance", "l1_distance", "pair_distance", "path_distance",
+    ],
+    "mfsb.potentials": [
+        "convolve", "eval_potential", "mean_field_drift", "reaction_term_path",
+    ],
+    "mfsb.kolmogorov": [
+        "build_generator", "TransportOperators", "integrate_backward",
+        "integrate_forward",
+    ],
+    "mfsb.sinkhorn": ["freeze_problem", "inner_sinkhorn"],
+    "mfsb.marginals": ["build_marginals"],
+    "mfsb.solver": [
+        "classical_bridge_init", "optimal_control", "control_energy",
+        "fit_geometric_rate",
+    ],
+    "mfsb.particles": ["empirical_density", "sampling_noise_l1"],
 }
 
 
@@ -52,6 +60,14 @@ def test_public_names_are_pinned_and_resolve():
     assert set(mfsb.__all__) == PUBLIC
     for name in mfsb.__all__:
         assert hasattr(mfsb, name), name
+
+
+@pytest.mark.parametrize("module", sorted(INTERNAL))
+def test_building_blocks_live_in_their_modules_only(module):
+    home = importlib.import_module(module)
+    for name in INTERNAL[module]:
+        assert callable(getattr(home, name, None)), f"{module}.{name}"
+        assert not hasattr(mfsb, name), f"mfsb.{name} is exported"
 
 
 def test_every_public_name_is_documented():

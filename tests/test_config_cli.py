@@ -50,6 +50,25 @@ seed = 1
 """
 
 
+def example_with(name, keys, drop=()):
+    """A bundled example's text with the given keys set, and without the
+    lines that start with one of the ``drop`` prefixes."""
+    lines = [
+        line for line in example_config_path(name).read_text().splitlines()
+        if line.split("=", 1)[0].strip() not in keys and not line.startswith(drop)
+    ]
+    lines += [f"{key} = {value}" for key, value in keys.items()]
+    return "\n".join(lines) + "\n"
+
+
+def mixture_density(spec, x):
+    """A Gaussian-mixture spec evaluated at the points x."""
+    w, m, v = (
+        np.asarray(a)[:, None] for a in (spec.weights, spec.means, spec.variances)
+    )
+    return (w * np.exp(-((x - m) ** 2) / (2.0 * v)) / np.sqrt(2.0 * np.pi * v)).sum(0)
+
+
 @pytest.fixture(scope="module")
 def mini_config_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "mini.cfg"
@@ -204,23 +223,28 @@ def test_mixture_weights_must_sum_to_one():
 
 def test_run_writes_the_full_artifact_set(mini_run):
     _, out, manifest = mini_run
-    assert manifest.status == "converged"
+    assert manifest["status"] == "converged"
+    # run returns the manifest that manifest.json holds
+    written = json.loads((out / "manifest.json").read_text())
+    assert written.keys() == manifest.keys()
+    assert written["files"] == manifest["files"]
     for name in ("densities.csv", "control.csv", "pair.csv", "trace.json",
                  "manifest.json"):
         assert (out / name).is_file()
-    for name, digest in manifest.files.items():
+    for name, digest in manifest["files"].items():
         blob = (out / name).read_bytes()
         assert hashlib.sha256(blob).hexdigest() == digest["sha256"]
         assert len(blob) == digest["bytes"]
-    assert manifest.error is None
-    assert set(manifest.verification) == {"pde", "particles"}
-    assert np.isfinite(manifest.verification["pde"]["terminal_l1"])
-    assert manifest.verification["particles"]["n"] == 2000
-    assert manifest.timings["solve_seconds"] > 0.0
+    assert manifest["error"] is None
+    assert set(manifest["verification"]) == {"pde", "particles"}
+    assert np.isfinite(manifest["verification"]["pde"]["terminal_l1"])
+    assert manifest["verification"]["particles"]["n"] == 2000
+    assert manifest["timings"]["solve_seconds"] > 0.0
     # the two checks are timed apart; the trace and data files hold no times
-    pde, particles = (manifest.timings[k] for k in ("pde_seconds", "particles_seconds"))
+    timings = manifest["timings"]
+    pde, particles = (timings[k] for k in ("pde_seconds", "particles_seconds"))
     assert pde > 0.0 and particles > 0.0
-    assert pde + particles <= manifest.timings["verify_seconds"]
+    assert pde + particles <= timings["verify_seconds"]
     assert "seconds" not in (out / "trace.json").read_text()
 
 
@@ -228,12 +252,10 @@ def test_verified_run_is_silent_and_reports_three_pde_numbers(tmp_path, capsys):
     # example1 on a coarse grid, where the closed-loop advective CFL number
     # exceeds one (the bundled runs reach 5.03 and 19.8): a number in the
     # report, and neither a warning nor any other line on stderr
-    text = "\n".join(
-        line for line in example_config_path("example1").read_text().splitlines()
-        if not line.startswith(("n_x ", "n_t ", "verify.N "))
-    ) + "\nn_x = 41\nn_t = 10\nverify.N = 1000\n"
     path = tmp_path / "coarse.cfg"
-    path.write_text(text)
+    path.write_text(
+        example_with("example1", {"n_x": 41, "n_t": 10, "verify.N": 1000})
+    )
     out = tmp_path / "o"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -333,14 +355,14 @@ def test_perfbench_reads_the_run_artifacts(mini_run):
 def test_reruns_are_byte_identical(mini_config_path, tmp_path):
     first = run(mini_config_path, tmp_path / "a")
     second = run(mini_config_path, tmp_path / "b")
-    assert first.files == second.files
-    assert first.verification == second.verification
+    assert first["files"] == second["files"]
+    assert first["verification"] == second["verification"]
 
 
 def test_warm_start_round_trip(mini_run, tmp_path):
     cfg_path, out, cold = mini_run
     warm = run(cfg_path, tmp_path / "warm", warm_start_path=out / "pair.csv")
-    assert warm.status == "converged"
+    assert warm["status"] == "converged"
     trace = json.loads((tmp_path / "warm" / "trace.json").read_text())["trace"]
     assert trace["init_dh"] == []  # no fresh bridge was computed
     assert trace["outer_iterations"] >= 1
@@ -484,12 +506,8 @@ def test_cli_tol_below_the_stall_floor_exits_one(tmp_path, capsys):
     # tol = 1e-14 sits below the 1.1e-14 to 2.4e-14 where the outer steps of
     # `mfsb run example2` stall, which would burn its budget (exit 2); a tol
     # at or below the floor is a bad input for every command, classic included
-    text = "\n".join(
-        line for line in example_config_path("example2").read_text().splitlines()
-        if not line.startswith("tol ")
-    ) + "\ntol = 1e-14\n"
     path = tmp_path / "stall.cfg"
-    path.write_text(text)
+    path.write_text(example_with("example2", {"tol": "1e-14"}))
     out = tmp_path / "o"
     assert main(["classic", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -614,12 +632,10 @@ def test_cli_huge_kernel_exits_one_without_artifacts(tmp_path, capsys):
     # kernel overflows its decay and anchor factors: a bad input that exits 1
     # with exactly one error line naming them, no numpy warning, and nothing
     # written
-    text = "\n".join(
-        line for line in example_config_path("example1").read_text().splitlines()
-        if not line.startswith(("n_x ", "n_t ", "potential.beta "))
-    ) + "\nn_x = 41\nn_t = 10\npotential.beta = 1e300\n"
     path = tmp_path / "huge.cfg"
-    path.write_text(text)
+    path.write_text(
+        example_with("example1", {"n_x": 41, "n_t": 10, "potential.beta": "1e300"})
+    )
     out = tmp_path / "o"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -629,6 +645,99 @@ def test_cli_huge_kernel_exits_one_without_artifacts(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "exp_in_plus" in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "example, sweep", [("example1", "forward"), ("example2", "backward")]
+)
+def test_cli_diverging_sweep_exits_one_without_a_warning(
+    tmp_path, capsys, example, sweep
+):
+    # beta = 30 on a coarse grid: the outer loop diverges until a Sinkhorn
+    # sweep overflows; the sweep's own check reports it, and numpy's overflow
+    # warning does not precede the one error line
+    path = tmp_path / "diverging.cfg"
+    path.write_text(example_with(example, {
+        "potential.beta": 30, "n_x": 41, "n_t": 10, "verify.N": 1000,
+    }))
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", str(path), "--out", str(out)]) == 1
+    assert caught == []
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {sweep} sweep lost positivity"]
+    assert not out.exists()
+
+
+def test_tabulated_marginal_is_interpolated_within_its_error_bound(tmp_path, capsys):
+    # example1's initial mixture tabulated on 401 points over [-2.5, 2.5],
+    # rows reversed and comma separated
+    spec = load_config(example_config_path("example1")).marginal_in
+    x = np.linspace(-2.5, 2.5, 401)
+    table = tmp_path / "p_in.csv"
+    p = mixture_density(spec, x)
+    table.write_text("".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(x[::-1], p[::-1])))
+    grid = SpatialGrid(-2.0, 2.0, 301)
+    tabulated = build_marginals(MarginalSpec.tabulated(table), grid)
+    # linear interpolation misses f by at most dx^2 / 8 max|f''|, and a
+    # Gaussian's |f''| peaks at its mean, at 1 / (sqrt(2 pi v) v); dividing
+    # by masses m and m~ (|m~ - m| <= L eps) keeps the normalized densities
+    # within eps (m + L max f) / (m (m - L eps))
+    w, v = np.asarray(spec.weights), np.asarray(spec.variances)
+    eps = (x[1] - x[0]) ** 2 / 8.0 * np.sum(w / (np.sqrt(2.0 * np.pi * v) * v))
+    f = mixture_density(spec, grid.nodes)
+    m = np.trapezoid(f, grid.nodes)
+    length = grid.x_max - grid.x_min
+    bound = eps * (m + length * f.max()) / (m * (m - length * eps))
+    assert np.abs(tabulated - build_marginals(spec, grid)).max() <= bound
+    # the sorted samples must be nonnegative and cover the grid
+    rows = table.read_text().splitlines()
+    for name, lines, message in (
+        ("negative", [rows[0].split(",")[0] + ",-1e-3"] + rows[1:], "negative"),
+        ("short", rows[41:-41], "but the grid needs"),
+    ):
+        bad = tmp_path / f"{name}.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=message):
+            build_marginals(MarginalSpec.tabulated(bad), grid)
+
+    path = tmp_path / "tabulated.cfg"
+    path.write_text(example_with(
+        "example1",
+        {"n_x": 41, "n_t": 10, "verify.N": 1000,
+         "marginal_in.kind": "tabulated", "marginal_in.file": table},
+        drop=("marginal_in.",),
+    ))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert "status: converged" in capsys.readouterr().out
+
+
+def test_relative_table_paths_resolve_against_the_config_file(tmp_path, monkeypatch):
+    # the same config reads the same tables from any working directory
+    here, elsewhere = tmp_path / "relA", tmp_path / "relB"
+    here.mkdir()
+    elsewhere.mkdir()
+    r = np.linspace(-5.0, 5.0, 201)
+    np.savetxt(here / "kernel.txt", np.column_stack([r, 0.5 * np.exp(-r * r / 0.09)]))
+    x = np.linspace(-2.5, 2.5, 101)
+    np.savetxt(here / "p_in.txt", np.column_stack([x, np.exp(-x * x / 0.08)]))
+    (here / "rel.cfg").write_text(example_with(
+        "example1",
+        {"n_x": 41, "n_t": 10,
+         "potential.kind": "tabulated", "potential.file": "kernel.txt",
+         "marginal_in.kind": "tabulated", "marginal_in.file": "p_in.txt"},
+        drop=("potential.", "marginal_in."),
+    ))
+    monkeypatch.chdir(elsewhere)
+    assert main(["run", "../relA/rel.cfg", "--no-verify", "--out", "o"]) == 0
+    manifest = json.loads(Path("o/manifest.json").read_text())
+    assert manifest["config"]["marginal_in"]["path"] == str(Path("../relA/p_in.txt"))
+    monkeypatch.chdir(here)
+    assert main(["run", "rel.cfg", "--no-verify", "--out", "o"]) == 0
+    assert (here / "o" / "pair.csv").read_bytes() == (
+        elsewhere / "o" / "pair.csv"
+    ).read_bytes()
 
 
 def test_cli_negative_seed_exits_one_before_solving(
@@ -687,6 +796,12 @@ def test_cli_constants_subcommand(tmp_path, capsys):
         path.write_text(base.replace(old, new))
         assert main(["constants", str(path)]) == 1
         assert "finite" in capsys.readouterr().err
+
+    # so is a value that is not a number, by file and key
+    path.write_text(base.replace("beta = 0.01", "beta = strong"))
+    assert main(["constants", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {path}: beta: 'strong' is not a number"]
 
 
 def test_cli_classic_exits_zero(mini_config_path, tmp_path, capsys):

@@ -11,11 +11,8 @@ from mfsb import (
     SpatialGrid,
     TimeGrid,
     ZeroMassError,
-    gradient,
-    integrate,
-    normalize,
 )
-from mfsb.grid import check_field, check_path
+from mfsb.grid import check_field, check_path, gradient, integrate, normalize
 
 
 def test_spatial_grid_spacing_and_nodes():

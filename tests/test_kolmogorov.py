@@ -10,15 +10,17 @@ from mfsb import (
     ShapeError,
     SpatialGrid,
     TimeGrid,
-    TransportOperators,
-    build_generator,
-    eval_potential,
-    integrate,
-    integrate_backward,
-    integrate_forward,
     propagate_density,
 )
 import mfsb.kolmogorov
+from mfsb.grid import integrate
+from mfsb.kolmogorov import (
+    TransportOperators,
+    build_generator,
+    integrate_backward,
+    integrate_forward,
+)
+from mfsb.potentials import eval_potential
 from oracles import direct_propagation, direct_sweep, field_variance, gaussian_density
 
 

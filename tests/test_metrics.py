@@ -8,11 +8,8 @@ from mfsb import (
     PositivityError,
     ShapeError,
     SpatialGrid,
-    hilbert_distance,
-    l1_distance,
-    pair_distance,
-    path_distance,
 )
+from mfsb.metrics import hilbert_distance, l1_distance, pair_distance, path_distance
 from conftest import positive_field
 from oracles import HAND_TWO_NODE_HILBERT, direct_l1
 

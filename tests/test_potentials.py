@@ -10,16 +10,16 @@ from mfsb import (
     PotentialTable,
     ShapeError,
     SpatialGrid,
-    convolve,
-    eval_potential,
-    gradient,
-    mean_field_drift,
-    reaction_term_path,
 )
+from mfsb.grid import gradient, normalize
 from mfsb.potentials import (
+    convolve,
     convolve_path,
     displacement_grid,
+    eval_potential,
     load_tabulated_potential,
+    mean_field_drift,
+    reaction_term_path,
 )
 from conftest import positive_field
 from oracles import (
@@ -159,8 +159,6 @@ def test_convolve_delta_identity(power_table, grid64):
 
 
 def test_convolve_constant_kernel_returns_mass(grid64):
-    from mfsb import normalize
-
     p = normalize(gaussian_density(grid64.nodes, 0.1, 0.04), grid64)
     table = w_table(np.ones(2 * grid64.n_x - 1), grid64)
     out = convolve(table, p)

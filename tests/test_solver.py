@@ -574,6 +574,46 @@ def test_mixing_falls_back_to_the_plain_step_when_the_step_grows():
     assert kinds[:2] == ["plain", "mixed"]
 
 
+def test_solve_converges_through_rejected_mixed_iterates(example1_config, caplog):
+    # beta = 3 on a coarse grid: some mixed iterates step further than the
+    # iterate they were mixed from, so the loop falls back and restarts
+    cfg = dataclasses.replace(
+        example1_config, n_x=41, n_t=10,
+        potential=dataclasses.replace(example1_config.potential, beta=3.0),
+    )
+    with caplog.at_level("DEBUG", logger="mfsb"):
+        sol = solve(cfg)
+    assert sol.converged
+    rejected = [r for r in caplog.records if "(mixed, rejected)" in r.getMessage()]
+    assert rejected
+    assert "restarts=0" not in rejected[-1].getMessage()
+
+
+@pytest.mark.parametrize("log_value", [800.0, -800.0])
+def test_a_mixed_state_out_of_exp_range_gives_way_to_the_plain_output(log_value):
+    # exp over- or underflows on the mixed state: it is no iterate, so the
+    # plain output is next and the memory is cleared
+    class Mixer:
+        restarts = 0
+
+        def step(self, x, g, step_dh):
+            return np.full(g.size, log_value), "mixed"
+
+        def restart(self):
+            self.restarts += 1
+
+    sgrid = SpatialGrid(-1.0, 1.0, 9)
+    p = normalize(np.ones((5, 9)), sgrid)
+    x = (p, PairPath(np.ones((5, 9)), np.ones((5, 9))))
+    gx = (p.copy(), PairPath(np.full((5, 9), 2.0), np.ones((5, 9))))
+    mixer = Mixer()
+    p_next, pair_next, kind = solver_module._next_iterate(
+        mixer, x, gx, 0.1, p[0], p[-1], sgrid
+    )
+    assert p_next is gx[0] and pair_next is gx[1] and kind == "plain"
+    assert mixer.restarts == 1
+
+
 def test_solve_exhausting_outer_budget_under_mixing(example1_config):
     cfg = dataclasses.replace(example1_config, n1=3)
     with pytest.raises(NoConvergence) as info:
