@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .config import load_config, read_key_values, resolve_config_path
-from .errors import ConfigError, MfsbError, NoConvergence
+from .errors import ConfigError, MfsbError, NoConvergence, PositivityError
 from .grid import SpatialGrid, TimeGrid
 from .kolmogorov import propagate_density
 from .metrics import l1_distance
@@ -231,7 +231,11 @@ def _solve_and_write(
 
 
 def read_pair_csv(path, sgrid: SpatialGrid, tgrid: TimeGrid) -> PairPath:
-    """Load a pair.csv back into a PairPath matching the given grids."""
+    """Load a pair.csv back into a PairPath matching the given grids.
+
+    Every row's t and x must be the config grids' time and node of that row,
+    and every phi and phihat entry positive and finite; ConfigError names the
+    file otherwise."""
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
     except (OSError, ValueError) as exc:
@@ -242,11 +246,20 @@ def read_pair_csv(path, sgrid: SpatialGrid, tgrid: TimeGrid) -> PairPath:
             f"{path}: expected {rows} rows of (t, x, phi, phihat), "
             f"got array of shape {data.shape}"
         )
-    shape = (tgrid.n_t + 1, sgrid.n_x)
-    x_file = data[: sgrid.n_x, 1]
-    if not np.allclose(x_file, sgrid.nodes, rtol=0, atol=1e-12 * max(1.0, sgrid.h)):
-        raise ConfigError(f"{path}: node coordinates do not match the config grid")
-    return PairPath(phi=data[:, 2].reshape(shape), phihat=data[:, 3].reshape(shape))
+    data = data.reshape(tgrid.n_t + 1, sgrid.n_x, 4)
+    atol = 1e-12 * max(1.0, sgrid.h)
+    for column, name, coords in (
+        (0, "time", tgrid.times[:, None]),
+        (1, "node", sgrid.nodes),
+    ):
+        if not np.allclose(data[..., column], coords, rtol=0, atol=atol):
+            raise ConfigError(
+                f"{path}: {name} coordinates do not match the config grid"
+            )
+    try:
+        return PairPath(phi=data[..., 2], phihat=data[..., 3])
+    except PositivityError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _cmd_constants(path) -> int:

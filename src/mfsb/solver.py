@@ -266,7 +266,7 @@ def _warm_start_density(
     map at that pair, endpoints pinned to the exact marginals, iterated from
     the normalized product until a step is below tol (at most n1 passes)."""
     p_path = normalize(pair.product, cfg.sgrid)
-    for _ in range(cfg.n1):
+    for passes in range(1, cfg.n1 + 1):
         refined = _refined_density(p_path, pair, cfg.kernel_table, cfg.sgrid)[0]
         p_next = cfg.theta * refined + (1.0 - cfg.theta) * p_path
         p_next[0] = p_in
@@ -275,6 +275,10 @@ def _warm_start_density(
         p_path = p_next
         if step < cfg.tol:
             break
+    logger.debug(
+        "warm-start density: %d passes, last step %.3e, tol %s",
+        passes, step, "reached" if step < cfg.tol else "not reached",
+    )
     return p_path
 
 
@@ -353,19 +357,15 @@ class _AndersonMixer:
         self.df = np.empty((memory, n))
         self.g_prev = np.empty(n)
         self.f_prev = np.empty(n)
-        self.restarts = 0
-        self.reset()
-
-    def reset(self) -> None:
-        """Forget every remembered step."""
         self.count = 0
         self.slot = 0
-        self.primed = False
         self.accepted_dh = math.inf
+        self.restarts = 0
 
     def restart(self) -> None:
-        """Clear the memory after a failed mixed iterate."""
-        self.reset()
+        """Forget every remembered step after a failed mixed iterate."""
+        self.count = self.slot = 0
+        self.accepted_dh = math.inf
         self.restarts += 1
 
     def step(
@@ -383,43 +383,22 @@ class _AndersonMixer:
             fallback = self.g_prev.copy()
             self.restart()
             return fallback, "fallback"
-        self.accepted_dh = step_dh
-        if self.primed:
+        if self.accepted_dh < math.inf:  # g_prev and f_prev are set
             j = self.slot
             np.subtract(g, self.g_prev, out=self.dg[j])
             np.subtract(g, x, out=self.df[j])
             self.df[j] -= self.f_prev
             self.slot = (j + 1) % len(self.dg)
             self.count = min(self.count + 1, len(self.dg))
+        self.accepted_dh = step_dh
         self.g_prev[:] = g
         np.subtract(g, x, out=self.f_prev)
-        self.primed = True
         if self.count == 0:
             return None, "plain"
         rows = self.df[: self.count]
         gamma = np.linalg.lstsq(rows @ rows.T, rows @ self.f_prev, rcond=None)[0]
         mixed = gamma @ self.dg[: self.count]
         return np.subtract(g, mixed, out=mixed), "mixed"
-
-
-def _next_iterate(
-    mixer: _AndersonMixer,
-    x: tuple[np.ndarray, PairPath],
-    gx: tuple[np.ndarray, PairPath],
-    step_dh: float,
-    p_in: np.ndarray,
-    p_fin: np.ndarray,
-    sgrid: SpatialGrid,
-) -> tuple[np.ndarray, PairPath, str]:
-    """The outer iterate after x, whose plain-map output is gx: mixed, the
-    safeguard's fallback, or gx itself. Returns (p, pair, kind)."""
-    state, kind = mixer.step(_log_state(*x), _log_state(*gx), step_dh)
-    nxt = None if state is None else _iterate_from_state(state, p_in, p_fin, sgrid)
-    if nxt is not None:
-        return (*nxt, kind)
-    if kind == "mixed":
-        mixer.restart()  # the mixed state over- or underflowed
-    return (*gx, "plain")
 
 
 def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
@@ -495,42 +474,45 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
         trace.min_density = min(trace.min_density, float(p_next.min()))
 
         step_dh = max(d_outer, d_pair)
+        trace.outer_iterations = k + 1
+        trace.converged = step_dh < cfg.tol
         evaluated = kind
-        done = step_dh < cfg.tol or k == cfg.n1 - 1
-        if not done:
+        if not trace.converged and k < cfg.n1 - 1:
             if mixer is None:
                 mixer = _AndersonMixer(
                     (3 * tgrid.n_t + 1) * sgrid.n_x, ANDERSON_MEMORY
                 )
-            p_path, pair, kind = _next_iterate(
-                mixer, (p_path, pair), (p_next, new_pair), step_dh,
-                p_in, p_fin, sgrid,
+            state, kind = mixer.step(
+                _log_state(p_path, pair), _log_state(p_next, new_pair), step_dh
             )
-            if kind == "fallback":
+            nxt = None
+            if state is not None:
+                nxt = _iterate_from_state(state, p_in, p_fin, sgrid)
+            if nxt is None:
+                if kind == "mixed":
+                    mixer.restart()  # the mixed state over- or underflowed
+                nxt, kind = (p_next, new_pair), "plain"
+            elif kind == "fallback":
                 evaluated = "mixed, rejected"
+            p_path, pair = nxt
             # only the next iterate stays alive through the next freeze
-            del p_next, new_pair, refined
+            del p_next, new_pair, refined, state, nxt
         logger.debug(
             "outer %d (%s): d_outer=%.3e d_pair=%.3e restarts=%d dt=%.2fs",
             k, evaluated, d_outer, d_pair,
             0 if mixer is None else mixer.restarts, time.perf_counter() - tick,
         )
-        if done:
-            break
+        if trace.converged:
+            return outcome(p_next, new_pair)
 
-    trace.outer_iterations = k + 1
-    p_path, pair = p_next, new_pair
-    if not step_dh < cfg.tol:
-        raise NoConvergence(
-            f"outer loop did not reach tol={cfg.tol} in {cfg.n1} iterations "
-            f"(last density or pair distance {step_dh:.3e})",
-            level="outer",
-            last_distance=step_dh,
-            trace=trace,
-            partial=outcome(p_path, pair),
-        )
-    trace.converged = True
-    return outcome(p_path, pair)
+    raise NoConvergence(
+        f"outer loop did not reach tol={cfg.tol} in {cfg.n1} iterations "
+        f"(last density or pair distance {step_dh:.3e})",
+        level="outer",
+        last_distance=step_dh,
+        trace=trace,
+        partial=outcome(p_next, new_pair),
+    )
 
 
 # ---------------------------------------------------------------------------

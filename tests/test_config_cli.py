@@ -404,6 +404,35 @@ def test_pair_reader_validates_its_input(mini_run, tmp_path):
         read_pair_csv(shifted, sgrid, tgrid)
 
 
+def reverse_slices(rows, n_x):
+    # every x column still matches, but the t column runs from 1 to 0
+    slices = [rows[i:i + n_x] for i in range(0, len(rows), n_x)]
+    return sum(slices[::-1], [])
+
+
+def zero_first_phi(rows, n_x):
+    t, x, _, phihat = rows[0].split(",")
+    return [f"{t},{x},0,{phihat}"] + rows[1:]
+
+
+@pytest.mark.parametrize("damage, message", [
+    (reverse_slices, "time coordinates do not match the config grid"),
+    (zero_first_phi, "phi must be strictly positive and finite"),
+], ids=["time-reversed", "zero-phi"])
+def test_cli_refuses_a_bad_warm_start_file_by_name(
+    mini_run, tmp_path, capsys, damage, message
+):
+    cfg_path, out, _ = mini_run
+    head, *rows = (out / "pair.csv").read_text().splitlines(keepends=True)
+    bad = tmp_path / "bad.csv"
+    bad.write_text(head + "".join(damage(rows, load_config(cfg_path).n_x)))
+    code = main(["run", str(cfg_path), "--no-verify", "--out", str(tmp_path / "o"),
+                 "--warm-start", str(bad)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {bad}: {message}"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_classic_subcommand_writes_bridge_artifacts(tmp_path):
     # the run layout on the zero kernel, whatever kernel the config names:
     # the bridge start plus one outer step that confirms it

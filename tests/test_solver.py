@@ -2,6 +2,7 @@
 control, rates."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -229,6 +230,19 @@ def test_damping_preserves_unit_mass(rng):
     out = _warm_start_density(cfg, pair, p_in, p_fin)
     for mass in np.trapezoid(out, dx=cfg.sgrid.h, axis=1):
         assert mass == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("n1, verdict", [(2, "not reached"), (200, "reached")])
+def test_warm_start_density_logs_whether_it_reached_tol(rng, caplog, n1, verdict):
+    cfg, pair, p_in, p_fin = warm_start_setup(rng, theta=0.7, n1=n1)
+    with caplog.at_level("DEBUG", logger="mfsb"):
+        _warm_start_density(cfg, pair, p_in, p_fin)
+    [line] = [r.getMessage() for r in caplog.records]
+    passes, step = re.fullmatch(
+        r"warm-start density: (\d+) passes, last step (\S+), tol " + verdict, line
+    ).groups()
+    assert (int(passes) == n1) == (verdict == "not reached")
+    assert (float(step) < cfg.tol) == (verdict == "reached")
 
 
 # ---------------------------------------------------------------------------
@@ -568,15 +582,25 @@ def test_mixing_falls_back_to_the_plain_step_when_the_step_grows():
         x = g if state is None else state
     assert steps[2] > steps[1]
     np.testing.assert_array_equal(x, accepted_output)
-    assert (mixer.count, mixer.primed, mixer.restarts) == (0, False, 1)
+    assert (mixer.count, mixer.restarts) == (0, 1)
     # the fallback iterate is taken as it comes, then mixing resumes
     _, _, kinds = affine_solve(a, mixer)
     assert kinds[:2] == ["plain", "mixed"]
 
 
+OUTER_LINE = re.compile(r"outer (\d+) \((.+?)\): .* restarts=(\d+) ")
+
+
+def outer_lines(caplog) -> list[tuple[int, str, int]]:
+    """(evaluation, label, restarts) of each per-evaluation debug line."""
+    found = [OUTER_LINE.match(r.getMessage()) for r in caplog.records]
+    return [(int(m[1]), m[2], int(m[3])) for m in found if m]
+
+
 def test_solve_converges_through_rejected_mixed_iterates(example1_config, caplog):
     # beta = 3 on a coarse grid: some mixed iterates step further than the
-    # iterate they were mixed from, so the loop falls back and restarts
+    # iterate they were mixed from, so the loop falls back and restarts.
+    # The path is pinned: a change to the safeguard shows here
     cfg = dataclasses.replace(
         example1_config, n_x=41, n_t=10,
         potential=dataclasses.replace(example1_config.potential, beta=3.0),
@@ -584,34 +608,44 @@ def test_solve_converges_through_rejected_mixed_iterates(example1_config, caplog
     with caplog.at_level("DEBUG", logger="mfsb"):
         sol = solve(cfg)
     assert sol.converged
-    rejected = [r for r in caplog.records if "(mixed, rejected)" in r.getMessage()]
-    assert rejected
-    assert "restarts=0" not in rejected[-1].getMessage()
+    lines = outer_lines(caplog)
+    assert [k for k, _, _ in lines] == list(range(43))
+    assert sol.trace.outer_iterations == 43
+    assert [label for _, label, _ in lines].count("mixed, rejected") == 7
+    assert lines[-1][2] == 7
 
 
 @pytest.mark.parametrize("log_value", [800.0, -800.0])
-def test_a_mixed_state_out_of_exp_range_gives_way_to_the_plain_output(log_value):
+def test_a_mixed_state_out_of_exp_range_gives_way_to_the_plain_output(
+    log_value, monkeypatch, caplog
+):
     # exp over- or underflows on the mixed state: it is no iterate, so the
-    # plain output is next and the memory is cleared
-    class Mixer:
-        restarts = 0
+    # solve goes on from the plain output with the memory cleared
+    real = _AndersonMixer.step
+    calls = []
 
-        def step(self, x, g, step_dh):
+    def overflowing(self, x, g, step_dh):
+        calls.append(1)
+        if len(calls) == 4:
             return np.full(g.size, log_value), "mixed"
+        return real(self, x, g, step_dh)
 
-        def restart(self):
-            self.restarts += 1
-
-    sgrid = SpatialGrid(-1.0, 1.0, 9)
-    p = normalize(np.ones((5, 9)), sgrid)
-    x = (p, PairPath(np.ones((5, 9)), np.ones((5, 9))))
-    gx = (p.copy(), PairPath(np.full((5, 9), 2.0), np.ones((5, 9))))
-    mixer = Mixer()
-    p_next, pair_next, kind = solver_module._next_iterate(
-        mixer, x, gx, 0.1, p[0], p[-1], sgrid
+    monkeypatch.setattr(_AndersonMixer, "step", overflowing)
+    cfg = small_config(
+        potential=PotentialSpec.power_repulsive(c=5.0, alpha=0.2, epsilon=0.01),
+        theta=0.7,
+        n1=60,
     )
-    assert p_next is gx[0] and pair_next is gx[1] and kind == "plain"
-    assert mixer.restarts == 1
+    with caplog.at_level("DEBUG", logger="mfsb"):
+        sol = solve(cfg)
+    assert sol.converged
+    # evaluation 3 makes the fourth step call: its mixed state overflows
+    lines = outer_lines(caplog)
+    assert len(lines) == sol.trace.outer_iterations > 5
+    assert [label for _, label, _ in lines[2:4]] == ["mixed", "mixed"]
+    assert (lines[2][2], lines[3][2]) == (0, 1)
+    assert lines[4][1:] == ("plain", 1)
+    assert lines[-1][2] == 1
 
 
 def test_solve_exhausting_outer_budget_under_mixing(example1_config):
