@@ -12,9 +12,8 @@ writes five artifacts into the output directory:
 
 All floats are written with 17 significant digits and \\n line endings, and
 nothing time-dependent goes into the four data files, so identical configs
-and seeds reproduce them byte for byte. ``mfsb classic`` runs the same path
-with the interaction kernel switched off and no verification. Exit codes:
-0 converged, 2 budget exhausted (NoConvergence), 1 bad input.
+and seeds reproduce them byte for byte. Exit codes: 0 converged, 2 budget
+exhausted (NoConvergence), 1 bad input, usage errors included.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from .grid import SpatialGrid, TimeGrid
 from .kolmogorov import propagate_density
 from .metrics import l1_distance
 from .particles import simulate, terminal_residual
-from .potentials import PotentialSpec
 from .sinkhorn import PairPath
 from .solver import SolverConfig, Solution, contraction_constants, solve
 
@@ -197,13 +195,6 @@ def run(
     warm_pair = None
     if warm_start_path is not None:
         warm_pair = read_pair_csv(warm_start_path, cfg.sgrid, cfg.tgrid)
-    return _solve_and_write(cfg, out_dir, verify, warm_pair)
-
-
-def _solve_and_write(
-    cfg: SolverConfig, out_dir, verify: bool, warm_pair: PairPath | None
-) -> dict:
-    """The body of :func:`run` once the config and warm pair are loaded."""
     status = "converged"
     error = None
     verification = None
@@ -279,8 +270,17 @@ def _cmd_constants(path) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ConfigError, so that
+    :func:`main` reports them as bad input (one error: line, exit 1) and not
+    with argparse's exit 2, the code of a solve that did not converge."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="mfsb",
         description="Steer an interacting diffusion between two densities.",
     )
@@ -305,37 +305,23 @@ def build_parser() -> argparse.ArgumentParser:
         "constants", help="evaluate the a-priori contraction-rate bounds"
     )
     p_const.add_argument("file", help="flat key = value parameter file")
-
-    p_classic = sub.add_parser(
-        "classic",
-        help="run with the interaction kernel switched off, without verification",
-    )
-    p_classic.add_argument("config", help="config file path or bundled name")
-    p_classic.add_argument("--out", required=True, help="output directory")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     try:
+        args = build_parser().parse_args(argv)
+        logging.basicConfig(
+            level=logging.DEBUG if args.verbose else logging.WARNING,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
         if args.command == "constants":
             return _cmd_constants(args.file)
-        if args.command == "classic":
-            # the run path with the interaction switched off: the
-            # classical bridge between the configured marginals
-            cfg = load_config(resolve_config_path(args.config))
-            cfg = dataclasses.replace(cfg, potential=PotentialSpec.zero())
-            manifest = _solve_and_write(cfg, args.out, verify=False, warm_pair=None)
-        else:
-            manifest = run(
-                args.config, args.out,
-                verify=not args.no_verify,
-                warm_start_path=args.warm_start,
-            )
+        manifest = run(
+            args.config, args.out,
+            verify=not args.no_verify,
+            warm_start_path=args.warm_start,
+        )
     except (MfsbError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

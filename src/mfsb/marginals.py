@@ -45,6 +45,16 @@ def _mixture_field(spec: MarginalSpec, grid: SpatialGrid) -> np.ndarray:
         raise ConfigError(
             "gaussian_mixture needs equal-length nonempty weights/means/variances"
         )
+    # a NaN passes the sign and sum checks below, and an infinite component
+    # would silently vanish from the field
+    for name in ("weights", "means", "variances"):
+        values = np.asarray(getattr(spec, name))
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            i = bad[0]
+            raise ConfigError(
+                f"mixture {name} must be finite: {name}[{i}] = {values[i]}"
+            )
     w = np.asarray(spec.weights)
     if np.any(w <= 0.0):
         raise ConfigError("mixture weights must be strictly positive")

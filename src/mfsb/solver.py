@@ -55,10 +55,7 @@ logger = logging.getLogger("mfsb")
 # (example2, which never converges); 320 eps = 7.1e-14 keeps ~3x margin
 TOL_FLOOR = 320 * np.finfo(float).eps
 
-# the starting bridge is converged to min(tol, BRIDGE_TOL) within
-# BRIDGE_MAX_ITER passes, so that rerunning it inside solve() moves the
-# iterate by far less than any stopping test
-BRIDGE_TOL = 1e-10
+# the pass budget of the classical-bridge start, which stops at tol
 BRIDGE_MAX_ITER = 2000
 
 # Anderson memory of the outer loop: how many past steps the mixing combines.
@@ -178,7 +175,7 @@ def classical_bridge_init(
     sigma: float,
     sgrid: SpatialGrid,
     tgrid: TimeGrid,
-    tol: float = BRIDGE_TOL,
+    tol: float,
     max_iter: int = BRIDGE_MAX_ITER,
 ) -> tuple[np.ndarray, PairPath, list[float]]:
     """Bridge between the marginals with the interaction switched off.
@@ -431,7 +428,7 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
         try:
             p_path, pair, init_dh = classical_bridge_init(
                 p_in, p_fin, sigma, sgrid, tgrid,
-                tol=min(cfg.tol, BRIDGE_TOL),
+                tol=cfg.tol,
                 max_iter=BRIDGE_MAX_ITER,
             )
         except NoConvergence as exc:

@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -100,7 +101,7 @@ def test_parse_skips_comments_and_blank_lines(tmp_path):
         ("made_up_key = 3\n", "unknown key"),
         ("N2 = 50\n", "unknown key"),  # the middle loop and its budget are gone
         ("N3 = 500\n", "unknown key"),  # so are the inner loop and its budget
-        ("init_tol = 1e-11\n", "unknown key"),  # the bridge runs to min(tol, 1e-10)
+        ("init_tol = 1e-11\n", "unknown key"),  # the bridge start runs to tol
         # the kernel's 1/sigma2 scale is set through potential.beta
         ("potential_is_prescaled = true\n", "unknown key"),
         ("sigma2 = 1\nsigma2 = 2\n", "duplicate key"),
@@ -215,6 +216,39 @@ def test_mixture_weights_must_sum_to_one():
     spec = MarginalSpec.gaussian_mixture([0.5, 0.6], [0.0, 1.0], [0.04, 0.04])
     with pytest.raises(ConfigError, match="sum to 1"):
         build_marginals(spec, grid)
+
+
+NON_FINITE_MIXTURES = [
+    # an infinite mean used to drop its component without a word, and NaN
+    # weights passed the sum-to-one check
+    pytest.param("means", "inf -0.4", "means[0] = inf", id="inf-mean"),
+    pytest.param("means", "nan -0.4", "means[0] = nan", id="nan-mean"),
+    pytest.param("weights", "nan nan", "weights[0] = nan", id="nan-weights"),
+    pytest.param("variances", "0.04 inf", "variances[1] = inf", id="inf-variance"),
+]
+
+
+@pytest.mark.parametrize("field, values, bad", NON_FINITE_MIXTURES)
+def test_mixture_parameters_must_be_finite(field, values, bad):
+    params = {"weights": [0.5, 0.5], "means": [0.5, -0.4], "variances": [0.04, 0.04]}
+    params[field] = [float(v) for v in values.split()]
+    spec = MarginalSpec.gaussian_mixture(**params)
+    with pytest.raises(ConfigError, match=re.escape(f"mixture {field} must be finite: {bad}")):
+        build_marginals(spec, SpatialGrid(-2.0, 2.0, 64))
+
+
+@pytest.mark.parametrize("field, values, bad", NON_FINITE_MIXTURES)
+def test_cli_non_finite_mixture_exits_one_by_name(
+    tmp_path, capsys, field, values, bad
+):
+    path = tmp_path / "bad.cfg"
+    path.write_text(example_with("example1", {f"marginal_in.{field}": values}))
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out", str(out), "--no-verify"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: mixture {field} must be finite: {bad}"
+    ]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -433,16 +467,13 @@ def test_cli_refuses_a_bad_warm_start_file_by_name(
     assert not (tmp_path / "o").exists()
 
 
-def test_classic_subcommand_writes_bridge_artifacts(tmp_path):
-    # the run layout on the zero kernel, whatever kernel the config names:
-    # the bridge start plus one outer step that confirms it
-    path = tmp_path / "kernel.cfg"
-    path.write_text(
-        MINI_CONFIG
-        + "potential.kind = gaussian_attractive\npotential.a = 1\npotential.s = 0.3\n"
-    )
-    out = tmp_path / "classic"
-    assert main(["classic", str(path), "--out", str(out)]) == 0
+def test_zero_kernel_run_writes_bridge_artifacts(tmp_path):
+    # the classical bridge is the zero kernel's run: the bridge start plus
+    # one outer step that confirms it
+    path = tmp_path / "zero.cfg"
+    path.write_text(MINI_CONFIG + "potential.kind = zero\n")
+    out = tmp_path / "bridge"
+    assert main(["run", str(path), "--out", str(out), "--no-verify"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "converged"
     assert manifest["verification"] is None
@@ -494,12 +525,14 @@ def test_cli_budget_exhaustion_exits_two(tmp_path, capsys):
         pytest.param(
             ["run", "--no-verify"], ["N1 = 1"], None, "outer", id="N1 = 1-outer"
         ),
-        # the classical-bridge start stops at its budget, far above 1e-10
+        # the classical-bridge start stops at its budget, short of the 6
+        # passes it needs to reach tol, whatever the kernel
         pytest.param(
             ["run", "--no-verify"], [], 2, "inner", id="bridge 2-inner"
         ),
         pytest.param(
-            ["classic"], [], 5, "inner", id="classic-bridge 5"
+            ["run", "--no-verify"], ["potential.kind = zero"], 5, "inner",
+            id="classic-bridge 5",
         ),
     ],
 )
@@ -534,11 +567,11 @@ def test_cli_each_exhausted_budget_exits_two_with_artifacts(
 def test_cli_tol_below_the_stall_floor_exits_one(tmp_path, capsys):
     # tol = 1e-14 sits below the 1.1e-14 to 2.4e-14 where the outer steps of
     # `mfsb run example2` stall, which would burn its budget (exit 2); a tol
-    # at or below the floor is a bad input for every command, classic included
+    # at or below the floor is a bad input
     path = tmp_path / "stall.cfg"
     path.write_text(example_with("example2", {"tol": "1e-14"}))
     out = tmp_path / "o"
-    assert main(["classic", str(path), "--out", str(out)]) == 1
+    assert main(["run", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: tol must be finite and exceed 7.11e-14")
     assert "Traceback" not in err
@@ -833,7 +866,26 @@ def test_cli_constants_subcommand(tmp_path, capsys):
     assert err == [f"error: {path}: beta: 'strong' is not a number"]
 
 
-def test_cli_classic_exits_zero(mini_config_path, tmp_path, capsys):
-    assert main(["classic", str(mini_config_path),
-                 "--out", str(tmp_path / "c")]) == 0
-    assert "converged" in capsys.readouterr().out
+@pytest.mark.parametrize("argv", [
+    pytest.param([], id="no command"),
+    pytest.param(["bogus"], id="bogus"),
+    pytest.param(["run", "example1"], id="run without out"),
+    # the classical bridge is `mfsb run` on the zero kernel
+    pytest.param(["classic", "example1", "--out", "D"], id="classic"),
+])
+def test_cli_usage_errors_exit_one(tmp_path, monkeypatch, capsys, argv):
+    # argparse alone would exit 2, which reads as a solve that did not converge
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: mfsb")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert "usage: mfsb" in capsys.readouterr().out

@@ -29,7 +29,6 @@ from mfsb.metrics import l1_distance, pair_distance, path_distance
 from mfsb.sinkhorn import freeze_problem
 from mfsb.solver import (
     BRIDGE_MAX_ITER,
-    BRIDGE_TOL,
     _refined_density,
     classical_bridge_init,
     fit_geometric_rate,
@@ -42,6 +41,10 @@ RATE_MAX = 0.95
 # plain_outer_solve repeats the Sinkhorn passes at each freeze until the
 # anchors move less than this fraction of tol
 INNER_TOL_FRACTION = 0.1
+
+# and starts from the classical bridge run to the tighter of tol and this
+# anchor distance, a start that does not move with the solver's own
+ORACLE_START_TOL = 1e-10
 
 # cost, initial and final endpoint L1, closed-loop terminal L1
 GOLDEN = {
@@ -85,7 +88,7 @@ def plain_outer_solve(cfg, p_in, p_fin):
     sgrid, tgrid, table = cfg.sgrid, cfg.tgrid, cfg.kernel_table
     p_path, pair, _ = classical_bridge_init(
         p_in, p_fin, cfg.sigma, sgrid, tgrid,
-        tol=min(cfg.tol, BRIDGE_TOL), max_iter=BRIDGE_MAX_ITER,
+        tol=min(cfg.tol, ORACLE_START_TOL), max_iter=BRIDGE_MAX_ITER,
     )
     outer_dh = []
     for _ in range(cfg.n1):
