@@ -2,7 +2,8 @@
 
 Format: one ``key = value`` pair per line, ``#`` starts a comment, list
 values are whitespace separated. Unknown and duplicate keys are rejected so
-typos fail loudly. Two ready-made configurations ship with the package
+typos fail loudly, and so are ``potential.*`` keys that the chosen kernel
+kind does not read. Two ready-made configurations ship with the package
 (``example1``: repulsive kernel, ``example2``: attractive kernel) and can be
 addressed by bare name wherever a config path is expected.
 """
@@ -31,6 +32,14 @@ _KNOWN_KEYS = {
 
 # keys naming a table file, read relative to the config file's directory
 _FILE_KEYS = ("potential.file", "marginal_in.file", "marginal_fin.file")
+
+# the potential.* keys each kernel kind reads, besides potential.kind
+_POTENTIAL_KEYS = {
+    "zero": (),
+    "power_repulsive": ("c", "alpha", "epsilon", "beta"),
+    "gaussian_attractive": ("a", "s", "beta"),
+    "tabulated": ("file", "beta"),
+}
 
 # optional integer keys and the SolverConfig fields they set
 _INT_FIELDS = {
@@ -98,6 +107,20 @@ def _as_floats(raw: dict, key: str) -> tuple[float, ...]:
 
 def _potential_from(raw: dict) -> PotentialSpec:
     kind = raw.get("potential.kind", "zero")
+    if kind not in _POTENTIAL_KEYS:
+        raise ConfigError(f"potential.kind: unknown kind {kind!r}")
+    # a key the kind does not read would be silently ignored, so it is
+    # refused like an unknown key
+    ignored = sorted(
+        key for key in raw
+        if key.startswith("potential.") and key != "potential.kind"
+        and key.removeprefix("potential.") not in _POTENTIAL_KEYS[kind]
+    )
+    if ignored:
+        raise ConfigError(
+            f"potential.kind = {kind} does not read "
+            f"{', '.join(repr(key) for key in ignored)}"
+        )
     # an absent strength is left to the constructors' default
     beta_kw = {}
     if "potential.beta" in raw:
@@ -121,7 +144,6 @@ def _potential_from(raw: dict) -> PotentialSpec:
         if "potential.file" not in raw:
             raise ConfigError("potential.file is required for a tabulated kernel")
         return load_tabulated_potential(raw["potential.file"], **beta_kw)
-    raise ConfigError(f"potential.kind: unknown kind {kind!r}")
 
 
 def _marginal_from(raw: dict, prefix: str) -> MarginalSpec:

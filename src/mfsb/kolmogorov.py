@@ -75,7 +75,9 @@ class TransportOperators:
 
     The generators are assembled for the whole path at once; each solve is
     one LAPACK gtsv call on the slice's bands. An outer step sweeps its
-    operators only twice, too few to repay LU factors kept for reuse.
+    operators only twice, too few to repay LU factors kept for reuse; the
+    classical bridge, which applies one zero-drift step thousands of times,
+    factors it once instead (:func:`mfsb.solver.classical_bridge_init`).
     """
 
     def __init__(

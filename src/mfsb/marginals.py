@@ -39,11 +39,12 @@ class MarginalSpec:
         return cls(kind="tabulated", path=str(path))
 
 
-def _mixture_field(spec: MarginalSpec, grid: SpatialGrid) -> np.ndarray:
+def _mixture_field(spec: MarginalSpec, grid: SpatialGrid, prefix: str) -> np.ndarray:
     k = len(spec.weights)
     if k == 0 or len(spec.means) != k or len(spec.variances) != k:
         raise ConfigError(
-            "gaussian_mixture needs equal-length nonempty weights/means/variances"
+            f"gaussian_mixture needs equal-length nonempty "
+            f"{prefix}weights/means/variances"
         )
     # a NaN passes the sign and sum checks below, and an infinite component
     # would silently vanish from the field
@@ -53,16 +54,18 @@ def _mixture_field(spec: MarginalSpec, grid: SpatialGrid) -> np.ndarray:
         if bad.size:
             i = bad[0]
             raise ConfigError(
-                f"mixture {name} must be finite: {name}[{i}] = {values[i]}"
+                f"mixture {name} must be finite: {prefix}{name}[{i}] = {values[i]}"
             )
     w = np.asarray(spec.weights)
     if np.any(w <= 0.0):
-        raise ConfigError("mixture weights must be strictly positive")
+        raise ConfigError(f"mixture {prefix}weights must be strictly positive")
     if abs(w.sum() - 1.0) > 1e-12:
-        raise ConfigError(f"mixture weights must sum to 1, got {w.sum()!r}")
+        raise ConfigError(
+            f"mixture {prefix}weights must sum to 1, got {float(w.sum())!r}"
+        )
     v = np.asarray(spec.variances)
     if np.any(v <= 0.0):
-        raise ConfigError("mixture variances must be strictly positive")
+        raise ConfigError(f"mixture {prefix}variances must be strictly positive")
     x = grid.nodes
     out = np.zeros_like(x)
     for wk, mk, vk in zip(spec.weights, spec.means, spec.variances):
@@ -93,15 +96,23 @@ def _tabulated_field(spec: MarginalSpec, grid: SpatialGrid) -> np.ndarray:
     return np.interp(grid.nodes, xs, ps)
 
 
-def build_marginals(spec: MarginalSpec, grid: SpatialGrid) -> np.ndarray:
-    """Evaluate a marginal spec on the grid: floored, strictly positive, unit mass."""
+def build_marginals(
+    spec: MarginalSpec, grid: SpatialGrid, name: str | None = None
+) -> np.ndarray:
+    """Evaluate a marginal spec on the grid: floored, strictly positive, unit mass.
+
+    ``name`` is the config key prefix of the marginal (``marginal_in`` or
+    ``marginal_fin``); an error in a mixture parameter names it, as in
+    ``marginal_in.means[0] = inf``.
+    """
+    prefix = f"{name}." if name else ""
     if spec.kind == "gaussian_mixture":
-        f = _mixture_field(spec, grid)
+        f = _mixture_field(spec, grid, prefix)
     elif spec.kind == "tabulated":
         f = _tabulated_field(spec, grid)
     else:
         raise ConfigError(f"unknown marginal kind {spec.kind!r}")
     peak = float(f.max())
     if peak <= 0.0:
-        raise ConfigError("marginal is identically zero on the grid")
+        raise ConfigError(f"{name or 'marginal'} is identically zero on the grid")
     return normalize(np.maximum(f, _FLOOR * peak), grid)

@@ -5,9 +5,10 @@ re-anchors the forward scaling at t = 0 so the initial marginal is matched
 exactly, sweeps forward, and re-anchors the terminal scaling so the final
 marginal is matched, with drift and reaction frozen. It reports how far the
 two anchor slices moved in the Hilbert metric, the natural (scale-free)
-distance. The solver makes one pass per freeze; only the classical bridge
-(:func:`mfsb.solver.classical_bridge_init`) repeats passes, until that
-distance drops below its tolerance.
+distance. The solver makes one pass per freeze. The classical bridge
+(:func:`mfsb.solver.classical_bridge_init`) makes none: with no drift and no
+reaction a pass only moves the two anchor slices, so the bridge iterates
+those alone and fills in the path once.
 """
 
 from __future__ import annotations

@@ -10,12 +10,14 @@ sweep, t = 1 anchor), refines the density from the new pair,
 and damps it towards the previous iterate. No loop runs to convergence at a
 frozen density: the pass and the refreeze share the fixed point, and the
 loop stops when both the sup-over-time Hilbert distance between consecutive
-densities and the distance the pass moved the pair drop below tol. That pair
-distance is a supremum over all slices, so it bounds the pass's own anchor
-distance too, and a stop leaves the returned pair stationary to tol under one
-more refreeze and pass. With the interaction switched off the map collapses
-to the classical bridge computed by :func:`classical_bridge_init`, which also
-provides the starting point in the general case.
+densities and the distance the pass moved the pair drop below tol. Both are
+read off the joint log states the mixing acts on. That pair distance is a
+supremum over all slices, so it bounds the pass's own anchor distance too,
+and a stop leaves the returned pair stationary to tol under one more
+refreeze and pass. With the interaction switched off the map collapses to
+the classical bridge computed by :func:`classical_bridge_init`, which also
+provides the starting point in the general case and iterates only the two
+endpoint slices.
 
 That plain outer map contracts only linearly, so the loop feeds its outputs
 to type-II Anderson mixing (Anderson 1965; Walker & Ni 2011) on the joint
@@ -33,6 +35,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import (
     ConfigError,
@@ -40,10 +43,15 @@ from .errors import (
     InsufficientData,
     NoConvergence,
     PositivityError,
+    SolveError,
 )
 from .grid import SpatialGrid, TimeGrid, check_field, check_path, gradient, normalize
+from .kolmogorov import build_generator
 from .marginals import MarginalSpec, build_marginals
-from .metrics import pair_distance, path_distance
+from .metrics import hilbert_distance, path_distance
+# not called here: perfbench/probe.py traces pair_distance where another
+# module holds it, and --trace 1 fails when none does
+from .metrics import pair_distance  # noqa: F401
 from .potentials import PotentialSpec, PotentialTable, convolve_path, eval_potential
 from .sinkhorn import PairPath, freeze_problem, inner_sinkhorn
 
@@ -180,13 +188,19 @@ def classical_bridge_init(
 ) -> tuple[np.ndarray, PairPath, list[float]]:
     """Bridge between the marginals with the interaction switched off.
 
-    Repeats Sinkhorn passes frozen at the zero kernel (no drift, no
-    reaction, unit anchor factors) from the flat start (phi = 1, phihat
-    anchored at p_in) until a pass moves the anchors less than tol; the
-    density path is the normalized slice-wise product of the two scalings.
-    Returns (p_path, pair, boundary_dh), the anchor distance of every pass.
-    Raises NoConvergence, with the distances as its trace and the last pair
-    as its partial, when max_iter passes do not reach tol.
+    With no drift and no reaction a Sinkhorn pass only moves its two anchor
+    slices, by the static Schroedinger (Fortet) iteration: with K the
+    implicit heat step, phi_0 = K^{n_t} phi_1, phihat_0 = p_in / phi_0,
+    phihat_1 = K^{n_t} phihat_0 and phi_1 = p_fin / phihat_1. It runs from
+    the flat start (phi_1 = 1, phihat_0 = p_in) until a pass moves the
+    anchors less than tol in the Hilbert metric, where it contracts (Chen,
+    Georgiou & Pavon 2016). The path is then filled as the last pass would
+    have: a backward sweep from that pass's starting phi_1 with the terminal
+    slice overwritten, and a forward sweep from phihat_0. The density path
+    is the normalized slice-wise product of the two scalings. Returns
+    (p_path, pair, boundary_dh), the anchor distance of every pass. Raises
+    NoConvergence, with the distances as its trace and the last pair as its
+    partial, when max_iter passes do not reach tol.
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
@@ -199,18 +213,46 @@ def classical_bridge_init(
     for name, p in (("p_in", p_in), ("p_fin", p_fin)):
         if np.any(p <= 0.0) or not np.all(np.isfinite(p)):
             raise PositivityError(f"{name} must be strictly positive")
-    flat = np.tile(p_in, (tgrid.n_t + 1, 1))
-    pair = PairPath(phi=np.ones(flat.shape), phihat=flat)
-    problem = freeze_problem(
-        flat, pair, eval_potential(PotentialSpec.zero(), sgrid),
-        p_in, p_fin, sigma, sgrid, tgrid,
-    )
+    n_t, dt = tgrid.n_t, tgrid.dt
+    low, diag, up = build_generator(np.zeros(sgrid.n_x), sigma, sgrid)
+    # I - dt A_0 is factored once. It is diagonally dominant, so neither
+    # gttrf nor the gtsv of a pass pivots, and a gttrs step gives the bits of
+    # TransportOperators.solve at zero drift
+    *factors, info = dgttrf(-dt * low, 1.0 - dt * diag, -dt * up)
+    if info != 0:
+        raise SolveError(f"gttrf failed with info={info}")
+
+    def step(v: np.ndarray) -> np.ndarray:
+        return dgttrs(*factors, v)[0]
+
+    def propagate(v: np.ndarray) -> np.ndarray:
+        for _ in range(n_t):
+            v = step(v)
+        return v
+
+    phi1, phihat0 = np.ones(sgrid.n_x), p_in
     boundary_dh: list[float] = []
     for _ in range(max_iter):
-        pair, anchor_dh = inner_sinkhorn(problem, pair)
+        start_phi1, start_phihat0 = phi1, phihat0
+        phihat0 = p_in / propagate(start_phi1)
+        phi1 = p_fin / propagate(phihat0)
+        anchor_dh = max(
+            hilbert_distance(phi1, start_phi1),
+            hilbert_distance(phihat0, start_phihat0),
+        )
         boundary_dh.append(anchor_dh)
         if anchor_dh < tol:
-            return normalize(pair.product, sgrid), pair, boundary_dh
+            break
+    phi = np.empty((n_t + 1, sgrid.n_x))
+    phihat = np.empty_like(phi)
+    phi[n_t], phihat[0] = start_phi1, phihat0
+    for l in range(n_t):
+        phi[n_t - 1 - l] = step(phi[n_t - l])
+        phihat[l + 1] = step(phihat[l])
+    phi[n_t] = phi1
+    pair = PairPath(phi=phi, phihat=phihat)
+    if anchor_dh < tol:
+        return normalize(pair.product, sgrid), pair, boundary_dh
     raise NoConvergence(
         f"inner loop did not reach tol={tol} in {max_iter} iterations "
         f"(last anchor distance {anchor_dh:.3e})",
@@ -223,16 +265,22 @@ def classical_bridge_init(
 
 def _refined_density(
     p_path: np.ndarray,
-    pair: PairPath,
+    product: np.ndarray,
     table: PotentialTable,
     sgrid: SpatialGrid,
 ) -> tuple[np.ndarray, float]:
-    """Normalized e^{-2 W*p} phi phihat and the worst raw-slice mass deviation."""
-    raw = np.exp(-2.0 * convolve_path(table, p_path)) * pair.product
+    """Normalized e^{-2 W*p} phi phihat, given the pair's product phi phihat,
+    and the worst raw-slice mass deviation."""
+    # in place on the fresh convolution: one path-sized array per call
+    raw = convolve_path(table, p_path)
+    raw *= -2.0
+    np.exp(raw, out=raw)
+    raw *= product
     masses = np.trapezoid(raw, dx=sgrid.h, axis=1)
     if not np.all(np.isfinite(masses)) or np.any(masses <= 0.0):
         raise PositivityError("density refinement produced a nonpositive slice")
-    return raw / masses[:, None], float(np.abs(masses - 1.0).max())
+    raw /= masses[:, None]
+    return raw, float(np.abs(masses - 1.0).max())
 
 
 def optimal_control(pair: PairPath, sigma: float, sgrid: SpatialGrid) -> np.ndarray:
@@ -262,9 +310,10 @@ def _warm_start_density(
     """Density iterate matching a restored pair: the solver's damped density
     map at that pair, endpoints pinned to the exact marginals, iterated from
     the normalized product until a step is below tol (at most n1 passes)."""
-    p_path = normalize(pair.product, cfg.sgrid)
+    product = pair.product
+    p_path = normalize(product, cfg.sgrid)
     for passes in range(1, cfg.n1 + 1):
-        refined = _refined_density(p_path, pair, cfg.kernel_table, cfg.sgrid)[0]
+        refined = _refined_density(p_path, product, cfg.kernel_table, cfg.sgrid)[0]
         p_next = cfg.theta * refined + (1.0 - cfg.theta) * p_path
         p_next[0] = p_in
         p_next[-1] = p_fin
@@ -308,6 +357,23 @@ def _log_state(p_path: np.ndarray, pair: PairPath) -> np.ndarray:
     np.log(pair.phihat, out=log_phihat)
     log_phihat += gauge
     return state
+
+
+def _step_distances(f: np.ndarray, n_s: int, n_x: int) -> tuple[float, float]:
+    """(d_outer, d_pair) of a plain step with residual f = g - x of the log
+    states.
+
+    Each is the largest per-slice oscillation max - min of f, over the
+    density block and over the two pair blocks: the sup-over-time Hilbert
+    distances between the densities and between the legs, as the gauge
+    shifts a slice by a constant. The endpoint slices of p, the marginals
+    in both, add nothing.
+    """
+    osc = [
+        float((block.max(axis=1) - block.min(axis=1)).max())
+        for block in _split_state(f, n_s, n_x)
+    ]
+    return osc[0], max(osc[1], osc[2])
 
 
 def _iterate_from_state(
@@ -366,10 +432,10 @@ class _AndersonMixer:
         self.restarts += 1
 
     def step(
-        self, x: np.ndarray, g: np.ndarray, step_dh: float
+        self, f: np.ndarray, g: np.ndarray, step_dh: float
     ) -> tuple[np.ndarray | None, str]:
-        """Next iterate after x, given its plain-map output g and the size
-        step_dh of that plain step.
+        """Next iterate after x, given its plain-map output g, the residual
+        f = g - x and the size step_dh of that plain step.
 
         Returns (state, kind): a mixed state and "mixed"; the plain output of
         the last accepted iterate and "fallback" when x was mixed and its step
@@ -383,13 +449,12 @@ class _AndersonMixer:
         if self.accepted_dh < math.inf:  # g_prev and f_prev are set
             j = self.slot
             np.subtract(g, self.g_prev, out=self.dg[j])
-            np.subtract(g, x, out=self.df[j])
-            self.df[j] -= self.f_prev
+            np.subtract(f, self.f_prev, out=self.df[j])
             self.slot = (j + 1) % len(self.dg)
             self.count = min(self.count + 1, len(self.dg))
         self.accepted_dh = step_dh
         self.g_prev[:] = g
-        np.subtract(g, x, out=self.f_prev)
+        self.f_prev[:] = f
         if self.count == 0:
             return None, "plain"
         rows = self.df[: self.count]
@@ -410,8 +475,8 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
     exhausted, with the trace and a Solution of the last iterate attached.
     """
     sgrid, tgrid = cfg.sgrid, cfg.tgrid
-    p_in = build_marginals(cfg.marginal_in, sgrid)
-    p_fin = build_marginals(cfg.marginal_fin, sgrid)
+    p_in = build_marginals(cfg.marginal_in, sgrid, "marginal_in")
+    p_fin = build_marginals(cfg.marginal_fin, sgrid, "marginal_fin")
     table = cfg.kernel_table
     sigma = cfg.sigma
     trace = ConvergenceTrace()
@@ -454,14 +519,18 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
         problem = freeze_problem(p_path, pair, table, p_in, p_fin, sigma, sgrid, tgrid)
         new_pair = inner_sinkhorn(problem, pair)[0]
         del problem  # its bands go before the next freeze builds new ones
-        d_pair = pair_distance(new_pair, pair)
         trace.min_phi = min(trace.min_phi, float(new_pair.phi.min()))
         trace.min_phihat = min(trace.min_phihat, float(new_pair.phihat.min()))
 
-        refined, mass_dev = _refined_density(p_path, new_pair, table, sgrid)
+        refined, mass_dev = _refined_density(p_path, new_pair.product, table, sgrid)
+        # also checks that both densities are finite and positive
         d_raw = path_distance(refined, p_path)
         p_next = cfg.theta * refined + (1.0 - cfg.theta) * p_path
-        d_outer = path_distance(p_next, p_path)
+        # the plain step's residual g - x, formed in the buffer of x
+        f = _log_state(p_path, pair)
+        g = _log_state(p_next, new_pair)
+        np.subtract(g, f, out=f)
+        d_outer, d_pair = _step_distances(f, tgrid.n_t + 1, sgrid.n_x)
 
         trace.middle_dh.append([d_pair])
         trace.inner_iterations.append([1])
@@ -479,9 +548,7 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
                 mixer = _AndersonMixer(
                     (3 * tgrid.n_t + 1) * sgrid.n_x, ANDERSON_MEMORY
                 )
-            state, kind = mixer.step(
-                _log_state(p_path, pair), _log_state(p_next, new_pair), step_dh
-            )
+            state, kind = mixer.step(f, g, step_dh)
             nxt = None
             if state is not None:
                 nxt = _iterate_from_state(state, p_in, p_fin, sgrid)
@@ -492,8 +559,12 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
             elif kind == "fallback":
                 evaluated = "mixed, rejected"
             p_path, pair = nxt
-            # only the next iterate stays alive through the next freeze
-            del p_next, new_pair, refined, state, nxt
+            # only the next iterate stays alive through the next freeze. The
+            # step's arrays go together: freeing f, g or refined any earlier
+            # lets glibc's malloc trim the heap, and each step then faults
+            # its pages in again (10 700 to 12 400 minor page faults per
+            # example1 solve, against 3 800)
+            del p_next, new_pair, refined, f, g, state, nxt
         logger.debug(
             "outer %d (%s): d_outer=%.3e d_pair=%.3e restarts=%d dt=%.2fs",
             k, evaluated, d_outer, d_pair,

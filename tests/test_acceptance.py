@@ -263,7 +263,7 @@ def test_fast_paths_match_direct_oracles(rng):
         phi=np.exp(rng.normal(size=shape) * 0.4),
         phihat=np.exp(rng.normal(size=shape) * 0.4),
     )
-    refined = _refined_density(p_path, pair, table, grid)[0]
+    refined = _refined_density(p_path, pair.product, table, grid)[0]
     refined_direct = direct_pair_density(table.w, p_path, pair.phi, pair.phihat, grid.h)
     rel = float(
         np.abs(refined - refined_direct).max() / np.abs(refined_direct).max()
@@ -305,8 +305,8 @@ def test_scaling_invariances(example1_run, example1_config, rng):
     u_base = optimal_control(sol.pair, cfg.sigma, sgrid)
     u_scaled = optimal_control(scaled, cfg.sigma, sgrid)
 
-    refined_base = _refined_density(sol.p, sol.pair, cfg.kernel_table, sgrid)[0]
-    refined_scaled = _refined_density(sol.p, scaled, cfg.kernel_table, sgrid)[0]
+    refined_base = _refined_density(sol.p, sol.pair.product, cfg.kernel_table, sgrid)[0]
+    refined_scaled = _refined_density(sol.p, scaled.product, cfg.kernel_table, sgrid)[0]
 
     cost_base = control_energy(u_base, sol.p, sgrid, cfg.tgrid)
     cost_scaled = control_energy(u_scaled, sol.p, sgrid, cfg.tgrid)

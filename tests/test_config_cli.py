@@ -173,6 +173,42 @@ def test_config_values_are_validated():
         solver_config_from(dict(base, **{"potential.kind": "mystery"}))
 
 
+ZERO_READS_NOTHING = (
+    "potential.kind = zero does not read "
+    "'potential.a', 'potential.beta', 'potential.s'"
+)
+
+
+def test_kernel_keys_the_kind_does_not_read_are_refused():
+    # accepted, such a key would be silently ignored: example2 with only its
+    # kind set to zero would keep beta = 1 in its file and echo beta = 0
+    base = parse_config(example_config_path("example2"))
+    with pytest.raises(ConfigError) as info:
+        solver_config_from(dict(base, **{"potential.kind": "zero"}))
+    assert str(info.value) == ZERO_READS_NOTHING
+    # no kind is the zero kernel
+    del base["potential.kind"]
+    with pytest.raises(ConfigError) as info:
+        solver_config_from(base)
+    assert str(info.value) == ZERO_READS_NOTHING
+    # a power-law kernel has no width s
+    example1 = parse_config(example_config_path("example1"))
+    with pytest.raises(ConfigError) as info:
+        solver_config_from(dict(example1, **{"potential.s": "0.3"}))
+    assert str(info.value) == (
+        "potential.kind = power_repulsive does not read 'potential.s'"
+    )
+
+
+def test_cli_zero_kernel_with_kernel_parameters_exits_one(tmp_path, capsys):
+    path = tmp_path / "zero.cfg"
+    path.write_text(example_with("example2", {"potential.kind": "zero"}))
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {ZERO_READS_NOTHING}"]
+    assert not out.exists()
+
+
 REQUIRED_ONLY = """\
 sigma2 = 0.2
 theta = 1.0
@@ -216,6 +252,10 @@ def test_mixture_weights_must_sum_to_one():
     spec = MarginalSpec.gaussian_mixture([0.5, 0.6], [0.0, 1.0], [0.04, 0.04])
     with pytest.raises(ConfigError, match="sum to 1"):
         build_marginals(spec, grid)
+    # a named marginal is named in the message
+    with pytest.raises(ConfigError) as info:
+        build_marginals(spec, grid, "marginal_fin")
+    assert str(info.value) == "mixture marginal_fin.weights must sum to 1, got 1.1"
 
 
 NON_FINITE_MIXTURES = [
@@ -241,14 +281,22 @@ def test_mixture_parameters_must_be_finite(field, values, bad):
 def test_cli_non_finite_mixture_exits_one_by_name(
     tmp_path, capsys, field, values, bad
 ):
-    path = tmp_path / "bad.cfg"
-    path.write_text(example_with("example1", {f"marginal_in.{field}": values}))
-    out = tmp_path / "o"
-    assert main(["run", str(path), "--out", str(out), "--no-verify"]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: mixture {field} must be finite: {bad}"
-    ]
-    assert not out.exists()
+    # the message names the marginal as well as the list and index
+    for marginal in ("marginal_in", "marginal_fin"):
+        keys = {
+            f"{marginal}.weights": "0.5 0.5",
+            f"{marginal}.means": "0.5 -0.4",
+            f"{marginal}.variances": "0.04 0.04",
+            f"{marginal}.{field}": values,
+        }
+        path = tmp_path / f"{marginal}.cfg"
+        path.write_text(example_with("example1", keys))
+        out = tmp_path / marginal
+        assert main(["run", str(path), "--out", str(out), "--no-verify"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: mixture {field} must be finite: {marginal}.{bad}"
+        ]
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -520,32 +568,33 @@ def test_cli_budget_exhaustion_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, settings, bridge_max_iter, level",
+    "argv, drop, settings, bridge_max_iter, level",
     [
         pytest.param(
-            ["run", "--no-verify"], ["N1 = 1"], None, "outer", id="N1 = 1-outer"
+            ["run", "--no-verify"], ("N1 ",), ["N1 = 1"], None, "outer",
+            id="N1 = 1-outer",
         ),
         # the classical-bridge start stops at its budget, short of the 6
         # passes it needs to reach tol, whatever the kernel
         pytest.param(
-            ["run", "--no-verify"], [], 2, "inner", id="bridge 2-inner"
+            ["run", "--no-verify"], (), [], 2, "inner", id="bridge 2-inner"
         ),
+        # the zero kernel reads no other potential.* key, so all go
         pytest.param(
-            ["run", "--no-verify"], ["potential.kind = zero"], 5, "inner",
-            id="classic-bridge 5",
+            ["run", "--no-verify"], ("potential.",), ["potential.kind = zero"],
+            5, "inner", id="classic-bridge 5",
         ),
     ],
 )
 def test_cli_each_exhausted_budget_exits_two_with_artifacts(
-    tmp_path, capsys, monkeypatch, argv, settings, bridge_max_iter, level
+    tmp_path, capsys, monkeypatch, argv, drop, settings, bridge_max_iter, level
 ):
     if bridge_max_iter is not None:
         monkeypatch.setattr("mfsb.solver.BRIDGE_MAX_ITER", bridge_max_iter)
-    # example2 as shipped, with some settings replaced
-    keys = tuple(setting.split(" =")[0] + " " for setting in settings)
+    # example2 as shipped, its lines starting with drop replaced by settings
     text = "\n".join(
         line for line in example_config_path("example2").read_text().splitlines()
-        if not line.startswith(keys)
+        if not line.startswith(drop)
     ) + "\n" + "\n".join(settings) + "\n"
     path = tmp_path / "short.cfg"
     path.write_text(text)

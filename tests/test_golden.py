@@ -99,7 +99,7 @@ def plain_outer_solve(cfg, p_in, p_fin):
             problem, pair, INNER_TOL_FRACTION * cfg.tol, BRIDGE_MAX_ITER
         )
         d_pair = pair_distance(new_pair, pair)
-        refined = _refined_density(p_path, new_pair, table, sgrid)[0]
+        refined = _refined_density(p_path, new_pair.product, table, sgrid)[0]
         p_next = cfg.theta * refined + (1.0 - cfg.theta) * p_path
         outer_dh.append(path_distance(p_next, p_path))
         p_path, pair = p_next, new_pair

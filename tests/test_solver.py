@@ -44,6 +44,7 @@ from oracles import (
     HAND_LAMBDA,
     HAND_LAMBDA_NO_INTERACTION,
     HAND_LAMBDA_PAIR,
+    dense_generator,
     direct_control_energy,
     direct_pair_density,
     field_variance,
@@ -86,6 +87,24 @@ def test_classical_bridge_hits_both_marginals():
     assert boundary_dh[-1] < 1e-10
     for mass in np.trapezoid(p_path, dx=sgrid.h, axis=1):
         assert mass == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("config", ["example1_config", "example2_config"])
+def test_classical_bridge_propagates_by_the_dense_heat_power(request, config):
+    # the bridge factors I - dt A_0 once and reuses the factors; its forward
+    # leg must still end at M phihat_0 with M = (I - dt A_0)^{-n_t} formed
+    # densely from the oracle's generator
+    cfg = request.getfixturevalue(config)
+    sgrid, tgrid = cfg.sgrid, cfg.tgrid
+    _, pair, _ = classical_bridge_init(
+        build_marginals(cfg.marginal_in, sgrid),
+        build_marginals(cfg.marginal_fin, sgrid),
+        cfg.sigma, sgrid, tgrid, tol=cfg.tol,
+    )
+    a = dense_generator(np.zeros(sgrid.n_x), cfg.sigma, sgrid.h)
+    step = np.linalg.inv(np.eye(sgrid.n_x) - tgrid.dt * a)
+    m = np.linalg.matrix_power(step, tgrid.n_t)
+    np.testing.assert_allclose(pair.phihat[-1], m @ pair.phihat[0], rtol=1e-12, atol=0)
 
 
 def test_classical_bridge_spreads_between_equal_marginals():
@@ -174,7 +193,7 @@ def test_density_refinement_matches_direct_computation(rng):
         phi=np.exp(rng.normal(size=shape) * 0.5),
         phihat=np.exp(rng.normal(size=shape) * 0.5),
     )
-    out = _refined_density(p_path, pair, table, sgrid)[0]
+    out = _refined_density(p_path, pair.product, table, sgrid)[0]
     expected = direct_pair_density(table.w, p_path, pair.phi, pair.phihat, sgrid.h)
     np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-14)
     for mass in np.trapezoid(out, dx=sgrid.h, axis=1):
@@ -202,7 +221,7 @@ def test_damping_endpoints_and_hand_value(rng):
     # marginals: theta = 1 keeps the refined density exactly
     cfg, pair, p_in, p_fin = warm_start_setup(rng, n1=1)
     previous = normalize(pair.product, cfg.sgrid)
-    refined = _refined_density(previous, pair, cfg.kernel_table, cfg.sgrid)[0]
+    refined = _refined_density(previous, pair.product, cfg.kernel_table, cfg.sgrid)[0]
     full = _warm_start_density(cfg, pair, p_in, p_fin)
     np.testing.assert_array_equal(full[1:-1], refined[1:-1])
     damped = _warm_start_density(
@@ -447,8 +466,8 @@ def test_returned_endpoints_are_the_marginals_to_round_off(request, run_fixture)
 
 
 def test_solve_makes_one_sinkhorn_pass_per_evaluation(monkeypatch):
-    # the bridge start repeats passes to its tolerance; every outer
-    # evaluation after it sweeps backward exactly once
+    # the bridge start sweeps on its own factored step and makes no pass;
+    # every outer evaluation sweeps backward exactly once
     sweeps = []
     real = sinkhorn_module.integrate_backward
 
@@ -462,7 +481,7 @@ def test_solve_makes_one_sinkhorn_pass_per_evaluation(monkeypatch):
         n1=30,
     ))
     assert sol.trace.outer_iterations > 1
-    assert len(sweeps) == len(sol.trace.init_dh) + sol.trace.outer_iterations
+    assert len(sweeps) == sol.trace.outer_iterations
     assert sol.trace.inner_iterations == [[1]] * sol.trace.outer_iterations
 
 
@@ -565,7 +584,7 @@ def affine_solve(a, mixer, tol=1e-10, budget=1000):
         step = float(np.abs(g - x).max())
         if step < tol:
             return x, evaluations, kinds
-        state, kind = (None, "plain") if mixer is None else mixer.step(x, g, step)
+        state, kind = (None, "plain") if mixer is None else mixer.step(g - x, g, step)
         kinds.append(kind)
         x = g if state is None else state
     raise AssertionError(f"no convergence in {budget} evaluations")
@@ -592,7 +611,7 @@ def test_mixing_falls_back_to_the_plain_step_when_the_step_grows():
     for expected in ("plain", "mixed", "fallback"):
         g = a @ x + AFFINE_B
         steps.append(float(np.abs(g - x).max()))
-        state, kind = mixer.step(x, g, steps[-1])
+        state, kind = mixer.step(g - x, g, steps[-1])
         assert kind == expected
         if kind == "mixed":
             accepted_output = g.copy()
