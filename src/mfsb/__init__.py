@@ -17,7 +17,6 @@ __version__ = "1.0.0"
 from .errors import (
     ConfigError,
     DomainError,
-    InsufficientData,
     MfsbError,
     NoConvergence,
     PositivityError,
@@ -35,7 +34,7 @@ from .particles import simulate, terminal_residual
 from .config import load_config
 
 __all__ = [
-    "ConfigError", "DomainError", "InsufficientData", "MfsbError", "NoConvergence",
+    "ConfigError", "DomainError", "MfsbError", "NoConvergence",
     "PositivityError", "ShapeError", "SolveError", "ZeroMassError",
     "SpatialGrid", "TimeGrid",
     "PotentialSpec", "PotentialTable", "MarginalSpec", "PairPath",

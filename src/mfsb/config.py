@@ -2,10 +2,11 @@
 
 Format: one ``key = value`` pair per line, ``#`` starts a comment, list
 values are whitespace separated. Unknown and duplicate keys are rejected so
-typos fail loudly, and so are ``potential.*`` keys that the chosen kernel
-kind does not read. Two ready-made configurations ship with the package
-(``example1``: repulsive kernel, ``example2``: attractive kernel) and can be
-addressed by bare name wherever a config path is expected.
+typos fail loudly, and so are ``potential.*``, ``marginal_in.*`` and
+``marginal_fin.*`` keys that the chosen kind does not read. Two ready-made
+configurations ship with the package (``example1``: repulsive kernel,
+``example2``: attractive kernel) and can be addressed by bare name wherever
+a config path is expected.
 """
 
 from __future__ import annotations
@@ -18,28 +19,34 @@ from .marginals import MarginalSpec
 from .potentials import PotentialSpec, load_tabulated_potential
 from .solver import SolverConfig
 
-_KNOWN_KEYS = {
-    "domain", "n_x", "n_t", "sigma2", "theta", "tol",
-    "N1", "seed",
-    "potential.kind", "potential.beta", "potential.c", "potential.alpha",
-    "potential.epsilon", "potential.a", "potential.s", "potential.file",
-    "marginal_in.kind", "marginal_in.weights", "marginal_in.means",
-    "marginal_in.variances", "marginal_in.file",
-    "marginal_fin.kind", "marginal_fin.weights", "marginal_fin.means",
-    "marginal_fin.variances", "marginal_fin.file",
-    "verify.N",
-}
-
-# keys naming a table file, read relative to the config file's directory
-_FILE_KEYS = ("potential.file", "marginal_in.file", "marginal_fin.file")
-
-# the potential.* keys each kernel kind reads, besides potential.kind
+# the keys each kind of a family reads, besides <family>.kind
 _POTENTIAL_KEYS = {
     "zero": (),
     "power_repulsive": ("c", "alpha", "epsilon", "beta"),
     "gaussian_attractive": ("a", "s", "beta"),
     "tabulated": ("file", "beta"),
 }
+_MARGINAL_KEYS = {
+    "gaussian_mixture": ("weights", "means", "variances"),
+    "tabulated": ("file",),
+}
+_FAMILIES = {
+    "potential": _POTENTIAL_KEYS,
+    "marginal_in": _MARGINAL_KEYS,
+    "marginal_fin": _MARGINAL_KEYS,
+}
+
+_KNOWN_KEYS = {
+    "domain", "n_x", "n_t", "sigma2", "theta", "tol", "N1", "seed", "verify.N",
+} | {
+    f"{family}.{part}"
+    for family, kinds in _FAMILIES.items()
+    for parts in (("kind",), *kinds.values())
+    for part in parts
+}
+
+# keys naming a table file, read relative to the config file's directory
+_FILE_KEYS = tuple(sorted(key for key in _KNOWN_KEYS if key.endswith(".file")))
 
 # optional integer keys and the SolverConfig fields they set
 _INT_FIELDS = {
@@ -105,22 +112,32 @@ def _as_floats(raw: dict, key: str) -> tuple[float, ...]:
         raise ConfigError(f"{key}: expected numbers, got {raw[key]!r}") from exc
 
 
-def _potential_from(raw: dict) -> PotentialSpec:
-    kind = raw.get("potential.kind", "zero")
-    if kind not in _POTENTIAL_KEYS:
-        raise ConfigError(f"potential.kind: unknown kind {kind!r}")
-    # a key the kind does not read would be silently ignored, so it is
-    # refused like an unknown key
+def _kind_of(raw: dict, family: str, default: str | None = None) -> str:
+    """The family's kind, after refusing the family's keys that it does not
+    read: silently ignored, they would hide a typo or a stale line, so they
+    are refused like unknown keys."""
+    kind_key = f"{family}.kind"
+    kind = raw.get(kind_key, default)
+    if kind is None:
+        raise ConfigError(f"missing required key {kind_key!r}")
+    kinds = _FAMILIES[family]
+    if kind not in kinds:
+        raise ConfigError(f"{kind_key}: unknown kind {kind!r}")
     ignored = sorted(
         key for key in raw
-        if key.startswith("potential.") and key != "potential.kind"
-        and key.removeprefix("potential.") not in _POTENTIAL_KEYS[kind]
+        if key.startswith(f"{family}.") and key != kind_key
+        and key.removeprefix(f"{family}.") not in kinds[kind]
     )
     if ignored:
         raise ConfigError(
-            f"potential.kind = {kind} does not read "
+            f"{kind_key} = {kind} does not read "
             f"{', '.join(repr(key) for key in ignored)}"
         )
+    return kind
+
+
+def _potential_from(raw: dict) -> PotentialSpec:
+    kind = _kind_of(raw, "potential", default="zero")
     # an absent strength is left to the constructors' default
     beta_kw = {}
     if "potential.beta" in raw:
@@ -147,10 +164,7 @@ def _potential_from(raw: dict) -> PotentialSpec:
 
 
 def _marginal_from(raw: dict, prefix: str) -> MarginalSpec:
-    kind_key = f"{prefix}.kind"
-    if kind_key not in raw:
-        raise ConfigError(f"missing required key {kind_key!r}")
-    kind = raw[kind_key]
+    kind = _kind_of(raw, prefix)
     if kind == "gaussian_mixture":
         for part in ("weights", "means", "variances"):
             if f"{prefix}.{part}" not in raw:
@@ -164,7 +178,6 @@ def _marginal_from(raw: dict, prefix: str) -> MarginalSpec:
         if f"{prefix}.file" not in raw:
             raise ConfigError(f"missing required key '{prefix}.file'")
         return MarginalSpec.tabulated(raw[f"{prefix}.file"])
-    raise ConfigError(f"{kind_key}: unknown kind {kind!r}")
 
 
 def solver_config_from(raw: dict[str, str]) -> SolverConfig:

@@ -31,27 +31,20 @@ class ConfigError(MfsbError, ValueError):
     """A run configuration is malformed or violates a constraint."""
 
 
-class InsufficientData(MfsbError, ValueError):
-    """Not enough samples to estimate the requested quantity."""
-
-
 class NoConvergence(MfsbError, RuntimeError):
-    """An iteration budget was exhausted before the stopping test passed.
+    """An iteration budget of :func:`mfsb.solver.solve` was exhausted before
+    the stopping test passed.
 
     Carries enough state to diagnose (and optionally serialize) the failure:
-    which loop gave up, the last distance seen, the trace (its list for the
-    loop that gave up is as long as that loop's budget, which the message
-    also names), and whatever partial iterate was available.
+    which loop gave up (``"inner"`` for the classical-bridge start,
+    ``"outer"`` for the outer loop), the last distance seen, the solve's
+    ConvergenceTrace (its list for the loop that gave up, ``init_dh`` or
+    ``outer_dh``, is as long as that loop's budget, which the message also
+    names) and an unconverged Solution of the last iterate.
     """
 
     def __init__(
-        self,
-        message: str,
-        *,
-        level: str,
-        last_distance: float = float("nan"),
-        trace=None,
-        partial=None,
+        self, message: str, *, level: str, last_distance: float, trace, partial
     ):
         super().__init__(message)
         self.level = level

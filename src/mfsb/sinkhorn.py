@@ -3,12 +3,11 @@
 A pass sweeps the backward equation down from the terminal scaling,
 re-anchors the forward scaling at t = 0 so the initial marginal is matched
 exactly, sweeps forward, and re-anchors the terminal scaling so the final
-marginal is matched, with drift and reaction frozen. It reports how far the
-two anchor slices moved in the Hilbert metric, the natural (scale-free)
-distance. The solver makes one pass per freeze. The classical bridge
-(:func:`mfsb.solver.classical_bridge_init`) makes none: with no drift and no
-reaction a pass only moves the two anchor slices, so the bridge iterates
-those alone and fills in the path once.
+marginal is matched, with drift and reaction frozen. The solver makes one
+pass per freeze and measures how far it moved the pair itself. The classical
+bridge (:func:`mfsb.solver.classical_bridge_init`) makes none: with no drift
+and no reaction a pass only moves the two anchor slices, so the bridge
+iterates those alone and fills in the path once.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import numpy as np
 from .errors import DomainError, PositivityError, ShapeError
 from .grid import SpatialGrid, TimeGrid, check_field, check_path
 from .kolmogorov import TransportOperators, integrate_backward, integrate_forward
-from .metrics import hilbert_distance
 from .potentials import (
     PotentialTable,
     convolve,
@@ -119,28 +117,20 @@ def freeze_problem(
     return FrozenProblem(ops=ops, p_in=p_in, p_fin=p_fin, **factors)
 
 
-def inner_sinkhorn(
-    problem: FrozenProblem, start: PairPath
-) -> tuple[PairPath, float]:
+def inner_sinkhorn(problem: FrozenProblem, start: PairPath) -> PairPath:
     """One Sinkhorn pass from start: backward sweep, t = 0 anchor, forward
     sweep, t = 1 anchor.
 
-    Returns (pair, anchor_dh), anchor_dh the larger Hilbert distance either
-    anchor slice moved from start's. The returned pair reproduces both
-    boundary densities exactly: p_in = e^{-2 W*p_in} phi_0 phihat_0 by
-    construction of the initial anchor, and the terminal phi slice is
-    overwritten with the t = 1 anchor so the same identity holds at t = 1.
+    The returned pair reproduces both boundary densities exactly: p_in =
+    e^{-2 W*p_in} phi_0 phihat_0 by construction of the initial anchor, and
+    the terminal phi slice is overwritten with the t = 1 anchor so the same
+    identity holds at t = 1.
     """
-    sg = problem.ops.sgrid
-    phi1 = check_field(start.phi[-1], sg)
+    phi1 = check_field(start.phi[-1], problem.ops.sgrid)
     phi = integrate_backward(phi1, problem.decay_phi, problem.ops)
     # the generalized Hopf-Cole anchors: phihat_0 = (p_in / phi_0)
     # e^{2 W*p_in}, then phi_1 = (p_fin / phihat_1) e^{2 W*p_fin}
     phihat0 = (problem.p_in / phi[0]) * problem.exp_in_plus
     phihat = integrate_forward(phihat0, problem.decay_phihat, problem.ops)
     phi[-1] = (problem.p_fin / phihat[-1]) * problem.exp_fin_plus
-    anchor_dh = max(
-        hilbert_distance(phi[-1], phi1),
-        hilbert_distance(phihat0, check_field(start.phihat[0], sg)),
-    )
-    return PairPath(phi=phi, phihat=phihat), anchor_dh
+    return PairPath(phi=phi, phihat=phihat)

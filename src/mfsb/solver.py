@@ -40,7 +40,6 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from .errors import (
     ConfigError,
     DomainError,
-    InsufficientData,
     NoConvergence,
     PositivityError,
     SolveError,
@@ -184,7 +183,6 @@ def classical_bridge_init(
     sgrid: SpatialGrid,
     tgrid: TimeGrid,
     tol: float,
-    max_iter: int = BRIDGE_MAX_ITER,
 ) -> tuple[np.ndarray, PairPath, list[float]]:
     """Bridge between the marginals with the interaction switched off.
 
@@ -194,20 +192,16 @@ def classical_bridge_init(
     phihat_1 = K^{n_t} phihat_0 and phi_1 = p_fin / phihat_1. It runs from
     the flat start (phi_1 = 1, phihat_0 = p_in) until a pass moves the
     anchors less than tol in the Hilbert metric, where it contracts (Chen,
-    Georgiou & Pavon 2016). The path is then filled as the last pass would
-    have: a backward sweep from that pass's starting phi_1 with the terminal
-    slice overwritten, and a forward sweep from phihat_0. The density path
-    is the normalized slice-wise product of the two scalings. Returns
-    (p_path, pair, boundary_dh), the anchor distance of every pass. Raises
-    NoConvergence, with the distances as its trace and the last pair as its
-    partial, when max_iter passes do not reach tol.
+    Georgiou & Pavon 2016), or for BRIDGE_MAX_ITER passes. The path is then
+    filled as the last pass would have: a backward sweep from that pass's
+    starting phi_1 with the terminal slice overwritten, and a forward sweep
+    from phihat_0. The density path is the normalized slice-wise product of
+    the two scalings. Returns (p_path, pair, boundary_dh), the anchor
+    distance of every pass. It does not raise when the budget runs out: a
+    last distance of at least tol says so, and :func:`solve` raises.
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
-    if not isinstance(max_iter, (int, np.integer)):
-        raise DomainError(f"max_iter must be an integer, got {max_iter!r}")
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
     p_in = check_field(p_in, sgrid)
     p_fin = check_field(p_fin, sgrid)
     for name, p in (("p_in", p_in), ("p_fin", p_fin)):
@@ -232,7 +226,7 @@ def classical_bridge_init(
 
     phi1, phihat0 = np.ones(sgrid.n_x), p_in
     boundary_dh: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(BRIDGE_MAX_ITER):
         start_phi1, start_phihat0 = phi1, phihat0
         phihat0 = p_in / propagate(start_phi1)
         phi1 = p_fin / propagate(phihat0)
@@ -251,16 +245,7 @@ def classical_bridge_init(
         phihat[l + 1] = step(phihat[l])
     phi[n_t] = phi1
     pair = PairPath(phi=phi, phihat=phihat)
-    if anchor_dh < tol:
-        return normalize(pair.product, sgrid), pair, boundary_dh
-    raise NoConvergence(
-        f"inner loop did not reach tol={tol} in {max_iter} iterations "
-        f"(last anchor distance {anchor_dh:.3e})",
-        level="inner",
-        last_distance=anchor_dh,
-        trace=boundary_dh,
-        partial=pair,
-    )
+    return normalize(pair.product, sgrid), pair, boundary_dh
 
 
 def _refined_density(
@@ -471,8 +456,9 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
     stop test is on that plain step, whose output is returned. Its pair
     distance, a supremum over slices, bounds the pass's anchor distance, so
     the returned pair is stationary to tol under one more refreeze and pass.
-    Raises NoConvergence when n1 or the bridge's BRIDGE_MAX_ITER is
-    exhausted, with the trace and a Solution of the last iterate attached.
+    Raises NoConvergence when the bridge start's BRIDGE_MAX_ITER passes or
+    the n1 evaluations run out, with the trace and a Solution of the last
+    iterate attached.
     """
     sgrid, tgrid = cfg.sgrid, cfg.tgrid
     p_in = build_marginals(cfg.marginal_in, sgrid, "marginal_in")
@@ -490,18 +476,19 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
         )
 
     if warm_pair is None:
-        try:
-            p_path, pair, init_dh = classical_bridge_init(
-                p_in, p_fin, sigma, sgrid, tgrid,
-                tol=cfg.tol,
-                max_iter=BRIDGE_MAX_ITER,
+        p_path, pair, trace.init_dh = classical_bridge_init(
+            p_in, p_fin, sigma, sgrid, tgrid, tol=cfg.tol
+        )
+        last = trace.init_dh[-1]
+        if last >= cfg.tol:
+            raise NoConvergence(
+                f"the classical-bridge start did not reach tol={cfg.tol} in "
+                f"{len(trace.init_dh)} passes (last anchor distance {last:.3e})",
+                level="inner",
+                last_distance=last,
+                trace=trace,
+                partial=outcome(p_path, pair),
             )
-        except NoConvergence as exc:
-            trace.init_dh = exc.trace
-            exc.trace = trace
-            exc.partial = outcome(normalize(exc.partial.product, sgrid), exc.partial)
-            raise
-        trace.init_dh = init_dh
     else:
         check_path(warm_pair.phi, sgrid, tgrid)
         pair = warm_pair
@@ -517,7 +504,7 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
     for k in range(cfg.n1):
         tick = time.perf_counter()
         problem = freeze_problem(p_path, pair, table, p_in, p_fin, sigma, sgrid, tgrid)
-        new_pair = inner_sinkhorn(problem, pair)[0]
+        new_pair = inner_sinkhorn(problem, pair)
         del problem  # its bands go before the next freeze builds new ones
         trace.min_phi = min(trace.min_phi, float(new_pair.phi.min()))
         trace.min_phihat = min(trace.min_phihat, float(new_pair.phihat.min()))
@@ -581,26 +568,6 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
         trace=trace,
         partial=outcome(p_next, new_pair),
     )
-
-
-# ---------------------------------------------------------------------------
-# convergence-rate analysis
-
-
-def fit_geometric_rate(distances) -> float:
-    """Least-squares geometric rate of a positive decreasing-ish sequence.
-
-    Fits log d_k against k and returns e^{slope}; an exactly geometric
-    sequence r^k returns r. Raises InsufficientData with fewer than three
-    positive finite entries.
-    """
-    arr = np.asarray([d for d in distances if np.isfinite(d) and d > 0.0], dtype=float)
-    if arr.size < 3:
-        raise InsufficientData(
-            f"need at least 3 positive distances to fit a rate, got {arr.size}"
-        )
-    slope = np.polyfit(np.arange(arr.size), np.log(arr), 1)[0]
-    return float(np.exp(slope))
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,22 @@ def per_step_particle_run(u_path: np.ndarray, p_init: np.ndarray, sigma: float,
     return x
 
 
+def hilbert(f: np.ndarray, g: np.ndarray) -> float:
+    """max - min of log f - log g: the Hilbert distance, in the same
+    operations as the package's, so that the two agree bit for bit."""
+    r = np.log(f) - np.log(g)
+    return float(r.max() - r.min())
+
+
+def anchor_distance(start, pair) -> float:
+    """The larger Hilbert distance either anchor slice (phi at t = 1, phihat
+    at t = 0) moved from start's to pair's."""
+    return max(
+        hilbert(pair.phi[-1], start.phi[-1]),
+        hilbert(pair.phihat[0], start.phihat[0]),
+    )
+
+
 def repeat_passes(problem, pair, tol: float, max_iter: int):
     """Repeat Sinkhorn passes of a frozen problem from pair until one moves
     the anchors less than tol; returns (pair, anchor distance of each pass).
@@ -262,13 +278,56 @@ def repeat_passes(problem, pair, tol: float, max_iter: int):
     the test oracles compare it with, at any kernel."""
     distances = []
     for _ in range(max_iter):
-        pair, anchor_dh = inner_sinkhorn(problem, pair)
-        distances.append(anchor_dh)
-        if anchor_dh < tol:
+        start, pair = pair, inner_sinkhorn(problem, pair)
+        distances.append(anchor_distance(start, pair))
+        if distances[-1] < tol:
             return pair, distances
     raise AssertionError(
         f"passes did not reach tol={tol} in {max_iter} (last {distances[-1]:.3e})"
     )
+
+
+def fit_geometric_rate(distances) -> float:
+    """Least-squares geometric rate of a positive decreasing-ish sequence.
+
+    Fits log d_k against k and returns e^{slope}; an exactly geometric
+    sequence r^k returns r. Raises ValueError with fewer than three positive
+    finite entries.
+    """
+    arr = np.asarray([d for d in distances if np.isfinite(d) and d > 0.0], dtype=float)
+    if arr.size < 3:
+        raise ValueError(
+            f"need at least 3 positive distances to fit a rate, got {arr.size}"
+        )
+    slope = np.polyfit(np.arange(arr.size), np.log(arr), 1)[0]
+    return float(np.exp(slope))
+
+
+def ou_bridge_cost(sigma2: float, kappa: float, m0: float, s0: float,
+                   m1: float, s1: float) -> float:
+    """Exact cost of the bridge from N(m0, s0) to N(m1, s1) under the
+    quadratic kernel W(r) = kappa r^2 / 2.
+
+    The kernel's drift -(W' * p)(x) = -kappa (x - m_t) leaves the mean on
+    the straight line from m0 to m1, which costs (m1 - m0)^2 / (2 sigma2).
+    The centred part is the classical bridge under the Ornstein-Uhlenbeck
+    prior dY = a Y dt + sigma dB with a = -sigma2 kappa, whose Gaussian
+    endpoints give a closed-form relative entropy (Chen, Georgiou & Pavon
+    2016, IEEE TAC 61:1158, and 2018, JOTA 179:332; Leonard 2014, DCDS-A
+    34:1533): with the prior's transition variance v = sigma2 (1 - e^{2a}) /
+    (-2a) (sigma2 when kappa = 0), the coupling c = (-v + sqrt(v^2 + 4
+    e^{2a} s0 s1)) / (2 e^a) and tau = s1 - c^2 / s0, it is
+    1/2 [tau / v + s0 (c / s0 - e^a)^2 / v - 1 + ln(v / tau)].
+    """
+    a = -sigma2 * kappa
+    v = sigma2 if kappa == 0.0 else sigma2 * -math.expm1(2.0 * a) / (-2.0 * a)
+    ea = math.exp(a)
+    c = (-v + math.sqrt(v * v + 4.0 * ea * ea * s0 * s1)) / (2.0 * ea)
+    tau = s1 - c * c / s0
+    centred = 0.5 * (
+        tau / v + s0 * (c / s0 - ea) ** 2 / v - 1.0 + math.log(v / tau)
+    )
+    return (m1 - m0) ** 2 / (2.0 * sigma2) + centred
 
 
 def gaussian_density(x: np.ndarray, mean: float, variance: float) -> np.ndarray:
@@ -313,3 +372,9 @@ HAND_POWER_KERNEL_AT_ZERO = 6.2797160787739505
 
 # two-node Hilbert distance of (1, 2) vs (2, 1): log 2 - log(1/2) = 2 log 2
 HAND_TWO_NODE_HILBERT = 1.3862943611198906
+
+# ou_bridge_cost(0.2, 1, -0.3, 0.04, 0.4, 0.02), evaluated step by step:
+#   a = -0.2, v = 0.2 (1 - e^{-0.4}) / 0.4 = 0.16483998
+#   c = 0.00389799, tau = 0.02 - c^2 / 0.04 = 0.01962014
+#   cost = 0.7^2 / 0.4 + 0.68684331 = 1.2250 + 0.68684331
+HAND_OU_BRIDGE_COST = 1.911843

@@ -32,7 +32,6 @@ from mfsb.solver import (
     contraction_constants,
     _refined_density,
     control_energy,
-    fit_geometric_rate,
     optimal_control,
     solve,
 )
@@ -47,6 +46,7 @@ from oracles import (
     direct_convolution,
     direct_pair_density,
     direct_reaction,
+    fit_geometric_rate,
 )
 
 

@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC = {
     # errors
-    "ConfigError", "DomainError", "InsufficientData", "MfsbError", "NoConvergence",
+    "ConfigError", "DomainError", "MfsbError", "NoConvergence",
     "PositivityError", "ShapeError", "SolveError", "ZeroMassError",
     # grids
     "SpatialGrid", "TimeGrid",
@@ -49,7 +49,6 @@ INTERNAL = {
     "mfsb.marginals": ["build_marginals"],
     "mfsb.solver": [
         "classical_bridge_init", "optimal_control", "control_energy",
-        "fit_geometric_rate",
     ],
     "mfsb.particles": ["empirical_density", "sampling_noise_l1"],
 }

@@ -209,6 +209,34 @@ def test_cli_zero_kernel_with_kernel_parameters_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["mixture with a file", "table with mixture keys"])
+def test_cli_marginal_keys_the_kind_does_not_read_exit_one(tmp_path, capsys, case):
+    # both used to run to convergence and exit 0, the stray keys unread
+    if case == "mixture with a file":
+        keys, drop = {"marginal_in.file": "nowhere.txt"}, ()
+        message = "marginal_in.kind = gaussian_mixture does not read 'marginal_in.file'"
+    else:
+        x = np.linspace(-2.5, 2.5, 101)
+        table = tmp_path / "p_fin.txt"
+        np.savetxt(table, np.column_stack([x, np.exp(-((x - 0.4) ** 2) / 0.08)]))
+        # example1's marginal_fin.weights = 1 stays
+        keys = {
+            "marginal_fin.kind": "tabulated", "marginal_fin.file": table,
+            "marginal_fin.means": "3",
+        }
+        drop = ("marginal_fin.variances",)
+        message = (
+            "marginal_fin.kind = tabulated does not read "
+            "'marginal_fin.means', 'marginal_fin.weights'"
+        )
+    path = tmp_path / "stray.cfg"
+    path.write_text(example_with("example1", keys, drop))
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
 REQUIRED_ONLY = """\
 sigma2 = 0.2
 theta = 1.0
@@ -611,6 +639,14 @@ def test_cli_each_exhausted_budget_exits_two_with_artifacts(
     assert trace["status"] == "no_convergence"
     assert trace["error"]["level"] == level
     assert np.isfinite(trace["cost"])
+    if level == "inner":
+        # the start's last pass is the distance the error reports
+        init_dh = trace["trace"]["init_dh"]
+        assert len(init_dh) == bridge_max_iter
+        assert trace["error"]["last_distance"] == init_dh[-1]
+        assert trace["error"]["message"].startswith(
+            "the classical-bridge start did not reach tol"
+        )
 
 
 def test_cli_tol_below_the_stall_floor_exits_one(tmp_path, capsys):

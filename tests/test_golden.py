@@ -27,14 +27,9 @@ import pytest
 from mfsb.kolmogorov import propagate_density
 from mfsb.metrics import l1_distance, pair_distance, path_distance
 from mfsb.sinkhorn import freeze_problem
-from mfsb.solver import (
-    BRIDGE_MAX_ITER,
-    _refined_density,
-    classical_bridge_init,
-    fit_geometric_rate,
-)
+from mfsb.solver import BRIDGE_MAX_ITER, _refined_density, classical_bridge_init
 
-from oracles import repeat_passes
+from oracles import fit_geometric_rate, repeat_passes
 
 RATE_MAX = 0.95
 
@@ -86,10 +81,11 @@ def plain_outer_solve(cfg, p_in, p_fin):
     repeat Sinkhorn passes to tol / 10, refine and damp, until the density
     and pair steps are both below tol. Returns (p, density steps)."""
     sgrid, tgrid, table = cfg.sgrid, cfg.tgrid, cfg.kernel_table
-    p_path, pair, _ = classical_bridge_init(
-        p_in, p_fin, cfg.sigma, sgrid, tgrid,
-        tol=min(cfg.tol, ORACLE_START_TOL), max_iter=BRIDGE_MAX_ITER,
+    start_tol = min(cfg.tol, ORACLE_START_TOL)
+    p_path, pair, init_dh = classical_bridge_init(
+        p_in, p_fin, cfg.sigma, sgrid, tgrid, tol=start_tol
     )
+    assert init_dh[-1] < start_tol
     outer_dh = []
     for _ in range(cfg.n1):
         problem = freeze_problem(
