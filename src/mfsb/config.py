@@ -19,16 +19,37 @@ from .marginals import MarginalSpec
 from .potentials import PotentialSpec, load_tabulated_potential
 from .solver import SolverConfig
 
-# the keys each kind of a family reads, besides <family>.kind
+# a key's value type and whether it is required: a tuple is a list of
+# numbers, a str a table file; an absent optional key leaves its default
+_NUMBER, _NUMBERS, _FILE = (float, True), (tuple, True), (str, True)
+_COUNT, _ENDS, _STRENGTH = (int, False), (tuple, False), (float, False)
+# what a value that does not parse as its type was expected to be
+_EXPECTED = {float: "a number", int: "an integer", tuple: "numbers"}
+
+# each top-level key and the SolverConfig field it sets (domain sets both ends)
+_TOP_KEYS = {
+    "n_x": ("n_x", _COUNT),
+    "n_t": ("n_t", _COUNT),
+    "N1": ("n1", _COUNT),
+    "seed": ("seed", _COUNT),
+    "verify.N": ("verify_n", _COUNT),
+    "domain": (("x_min", "x_max"), _ENDS),
+    "sigma2": ("sigma2", _NUMBER),
+    "theta": ("theta", _NUMBER),
+    "tol": ("tol", _NUMBER),
+}
+# the keys each kind of a family reads besides <family>.kind
 _POTENTIAL_KEYS = {
-    "zero": (),
-    "power_repulsive": ("c", "alpha", "epsilon", "beta"),
-    "gaussian_attractive": ("a", "s", "beta"),
-    "tabulated": ("file", "beta"),
+    "zero": {},
+    "power_repulsive": {
+        "beta": _STRENGTH, "c": _NUMBER, "alpha": _NUMBER, "epsilon": _NUMBER,
+    },
+    "gaussian_attractive": {"beta": _STRENGTH, "a": _NUMBER, "s": _NUMBER},
+    "tabulated": {"beta": _STRENGTH, "file": _FILE},
 }
 _MARGINAL_KEYS = {
-    "gaussian_mixture": ("weights", "means", "variances"),
-    "tabulated": ("file",),
+    "gaussian_mixture": {"weights": _NUMBERS, "means": _NUMBERS, "variances": _NUMBERS},
+    "tabulated": {"file": _FILE},
 }
 _FAMILIES = {
     "potential": _POTENTIAL_KEYS,
@@ -36,9 +57,7 @@ _FAMILIES = {
     "marginal_fin": _MARGINAL_KEYS,
 }
 
-_KNOWN_KEYS = {
-    "domain", "n_x", "n_t", "sigma2", "theta", "tol", "N1", "seed", "verify.N",
-} | {
+_KNOWN_KEYS = set(_TOP_KEYS) | {
     f"{family}.{part}"
     for family, kinds in _FAMILIES.items()
     for parts in (("kind",), *kinds.values())
@@ -47,12 +66,6 @@ _KNOWN_KEYS = {
 
 # keys naming a table file, read relative to the config file's directory
 _FILE_KEYS = tuple(sorted(key for key in _KNOWN_KEYS if key.endswith(".file")))
-
-# optional integer keys and the SolverConfig fields they set
-_INT_FIELDS = {
-    "n_x": "n_x", "n_t": "n_t", "N1": "n1", "seed": "seed",
-    "verify.N": "verify_n",
-}
 
 
 def read_key_values(path) -> dict[str, str]:
@@ -89,37 +102,28 @@ def parse_config(path) -> dict[str, str]:
     return out
 
 
-def _as_float(raw: dict, key: str) -> float:
+def _value(raw: dict, key: str, vtype: type):
+    """The key's value read as its type (float, int, tuple or str)."""
     if key not in raw:
         raise ConfigError(f"missing required key {key!r}")
+    text = raw[key]
     try:
-        return float(raw[key])
+        if vtype is tuple:
+            return tuple(float(tok) for tok in text.split())
+        return vtype(text)
     except ValueError as exc:
-        raise ConfigError(f"{key}: expected a number, got {raw[key]!r}") from exc
+        raise ConfigError(f"{key}: expected {_EXPECTED[vtype]}, got {text!r}") from exc
 
 
-def _as_int(raw: dict, key: str) -> int:
-    try:
-        return int(raw[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected an integer, got {raw[key]!r}") from exc
-
-
-def _as_floats(raw: dict, key: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in raw[key].split())
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected numbers, got {raw[key]!r}") from exc
-
-
-def _kind_of(raw: dict, family: str, default: str | None = None) -> str:
-    """The family's kind, after refusing the family's keys that it does not
-    read: silently ignored, they would hide a typo or a stale line, so they
-    are refused like unknown keys."""
+def _kind_and_params(
+    raw: dict, family: str, default: str | None = None
+) -> tuple[str, dict]:
+    """The family's kind and the parameters it reads, by name (an absent
+    optional one left out), after refusing the family's keys that the kind
+    does not read: silently ignored, they would hide a typo or a stale line,
+    so they are refused like unknown keys."""
     kind_key = f"{family}.kind"
-    kind = raw.get(kind_key, default)
-    if kind is None:
-        raise ConfigError(f"missing required key {kind_key!r}")
+    kind = raw.get(kind_key, default) if default else _value(raw, kind_key, str)
     kinds = _FAMILIES[family]
     if kind not in kinds:
         raise ConfigError(f"{kind_key}: unknown kind {kind!r}")
@@ -133,51 +137,27 @@ def _kind_of(raw: dict, family: str, default: str | None = None) -> str:
             f"{kind_key} = {kind} does not read "
             f"{', '.join(repr(key) for key in ignored)}"
         )
-    return kind
+    return kind, {
+        part: _value(raw, f"{family}.{part}", vtype)
+        for part, (vtype, required) in kinds[kind].items()
+        if required or f"{family}.{part}" in raw
+    }
 
 
 def _potential_from(raw: dict) -> PotentialSpec:
-    kind = _kind_of(raw, "potential", default="zero")
-    # an absent strength is left to the constructors' default
-    beta_kw = {}
-    if "potential.beta" in raw:
-        beta_kw["beta"] = _as_float(raw, "potential.beta")
+    kind, params = _kind_and_params(raw, "potential", default="zero")
     if kind == "zero":
         return PotentialSpec.zero()
-    if kind == "power_repulsive":
-        return PotentialSpec.power_repulsive(
-            c=_as_float(raw, "potential.c"),
-            alpha=_as_float(raw, "potential.alpha"),
-            epsilon=_as_float(raw, "potential.epsilon"),
-            **beta_kw,
-        )
-    if kind == "gaussian_attractive":
-        return PotentialSpec.gaussian_attractive(
-            a=_as_float(raw, "potential.a"),
-            s=_as_float(raw, "potential.s"),
-            **beta_kw,
-        )
     if kind == "tabulated":
-        if "potential.file" not in raw:
-            raise ConfigError("potential.file is required for a tabulated kernel")
-        return load_tabulated_potential(raw["potential.file"], **beta_kw)
+        return load_tabulated_potential(params.pop("file"), **params)
+    return PotentialSpec(kind=kind, **params)
 
 
-def _marginal_from(raw: dict, prefix: str) -> MarginalSpec:
-    kind = _kind_of(raw, prefix)
-    if kind == "gaussian_mixture":
-        for part in ("weights", "means", "variances"):
-            if f"{prefix}.{part}" not in raw:
-                raise ConfigError(f"missing required key '{prefix}.{part}'")
-        return MarginalSpec.gaussian_mixture(
-            weights=_as_floats(raw, f"{prefix}.weights"),
-            means=_as_floats(raw, f"{prefix}.means"),
-            variances=_as_floats(raw, f"{prefix}.variances"),
-        )
+def _marginal_from(raw: dict, family: str) -> MarginalSpec:
+    kind, params = _kind_and_params(raw, family)
     if kind == "tabulated":
-        if f"{prefix}.file" not in raw:
-            raise ConfigError(f"missing required key '{prefix}.file'")
-        return MarginalSpec.tabulated(raw[f"{prefix}.file"])
+        return MarginalSpec.tabulated(params["file"])
+    return MarginalSpec(kind=kind, **params)
 
 
 def solver_config_from(raw: dict[str, str]) -> SolverConfig:
@@ -185,22 +165,22 @@ def solver_config_from(raw: dict[str, str]) -> SolverConfig:
 
     Optional keys that are absent take the SolverConfig defaults.
     """
-    optional = {
-        field: _as_int(raw, key) for key, field in _INT_FIELDS.items() if key in raw
-    }
-    if "domain" in raw:
-        ends = _as_floats(raw, "domain")
-        if len(ends) != 2:
-            raise ConfigError(f"domain: expected two numbers, got {raw['domain']!r}")
-        optional["x_min"], optional["x_max"] = ends
+    fields = {}
+    for key, (field, (vtype, required)) in _TOP_KEYS.items():
+        if not required and key not in raw:
+            continue
+        value = _value(raw, key, vtype)
+        if vtype is tuple:  # the domain's two ends
+            if len(value) != len(field):
+                raise ConfigError(f"{key}: expected two numbers, got {raw[key]!r}")
+            fields.update(zip(field, value))
+        else:
+            fields[field] = value
     return SolverConfig(
-        sigma2=_as_float(raw, "sigma2"),
-        theta=_as_float(raw, "theta"),
-        tol=_as_float(raw, "tol"),
         potential=_potential_from(raw),
         marginal_in=_marginal_from(raw, "marginal_in"),
         marginal_fin=_marginal_from(raw, "marginal_fin"),
-        **optional,
+        **fields,
     )
 
 

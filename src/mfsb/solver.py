@@ -479,24 +479,25 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
         p_path, pair, trace.init_dh = classical_bridge_init(
             p_in, p_fin, sigma, sgrid, tgrid, tol=cfg.tol
         )
-        last = trace.init_dh[-1]
-        if last >= cfg.tol:
-            raise NoConvergence(
-                f"the classical-bridge start did not reach tol={cfg.tol} in "
-                f"{len(trace.init_dh)} passes (last anchor distance {last:.3e})",
-                level="inner",
-                last_distance=last,
-                trace=trace,
-                partial=outcome(p_path, pair),
-            )
     else:
         check_path(warm_pair.phi, sgrid, tgrid)
         pair = warm_pair
         p_path = _warm_start_density(cfg, pair, p_in, p_fin)
 
+    # set before the start's budget check, so its partial's trace has them
     trace.min_phi = float(pair.phi.min())
     trace.min_phihat = float(pair.phihat.min())
     trace.min_density = float(p_path.min())
+    if trace.init_dh and trace.init_dh[-1] >= cfg.tol:
+        last = trace.init_dh[-1]
+        raise NoConvergence(
+            f"the classical-bridge start did not reach tol={cfg.tol} in "
+            f"{len(trace.init_dh)} passes (last anchor distance {last:.3e})",
+            level="inner",
+            last_distance=last,
+            trace=trace,
+            partial=outcome(p_path, pair),
+        )
 
     mixer = None
     kind = "plain"  # how the current iterate was made

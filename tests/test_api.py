@@ -12,6 +12,7 @@ import pytest
 
 import mfsb
 import mfsb.cli  # noqa: F401  (the probe runs mfsb.cli, which loads every layer)
+from mfsb import config
 from mfsb.config import example_config_path
 from mfsb.sinkhorn import freeze_problem
 
@@ -72,6 +73,12 @@ def test_building_blocks_live_in_their_modules_only(module):
 def test_every_public_name_is_documented():
     readme = (ROOT / "README.md").read_text()
     missing = sorted(name for name in mfsb.__all__ if f"`{name}`" not in readme)
+    assert missing == []
+
+
+def test_every_config_key_is_documented():
+    readme = (ROOT / "README.md").read_text()
+    missing = sorted(key for key in config._KNOWN_KEYS if f"`{key}`" not in readme)
     assert missing == []
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mfsb import config, potentials
 from mfsb.cli import _format_floats, _write_columns, main, read_pair_csv, run
 from mfsb.config import (
     example_config_path,
@@ -273,6 +274,135 @@ def test_absent_optional_keys_take_the_solver_config_defaults(tmp_path):
     )
     path.write_text(REQUIRED_ONLY + kernel + "potential.beta = 0.5\n")
     assert load_config(path).potential.beta == 0.5
+
+
+# two valid values of every key in the config tables: a config of the
+# first values loads, and the second value of any one key must change it
+TOP_VALUES = {
+    "domain": ("-2 2", "-3 3"), "n_x": ("41", "43"), "n_t": ("10", "12"),
+    "sigma2": ("0.2", "0.3"), "theta": ("0.7", "1"), "tol": ("1e-6", "1e-7"),
+    "N1": ("200", "20"), "seed": ("0", "1"), "verify.N": ("1000", "2000"),
+}
+KIND_VALUES = {
+    "potential": {
+        "zero": {},
+        "power_repulsive": {
+            "c": ("5", "4"), "alpha": ("0.2", "0.3"), "epsilon": ("0.01", "0.02"),
+            "beta": ("1", "0.5"),
+        },
+        "gaussian_attractive": {
+            "a": ("1", "2"), "s": ("0.3", "0.2"), "beta": ("1", "0.5"),
+        },
+        "tabulated": {"file": ("kernel1.txt", "kernel2.txt"), "beta": ("1", "0.5")},
+    },
+    "marginal": {
+        "gaussian_mixture": {
+            "weights": ("0.5 0.5", "0.25 0.75"), "means": ("0.5 -0.4", "0.4 -0.4"),
+            "variances": ("0.04 0.04", "0.05 0.04"),
+        },
+        "tabulated": {"file": ("p1.txt", "p2.txt")},
+    },
+}
+DEFAULT_KINDS = {
+    "potential": "power_repulsive",
+    "marginal_in": "gaussian_mixture",
+    "marginal_fin": "gaussian_mixture",
+}
+
+
+def write_table_config(directory, kinds=(), second=None, drop=None):
+    """Write directory/table.cfg with the given kind per family (else the
+    DEFAULT_KINDS) and every key at its first value, but ``second`` at its
+    second value and ``drop`` left out, beside the four table files it may
+    name; return its path."""
+    r = np.linspace(-5.0, 5.0, 201)
+    x = np.linspace(-2.5, 2.5, 101)
+    for i, width in ((1, 0.09), (2, 0.05)):
+        kernel, p = np.exp(-r * r / width), np.exp(-x * x / width)
+        np.savetxt(directory / f"kernel{i}.txt", np.column_stack([r, kernel]))
+        np.savetxt(directory / f"p{i}.txt", np.column_stack([x, p]))
+    keys = dict(TOP_VALUES)
+    for family, kind in dict(DEFAULT_KINDS, **dict(kinds)).items():
+        keys[f"{family}.kind"] = (kind,)
+        for part, values in KIND_VALUES[family.split("_")[0]][kind].items():
+            keys[f"{family}.{part}"] = values
+    path = directory / "table.cfg"
+    path.write_text("".join(
+        f"{key} = {values[1 if key == second else 0]}\n"
+        for key, values in keys.items() if key != drop
+    ))
+    return path
+
+
+TABLE_KEYS = [
+    pytest.param(family, kind, f"{family}.{part}", id=f"{family}.{part}-{kind}")
+    for family, kinds in config._FAMILIES.items()
+    for kind, parts in kinds.items()
+    for part in parts
+] + [pytest.param(None, None, key, id=key) for key in config._TOP_KEYS]
+
+
+@pytest.mark.parametrize("family, kind, key", TABLE_KEYS)
+def test_every_table_key_changes_the_solver_config(tmp_path, family, kind, key):
+    # a key that is accepted but left unread would build the same config
+    kinds = {family: kind} if family else {}
+    base = load_config(write_table_config(tmp_path, kinds))
+    assert load_config(write_table_config(tmp_path, kinds, second=key)) != base
+
+
+def test_the_kind_tables_match_the_builders(tmp_path):
+    assert tuple(config._POTENTIAL_KEYS) == potentials._KINDS
+    # build_marginals builds every marginal kind of the table, and only those
+    for kind in config._MARGINAL_KEYS:
+        cfg = load_config(write_table_config(tmp_path, {"marginal_in": kind}))
+        assert build_marginals(cfg.marginal_in, cfg.sgrid).shape == (cfg.n_x,)
+    with pytest.raises(ConfigError, match="unknown marginal kind 'uniform'"):
+        build_marginals(MarginalSpec(kind="uniform"), SpatialGrid(-2.0, 2.0, 64))
+
+
+MARGINALS = ("marginal_in", "marginal_fin")
+# every required key, with the kind of its family that reads it
+REQUIRED = {
+    "sigma2": None, "theta": None, "tol": None,
+    "marginal_in.kind": None, "marginal_fin.kind": None,
+    "potential.c": "power_repulsive", "potential.alpha": "power_repulsive",
+    "potential.epsilon": "power_repulsive",
+    "potential.a": "gaussian_attractive", "potential.s": "gaussian_attractive",
+    "potential.file": "tabulated",
+    **{
+        f"{family}.{part}": "gaussian_mixture"
+        for family in MARGINALS for part in ("weights", "means", "variances")
+    },
+    **{f"{family}.file": "tabulated" for family in MARGINALS},
+}
+
+
+def test_the_required_keys_are_those_the_tables_require():
+    required = {
+        key: None for key, (_, (_, needed)) in config._TOP_KEYS.items() if needed
+    }
+    required.update({f"{family}.kind": None for family in MARGINALS})
+    for family, kinds in config._FAMILIES.items():
+        for kind, parts in kinds.items():
+            for part, (_, needed) in parts.items():
+                if needed:
+                    required[f"{family}.{part}"] = kind
+    assert required == REQUIRED
+
+
+@pytest.mark.parametrize("key", REQUIRED)
+def test_cli_missing_required_key_exits_one(tmp_path, capsys, key):
+    family = key.split(".")[0]
+    kinds = {family: REQUIRED[key]} if REQUIRED[key] else {}
+    # the same config with the key loads
+    load_config(write_table_config(tmp_path, kinds))
+    path = write_table_config(tmp_path, kinds, drop=key)
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: missing required key {key!r}"
+    ]
+    assert not out.exists()
 
 
 def test_mixture_weights_must_sum_to_one():
@@ -639,6 +769,10 @@ def test_cli_each_exhausted_budget_exits_two_with_artifacts(
     assert trace["status"] == "no_convergence"
     assert trace["error"]["level"] == level
     assert np.isfinite(trace["cost"])
+    # the minima of the written pair and density, never null
+    for key in ("min_phi", "min_phihat", "min_density"):
+        value = trace["trace"][key]
+        assert isinstance(value, float) and value > 0.0, (key, value)
     if level == "inner":
         # the start's last pass is the distance the error reports
         init_dh = trace["trace"]["init_dh"]

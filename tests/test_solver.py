@@ -512,6 +512,10 @@ def test_solve_exhausting_bridge_budget_attaches_normalized_product(monkeypatch)
     np.testing.assert_array_equal(
         exc.partial.p, normalize(pair.product, cfg.sgrid)
     )
+    # the trace's minima are those of the partial, not their unset inf
+    assert exc.trace.min_phi == pair.phi.min()
+    assert exc.trace.min_phihat == pair.phihat.min()
+    assert exc.trace.min_density == exc.partial.p.min()
 
 
 def test_solver_config_validation():
