@@ -146,8 +146,6 @@ def _kind_and_params(
 
 def _potential_from(raw: dict) -> PotentialSpec:
     kind, params = _kind_and_params(raw, "potential", default="zero")
-    if kind == "zero":
-        return PotentialSpec.zero()
     if kind == "tabulated":
         return load_tabulated_potential(params.pop("file"), **params)
     return PotentialSpec(kind=kind, **params)
@@ -155,9 +153,7 @@ def _potential_from(raw: dict) -> PotentialSpec:
 
 def _marginal_from(raw: dict, family: str) -> MarginalSpec:
     kind, params = _kind_and_params(raw, family)
-    if kind == "tabulated":
-        return MarginalSpec.tabulated(params["file"])
-    return MarginalSpec(kind=kind, **params)
+    return MarginalSpec(kind=kind, path=params.pop("file", None), **params)
 
 
 def solver_config_from(raw: dict[str, str]) -> SolverConfig:

@@ -8,16 +8,21 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import SpatialGrid, normalize
-from .potentials import _non_finite_samples, _read_samples
+from .potentials import _non_finite_samples, _read_samples, _refuse_unread
 
 # relative floor applied before normalization so log-space metrics stay finite
 # on far tails; total mass added is ~1e-13 and invisible at solver tolerances
 _FLOOR = 1e-14
+# the fields each kind reads besides its kind; the others keep their defaults
+_READS = {"gaussian_mixture": ("weights", "means", "variances"), "tabulated": ("path",)}
 
 
 @dataclass(frozen=True)
 class MarginalSpec:
-    """A boundary density: a Gaussian mixture or a tabulated curve."""
+    """A boundary density: a Gaussian mixture, with its numbers stored as
+    tuples of floats, or a tabulated curve read from ``path``, stored as a
+    str. An unknown kind, or a field the kind does not read that differs from
+    its default, is a ConfigError; :func:`build_marginals` checks the rest."""
 
     kind: str
     weights: tuple[float, ...] = ()
@@ -25,18 +30,14 @@ class MarginalSpec:
     variances: tuple[float, ...] = ()
     path: str | None = None
 
-    @classmethod
-    def gaussian_mixture(cls, weights, means, variances) -> "MarginalSpec":
-        return cls(
-            kind="gaussian_mixture",
-            weights=tuple(float(w) for w in weights),
-            means=tuple(float(m) for m in means),
-            variances=tuple(float(v) for v in variances),
-        )
-
-    @classmethod
-    def tabulated(cls, path) -> "MarginalSpec":
-        return cls(kind="tabulated", path=str(path))
+    def __post_init__(self):
+        if self.kind not in _READS:
+            raise ConfigError(f"unknown marginal kind {self.kind!r}")
+        for name in _READS["gaussian_mixture"]:
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+        if self.path is not None:
+            object.__setattr__(self, "path", str(self.path))
+        _refuse_unread(self, _READS[self.kind], ConfigError)
 
 
 def _mixture_field(spec: MarginalSpec, grid: SpatialGrid, prefix: str) -> np.ndarray:
@@ -108,10 +109,8 @@ def build_marginals(
     prefix = f"{name}." if name else ""
     if spec.kind == "gaussian_mixture":
         f = _mixture_field(spec, grid, prefix)
-    elif spec.kind == "tabulated":
-        f = _tabulated_field(spec, grid)
     else:
-        raise ConfigError(f"unknown marginal kind {spec.kind!r}")
+        f = _tabulated_field(spec, grid)
     peak = float(f.max())
     if peak <= 0.0:
         raise ConfigError(f"{name or 'marginal'} is identically zero on the grid")

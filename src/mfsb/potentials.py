@@ -16,7 +16,7 @@ Both tables carry the overall strength factor beta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -24,18 +24,41 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigError, DomainError, PositivityError, ShapeError
 from .grid import SpatialGrid
 
-_KINDS = ("zero", "power_repulsive", "gaussian_attractive", "tabulated")
+# the fields each kind reads besides its kind; the others keep their defaults
+_READS = {
+    "zero": (),
+    "power_repulsive": ("beta", "c", "alpha", "epsilon"),
+    "gaussian_attractive": ("beta", "a", "s"),
+    "tabulated": ("beta", "table_r", "table_w"),
+}
 # the parameters of each kind that must be finite and positive
 _POSITIVE = {"power_repulsive": ("c", "epsilon"), "gaussian_attractive": ("a", "s")}
 
 
+def _refuse_unread(spec, reads, error: type[Exception]) -> None:
+    """Raise ``error`` naming the fields after the spec's kind that are not in
+    ``reads`` and differ in value from their defaults."""
+    unread = ", ".join(
+        repr(f.name) for f in fields(spec)[1:]
+        if f.name not in reads and (
+            getattr(spec, f.name) is not None if f.default is None
+            else getattr(spec, f.name) != f.default
+        )
+    )
+    if unread:
+        raise error(f"{type(spec).__name__} kind {spec.kind!r} does not read {unread}")
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Declarative description of an interaction kernel.
+    """Declarative description of an interaction kernel, e.g.
+    ``PotentialSpec(kind="gaussian_attractive", a=1.0, s=0.3)``.
 
-    Use the classmethod constructors; the generic __init__ is mostly for
-    round-tripping configs.
-    """
+    An unknown kind, a field the kind does not read that differs from its
+    default, a parameter out of range, or tabulated samples that are not two
+    equal 1-d sequences of at least 4 finite numbers are a DomainError.
+    Tabulated samples are stored as tuples of floats sorted by displacement;
+    the zero kernel reads no field and is stored with beta = 0.0."""
 
     kind: str
     beta: float = 1.0
@@ -52,61 +75,38 @@ class PotentialSpec:
     table_w: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _READS:
             raise DomainError(f"unknown potential kind {self.kind!r}")
+        # beta = 0.0 turns any kernel off, so the zero kernel may be given it
+        reads = _READS[self.kind] + (("beta",) if self.beta == 0.0 else ())
+        _refuse_unread(self, reads, DomainError)
+        if self.kind == "zero":
+            object.__setattr__(self, "beta", 0.0)
         if not np.isfinite(self.beta) or self.beta < 0.0:
             raise DomainError(f"beta must be finite and >= 0, got {self.beta}")
         for name in _POSITIVE.get(self.kind, ()):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0.0):
-                raise DomainError(
-                    f"{self.kind} needs a finite {name} > 0, got {value}"
-                )
+                raise DomainError(f"{self.kind} needs a finite {name} > 0, got {value}")
         if self.kind == "power_repulsive" and not 0.0 < self.alpha < 1.0:
             raise DomainError(
                 f"power_repulsive needs alpha in (0, 1), got {self.alpha}"
             )
         if self.kind == "tabulated":
-            if self.table_r is None or self.table_w is None:
-                raise DomainError("tabulated potential needs sample arrays")
-            if len(self.table_r) != len(self.table_w) or len(self.table_r) < 4:
-                raise DomainError("tabulated potential needs >= 4 (r, W) samples")
             r = np.asarray(self.table_r, dtype=float)
             w = np.asarray(self.table_w, dtype=float)
+            if r.ndim != 1 or r.shape != w.shape:
+                raise DomainError("tabulated samples must be two equal 1-d arrays")
+            if len(r) < 4:
+                raise DomainError("tabulated potential needs >= 4 (r, W) samples")
             bad = _non_finite_samples("r, W", r, w)
             if bad:
                 raise DomainError(f"tabulated potential samples must be finite: {bad}")
             # checked in the given order, so the message names the given
             # indices; stored sorted by displacement
             order = np.argsort(r)
-            object.__setattr__(self, "table_r", tuple(r[order]))
-            object.__setattr__(self, "table_w", tuple(w[order]))
-
-    @classmethod
-    def zero(cls) -> "PotentialSpec":
-        return cls(kind="zero", beta=0.0)
-
-    @classmethod
-    def power_repulsive(
-        cls, c: float, alpha: float, epsilon: float, beta: float = 1.0
-    ) -> "PotentialSpec":
-        return cls(
-            kind="power_repulsive", beta=beta, c=c, alpha=alpha, epsilon=epsilon
-        )
-
-    @classmethod
-    def gaussian_attractive(
-        cls, a: float, s: float, beta: float = 1.0
-    ) -> "PotentialSpec":
-        return cls(kind="gaussian_attractive", beta=beta, a=a, s=s)
-
-    @classmethod
-    def tabulated(cls, r, w, beta: float = 1.0) -> "PotentialSpec":
-        r = np.asarray(r, dtype=float)
-        w = np.asarray(w, dtype=float)
-        if r.ndim != 1 or r.shape != w.shape:
-            raise DomainError("tabulated samples must be two equal 1-d arrays")
-        return cls(kind="tabulated", beta=beta, table_r=tuple(r), table_w=tuple(w))
+            object.__setattr__(self, "table_r", tuple(r[order].tolist()))
+            object.__setattr__(self, "table_w", tuple(w[order].tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,7 +230,7 @@ def load_tabulated_potential(path, beta: float = 1.0) -> PotentialSpec:
     data = _read_samples(path, "kernel")
     if data.ndim != 2 or data.shape[1] != 2:
         raise DomainError(f"{path}: expected two columns (r, W)")
-    return PotentialSpec.tabulated(data[:, 0], data[:, 1], beta=beta)
+    return PotentialSpec("tabulated", beta, table_r=data[:, 0], table_w=data[:, 1])
 
 
 def _product(matrix: np.ndarray, f: np.ndarray, ndim: int) -> np.ndarray:

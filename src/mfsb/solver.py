@@ -583,8 +583,8 @@ def contraction_constants(params: dict) -> dict:
     Expects kernel sup norms (w_norm, grad_w_norm, lap_w_norm), the strength
     beta and noise level sigma2, plus the regularity bounds: r, a1, a2, a3,
     c1, c2 for the density map and m1..m4 for the pair map (the m-block is
-    optional). Raises DomainError when a parameter is missing or not finite,
-    or when a well-posedness precondition fails.
+    optional). Raises DomainError when a parameter is missing, unknown or not
+    finite, or when a well-posedness precondition fails.
     """
     def get(name):
         if name not in params:
@@ -594,18 +594,19 @@ def contraction_constants(params: dict) -> dict:
             raise DomainError(f"parameter {name!r} must be finite, got {value}")
         return value
 
-    sigma2 = get("sigma2")
-    beta = get("beta")
+    density_keys = ("sigma2", "beta", "w_norm", "grad_w_norm", "lap_w_norm",
+                    "r", "a1", "a2", "a3", "c1", "c2")
+    m_keys = ("m1", "m2", "m3", "m4")
+    unknown = sorted(set(params).difference(density_keys, m_keys))
+    if unknown:
+        raise DomainError(f"unknown parameters {', '.join(map(repr, unknown))}")
+    sigma2, beta, w_norm, grad_w_norm, lap_w_norm, r, a1, a2, a3, c1, c2 = (
+        get(key) for key in density_keys
+    )
     if sigma2 <= 0.0:
         raise DomainError("sigma2 must be positive")
     if beta < 0.0:
         raise DomainError("beta must be nonnegative")
-    w_norm = get("w_norm")
-    grad_w_norm = get("grad_w_norm")
-    lap_w_norm = get("lap_w_norm")
-    r = get("r")
-    a1, a2, a3 = get("a1"), get("a2"), get("a3")
-    c1, c2 = get("c1"), get("c2")
 
     z = lap_w_norm + a3 * grad_w_norm
     gate = _E * sigma2 * beta * z
@@ -623,7 +624,6 @@ def contraction_constants(params: dict) -> dict:
         "density_contractive": lam < 1.0,
     }
 
-    m_keys = ("m1", "m2", "m3", "m4")
     present = [key for key in m_keys if key in params]
     if present:
         if len(present) < 4:

@@ -118,7 +118,7 @@ def test_reduction_to_noninteracting_bridge(example1_config):
         sigma2=0.2,
         theta=1.0,
         tol=1e-10,
-        potential=PotentialSpec.zero(),
+        potential=PotentialSpec(kind="zero"),
         marginal_in=example1_config.marginal_in,
         marginal_fin=example1_config.marginal_fin,
         n1=20,
@@ -221,8 +221,8 @@ def test_fast_paths_match_direct_oracles(rng):
 
     worst_conv = 0.0
     specs = (
-        PotentialSpec.gaussian_attractive(a=1.0, s=0.3),
-        PotentialSpec.power_repulsive(c=5.0, alpha=0.2, epsilon=0.01),
+        PotentialSpec(kind="gaussian_attractive", a=1.0, s=0.3),
+        PotentialSpec(kind="power_repulsive", c=5.0, alpha=0.2, epsilon=0.01),
     )
     for n in range(8, 129):
         grid = SpatialGrid(-2.0, 2.0, n)
@@ -238,7 +238,9 @@ def test_fast_paths_match_direct_oracles(rng):
     checks.append(("convolution vs direct double sum", worst_conv <= 1e-10))
 
     grid = SpatialGrid(-2.0, 2.0, 64)
-    table = eval_potential(PotentialSpec.gaussian_attractive(a=1.0, s=0.3), grid)
+    table = eval_potential(
+        PotentialSpec(kind="gaussian_attractive", a=1.0, s=0.3), grid
+    )
     worst_reaction = 0.0
     for _ in range(5):
         xi = np.exp(rng.uniform(-1.0, 1.0, size=64))

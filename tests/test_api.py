@@ -8,6 +8,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mfsb
@@ -80,6 +81,15 @@ def test_every_config_key_is_documented():
     readme = (ROOT / "README.md").read_text()
     missing = sorted(key for key in config._KNOWN_KEYS if f"`{key}`" not in readme)
     assert missing == []
+
+
+def test_the_readme_library_example_runs_as_written():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library usage\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert np.isfinite(namespace["sol"].cost)
 
 
 def load_probe():

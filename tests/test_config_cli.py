@@ -1,5 +1,6 @@
 """Config parsing and the command-line entry point with its artifacts."""
 
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfsb import config, potentials
+from mfsb import config, marginals, potentials
 from mfsb.cli import _format_floats, _write_columns, main, read_pair_csv, run
 from mfsb.config import (
     example_config_path,
@@ -19,7 +20,7 @@ from mfsb.config import (
     resolve_config_path,
     solver_config_from,
 )
-from mfsb.errors import ConfigError
+from mfsb.errors import ConfigError, DomainError
 from mfsb.grid import SpatialGrid, TimeGrid
 from mfsb.marginals import MarginalSpec, build_marginals
 from mfsb.metrics import l1_distance
@@ -258,19 +259,25 @@ def test_absent_optional_keys_take_the_solver_config_defaults(tmp_path):
         sigma2=0.2,
         theta=1.0,
         tol=1e-9,
-        marginal_in=MarginalSpec.gaussian_mixture((1.0,), (-0.3,), (0.04,)),
-        marginal_fin=MarginalSpec.gaussian_mixture((1.0,), (0.4,), (0.06,)),
+        marginal_in=MarginalSpec(
+            kind="gaussian_mixture", weights=(1.0,), means=(-0.3,), variances=(0.04,)
+        ),
+        marginal_fin=MarginalSpec(
+            kind="gaussian_mixture", weights=(1.0,), means=(0.4,), variances=(0.06,)
+        ),
     )
     path = tmp_path / "required.cfg"
     path.write_text(REQUIRED_ONLY)
-    assert load_config(path) == SolverConfig(potential=PotentialSpec.zero(), **required)
+    assert load_config(path) == SolverConfig(
+        potential=PotentialSpec(kind="zero"), **required
+    )
     # a kernel without potential.beta takes its constructor's strength
     kernel = (
         "potential.kind = gaussian_attractive\npotential.a = 1\npotential.s = 0.3\n"
     )
     path.write_text(REQUIRED_ONLY + kernel)
     assert load_config(path) == SolverConfig(
-        potential=PotentialSpec.gaussian_attractive(a=1.0, s=0.3), **required
+        potential=PotentialSpec(kind="gaussian_attractive", a=1.0, s=0.3), **required
     )
     path.write_text(REQUIRED_ONLY + kernel + "potential.beta = 0.5\n")
     assert load_config(path).potential.beta == 0.5
@@ -351,13 +358,87 @@ def test_every_table_key_changes_the_solver_config(tmp_path, family, kind, key):
 
 
 def test_the_kind_tables_match_the_builders(tmp_path):
-    assert tuple(config._POTENTIAL_KEYS) == potentials._KINDS
+    assert tuple(config._POTENTIAL_KEYS) == tuple(potentials._READS)
+    assert tuple(config._MARGINAL_KEYS) == tuple(marginals._READS)
     # build_marginals builds every marginal kind of the table, and only those
     for kind in config._MARGINAL_KEYS:
         cfg = load_config(write_table_config(tmp_path, {"marginal_in": kind}))
         assert build_marginals(cfg.marginal_in, cfg.sgrid).shape == (cfg.n_x,)
     with pytest.raises(ConfigError, match="unknown marginal kind 'uniform'"):
         build_marginals(MarginalSpec(kind="uniform"), SpatialGrid(-2.0, 2.0, 64))
+
+
+# a valid spec of every kind
+VALID_SPECS = {
+    (PotentialSpec, "zero"): {},
+    (PotentialSpec, "power_repulsive"): {"c": 5.0, "alpha": 0.2, "epsilon": 0.01},
+    (PotentialSpec, "gaussian_attractive"): {"a": 1.0, "s": 0.3},
+    (PotentialSpec, "tabulated"): {
+        "table_r": (0.0, 1.0, 2.0, 3.0), "table_w": (1.0, 0.5, 0.2, 0.1),
+    },
+    (MarginalSpec, "gaussian_mixture"): {
+        "weights": (1.0,), "means": (0.4,), "variances": (0.04,),
+    },
+    (MarginalSpec, "tabulated"): {"path": "p.txt"},
+}
+# a value other than its default for each field, to give where the kind does
+# not read it: the one a valid spec above gives it
+OTHER_VALUES = {
+    name: value for params in VALID_SPECS.values() for name, value in params.items()
+} | {"beta": 7.0}
+# each spec's table of the fields a kind reads, and the error it refuses with
+READS = {PotentialSpec: potentials._READS, MarginalSpec: marginals._READS}
+ERRORS = {PotentialSpec: DomainError, MarginalSpec: ConfigError}
+UNREAD = [
+    pytest.param(cls, kind, f.name, id=f"{cls.__name__}-{kind}-{f.name}")
+    for cls, kind in VALID_SPECS
+    for f in dataclasses.fields(cls)[1:]
+    if f.name not in READS[cls][kind]
+]
+
+
+@pytest.mark.parametrize("cls, kind, field", UNREAD)
+def test_a_spec_refuses_a_field_its_kind_does_not_read(cls, kind, field):
+    # config refuses such keys; the library used to store them unread
+    params = VALID_SPECS[cls, kind]
+    cls(kind=kind, **params)
+    with pytest.raises(ERRORS[cls], match=f"kind {kind!r} does not read {field!r}$"):
+        cls(kind=kind, **params, **{field: OTHER_VALUES[field]})
+    # compared by value: the default given explicitly is not refused
+    default = next(f.default for f in dataclasses.fields(cls) if f.name == field)
+    cls(kind=kind, **params, **{field: default})
+
+
+def test_equal_problems_build_equal_hashable_configs(tmp_path):
+    example1 = load_config(example_config_path("example1"))
+    for numbers in (list, np.array):
+        built = SolverConfig(
+            sigma2=0.2,
+            theta=0.7,
+            tol=1e-6,
+            potential=PotentialSpec(
+                kind="power_repulsive", c=5.0, alpha=0.2, epsilon=0.01, beta=1.0
+            ),
+            marginal_in=MarginalSpec(
+                kind="gaussian_mixture", weights=numbers([0.5, 0.5]),
+                means=numbers([0.5, -0.4]), variances=numbers([0.04, 0.04]),
+            ),
+            marginal_fin=MarginalSpec(
+                kind="gaussian_mixture", weights=numbers([1.0]),
+                means=numbers([0.4]), variances=numbers([0.04]),
+            ),
+        )
+        assert built == example1
+        assert hash(built) == hash(example1)
+    # the zero kernel is stored with beta = 0.0 on both paths
+    path = tmp_path / "bridge.cfg"
+    path.write_text(
+        example_with("example2", {"potential.kind": "zero"}, drop=("potential.",))
+    )
+    bridge = load_config(path).potential
+    assert PotentialSpec(kind="zero") == bridge
+    assert PotentialSpec(kind="zero", beta=0.0) == bridge
+    assert bridge.beta == 0.0
 
 
 MARGINALS = ("marginal_in", "marginal_fin")
@@ -407,7 +488,10 @@ def test_cli_missing_required_key_exits_one(tmp_path, capsys, key):
 
 def test_mixture_weights_must_sum_to_one():
     grid = SpatialGrid(-2.0, 2.0, 64)
-    spec = MarginalSpec.gaussian_mixture([0.5, 0.6], [0.0, 1.0], [0.04, 0.04])
+    spec = MarginalSpec(
+        kind="gaussian_mixture",
+        weights=[0.5, 0.6], means=[0.0, 1.0], variances=[0.04, 0.04],
+    )
     with pytest.raises(ConfigError, match="sum to 1"):
         build_marginals(spec, grid)
     # a named marginal is named in the message
@@ -430,7 +514,7 @@ NON_FINITE_MIXTURES = [
 def test_mixture_parameters_must_be_finite(field, values, bad):
     params = {"weights": [0.5, 0.5], "means": [0.5, -0.4], "variances": [0.04, 0.04]}
     params[field] = [float(v) for v in values.split()]
-    spec = MarginalSpec.gaussian_mixture(**params)
+    spec = MarginalSpec(kind="gaussian_mixture", **params)
     with pytest.raises(ConfigError, match=re.escape(f"mixture {field} must be finite: {bad}")):
         build_marginals(spec, SpatialGrid(-2.0, 2.0, 64))
 
@@ -899,7 +983,7 @@ def test_tabulated_marginal_names_at_most_three_non_finite_samples(tmp_path):
     samples[[3, 7, 9, 11, 20], 1] = [np.nan, np.inf, -np.inf, np.nan, np.nan]
     table = tmp_path / "p.txt"
     np.savetxt(table, samples)
-    spec = MarginalSpec.tabulated(table)
+    spec = MarginalSpec(kind="tabulated", path=table)
     with pytest.raises(ConfigError) as info:
         build_marginals(spec, SpatialGrid(-2.0, 2.0, 64))
     assert str(info.value) == (
@@ -960,7 +1044,7 @@ def test_tabulated_marginal_is_interpolated_within_its_error_bound(tmp_path, cap
     p = mixture_density(spec, x)
     table.write_text("".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(x[::-1], p[::-1])))
     grid = SpatialGrid(-2.0, 2.0, 301)
-    tabulated = build_marginals(MarginalSpec.tabulated(table), grid)
+    tabulated = build_marginals(MarginalSpec(kind="tabulated", path=table), grid)
     # linear interpolation misses f by at most dx^2 / 8 max|f''|, and a
     # Gaussian's |f''| peaks at its mean, at 1 / (sqrt(2 pi v) v); dividing
     # by masses m and m~ (|m~ - m| <= L eps) keeps the normalized densities
@@ -981,7 +1065,7 @@ def test_tabulated_marginal_is_interpolated_within_its_error_bound(tmp_path, cap
         bad = tmp_path / f"{name}.csv"
         bad.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigError, match=message):
-            build_marginals(MarginalSpec.tabulated(bad), grid)
+            build_marginals(MarginalSpec(kind="tabulated", path=bad), grid)
 
     path = tmp_path / "tabulated.cfg"
     path.write_text(example_with(
@@ -1050,13 +1134,16 @@ def test_cli_subnormal_tol_exits_one_on_warm_start(mini_run, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+BOUNDS = (
+    "sigma2 = 0.2\nbeta = 0.01\n"
+    "w_norm = 1\ngrad_w_norm = 1\nlap_w_norm = 1\n"
+    "r = 0.1\na1 = 1\na2 = 1\na3 = 1\nc1 = 0.01\nc2 = 0.01\n"
+)
+
+
 def test_cli_constants_subcommand(tmp_path, capsys):
     path = tmp_path / "bounds.txt"
-    path.write_text(
-        "sigma2 = 0.2\nbeta = 0.01\n"
-        "w_norm = 1\ngrad_w_norm = 1\nlap_w_norm = 1\n"
-        "r = 0.1\na1 = 1\na2 = 1\na3 = 1\nc1 = 0.01\nc2 = 0.01\n"
-    )
+    path.write_text(BOUNDS)
     assert main(["constants", str(path)]) == 0
     out = capsys.readouterr().out
     assert "lambda_density = 0.236826483802" in out
@@ -1083,6 +1170,18 @@ def test_cli_constants_subcommand(tmp_path, capsys):
     assert main(["constants", str(path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: {path}: beta: 'strong' is not a number"]
+
+
+def test_cli_constants_refuses_a_key_it_does_not_read(tmp_path, capsys):
+    # the pair-map block misspelt in capitals used to be dropped: the command
+    # exited 0 with the density-map constants only, although e*M2 >= 1
+    path = tmp_path / "bounds.txt"
+    path.write_text(BOUNDS + "M1 = 0.1\nM2 = 0.9\nM3 = 0.1\nM4 = 0.1\n")
+    assert main(["constants", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "'M1'" in err[0]
 
 
 @pytest.mark.parametrize("argv", [

@@ -48,9 +48,15 @@ def test_quadratic_kernel_solve_matches_the_ou_bridge(kappa):
     r = np.linspace(-5.0, 5.0, 1001)
     cfg = mfsb.SolverConfig(
         sigma2=SIGMA2, theta=1.0, tol=1e-6,
-        potential=mfsb.PotentialSpec.tabulated(r, 0.5 * kappa * r * r),
-        marginal_in=mfsb.MarginalSpec.gaussian_mixture([1.0], [M0], [S0]),
-        marginal_fin=mfsb.MarginalSpec.gaussian_mixture([1.0], [M1], [S1]),
+        potential=mfsb.PotentialSpec(
+            kind="tabulated", table_r=r, table_w=0.5 * kappa * r * r
+        ),
+        marginal_in=mfsb.MarginalSpec(
+            kind="gaussian_mixture", weights=[1.0], means=[M0], variances=[S0]
+        ),
+        marginal_fin=mfsb.MarginalSpec(
+            kind="gaussian_mixture", weights=[1.0], means=[M1], variances=[S1]
+        ),
     )
     assert (cfg.n_x, cfg.n_t, cfg.x_min, cfg.x_max) == (301, 100, -2.0, 2.0)
     sol = mfsb.solve(cfg)

@@ -186,7 +186,7 @@ def test_propagate_pure_diffusion_widens_gaussian(grid301):
     u = np.zeros((101, 301))
     p0 = gaussian_density(grid301.nodes, 0.0, 0.04)
     path, _ = propagate_density(
-        p0, u, eval_potential(PotentialSpec.zero(), grid301), np.sqrt(sigma2),
+        p0, u, eval_potential(PotentialSpec(kind="zero"), grid301), np.sqrt(sigma2),
         grid301, tgrid,
     )
     want = gaussian_density(grid301.nodes, 0.0, 0.04 + sigma2)
@@ -201,7 +201,9 @@ def test_propagate_conserves_mass_and_positivity(grid301, rng):
     path, report = propagate_density(
         p0,
         u,
-        eval_potential(PotentialSpec.gaussian_attractive(a=1.0, s=0.3), grid301),
+        eval_potential(
+            PotentialSpec(kind="gaussian_attractive", a=1.0, s=0.3), grid301
+        ),
         1.0,
         grid301,
         tgrid,
@@ -218,7 +220,9 @@ def test_propagate_keeps_even_symmetry(grid301):
     tgrid = TimeGrid(40)
     u = np.zeros((41, 301))
     p0 = gaussian_density(grid301.nodes, 0.0, 0.05)
-    table = eval_potential(PotentialSpec.gaussian_attractive(a=0.8, s=0.3), grid301)
+    table = eval_potential(
+        PotentialSpec(kind="gaussian_attractive", a=0.8, s=0.3), grid301
+    )
     path, _ = propagate_density(p0, u, table, 0.8, grid301, tgrid)
     assert np.max(np.abs(path - path[:, ::-1])) <= 1e-10
 
@@ -228,7 +232,7 @@ def test_propagate_preserves_uniform_density(grid64):
     tgrid = TimeGrid(10)
     u = np.zeros((11, grid64.n_x))
     p0 = np.full(grid64.n_x, 0.25)
-    no_kernel = eval_potential(PotentialSpec.zero(), grid64)
+    no_kernel = eval_potential(PotentialSpec(kind="zero"), grid64)
     path, _ = propagate_density(p0, u, no_kernel, 0.5, grid64, tgrid)
     np.testing.assert_allclose(path, 0.25, rtol=1e-13)
 
@@ -239,7 +243,7 @@ def test_propagate_reports_its_largest_advective_cfl(grid301):
     tgrid = TimeGrid(10)
     u = np.full((11, 301), 40.0)
     p0 = gaussian_density(grid301.nodes, 0.0, 0.05)
-    no_kernel = eval_potential(PotentialSpec.zero(), grid301)
+    no_kernel = eval_potential(PotentialSpec(kind="zero"), grid301)
     _, report = propagate_density(p0, u, no_kernel, 1.0, grid301, tgrid)
     assert report["cfl_max"] == pytest.approx(40.0 * tgrid.dt / grid301.h, rel=1e-14)
     assert report["cfl_max"] > 1.0
@@ -253,7 +257,7 @@ def test_propagate_matches_the_dense_oracle(grid301):
     u = -1.5 * (1.0 - t) * x + 0.8 * t * np.sin(2.0 * x)
     p0 = 0.5 * gaussian_density(x, 0.5, 0.04) + 0.5 * gaussian_density(x, -0.4, 0.04)
     table = eval_potential(
-        PotentialSpec.power_repulsive(c=5.0, alpha=0.2, epsilon=0.01), grid301
+        PotentialSpec(kind="power_repulsive", c=5.0, alpha=0.2, epsilon=0.01), grid301
     )
     path, _ = propagate_density(p0, u, table, 0.447, grid301, tgrid)
     want = direct_propagation(p0, u, table.grad_w, 0.447, -2.0, 2.0)
@@ -279,7 +283,7 @@ def test_propagate_steep_control_keeps_the_band_signs(grid301, monkeypatch):
 
     monkeypatch.setattr(mfsb.kolmogorov, "dgtsv", recording_gtsv)
     p0 = 0.5 * gaussian_density(x, 0.5, 0.04) + 0.5 * gaussian_density(x, -0.4, 0.04)
-    no_kernel = eval_potential(PotentialSpec.zero(), grid301)
+    no_kernel = eval_potential(PotentialSpec(kind="zero"), grid301)
     path, _ = propagate_density(p0, u, no_kernel, sigma, grid301, tgrid)
     assert len(bands) == tgrid.n_t
     for low, diag, up in bands:
@@ -301,7 +305,7 @@ def test_propagate_rejects_negative_initial_density(grid64):
     u = np.zeros((5, grid64.n_x))
     p0 = np.ones(grid64.n_x)
     p0[3] = -0.1
-    no_kernel = eval_potential(PotentialSpec.zero(), grid64)
+    no_kernel = eval_potential(PotentialSpec(kind="zero"), grid64)
     with pytest.raises(PositivityError):
         propagate_density(p0, u, no_kernel, 0.5, grid64, tgrid)
 
@@ -312,7 +316,7 @@ def test_propagate_rejects_bad_sigma(grid64, sigma):
     tgrid = TimeGrid(4)
     u = np.zeros((5, grid64.n_x))
     p0 = gaussian_density(grid64.nodes, 0.0, 0.05)
-    no_kernel = eval_potential(PotentialSpec.zero(), grid64)
+    no_kernel = eval_potential(PotentialSpec(kind="zero"), grid64)
     with pytest.raises(DomainError, match="sigma"):
         propagate_density(p0, u, no_kernel, sigma, grid64, tgrid)
 
@@ -322,6 +326,6 @@ def test_propagate_rejects_non_finite_control(grid64):
     u = np.zeros((5, grid64.n_x))
     u[2, 10] = np.nan
     p0 = gaussian_density(grid64.nodes, 0.0, 0.05)
-    no_kernel = eval_potential(PotentialSpec.zero(), grid64)
+    no_kernel = eval_potential(PotentialSpec(kind="zero"), grid64)
     with pytest.raises(DomainError, match="control"):
         propagate_density(p0, u, no_kernel, 0.5, grid64, tgrid)

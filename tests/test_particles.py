@@ -31,7 +31,7 @@ def zero_control(sgrid, tgrid):
 
 
 def no_kernel(sgrid):
-    return eval_potential(PotentialSpec.zero(), sgrid)
+    return eval_potential(PotentialSpec(kind="zero"), sgrid)
 
 
 @pytest.fixture
@@ -170,9 +170,11 @@ def test_kernel_sign_moves_ensemble_spread():
         positions = simulate(u, table, p0, 0.447, 800, 5, sgrid, tgrid)
         return positions.var()
 
-    base = spread(PotentialSpec.zero())
-    repulsive = spread(PotentialSpec.power_repulsive(c=5.0, alpha=0.2, epsilon=0.01))
-    attractive = spread(PotentialSpec.gaussian_attractive(a=2.0, s=0.5))
+    base = spread(PotentialSpec(kind="zero"))
+    repulsive = spread(
+        PotentialSpec(kind="power_repulsive", c=5.0, alpha=0.2, epsilon=0.01)
+    )
+    attractive = spread(PotentialSpec(kind="gaussian_attractive", a=2.0, s=0.5))
     assert repulsive > base
     assert attractive < base
 
@@ -198,7 +200,7 @@ def test_index_pass_matches_the_interp_histogram_oracle():
     u = -1.5 * (1.0 - t) * x + 0.8 * t * np.sin(2.0 * x)
     p0 = 0.5 * gaussian_density(x, 0.5, 0.04) + 0.5 * gaussian_density(x, -0.4, 0.04)
     table = eval_potential(
-        PotentialSpec.power_repulsive(c=5.0, alpha=0.2, epsilon=0.01), sgrid
+        PotentialSpec(kind="power_repulsive", c=5.0, alpha=0.2, epsilon=0.01), sgrid
     )
     positions = simulate(u, table, p0, 0.447, 20_000, 3, sgrid, tgrid)
     expected = interp_particle_run(

@@ -33,19 +33,21 @@ from oracles import (
 @pytest.fixture()
 def power_table(grid64):
     return eval_potential(
-        PotentialSpec.power_repulsive(c=5.0, alpha=0.2, epsilon=1e-2), grid64
+        PotentialSpec(kind="power_repulsive", c=5.0, alpha=0.2, epsilon=1e-2), grid64
     )
 
 
 @pytest.fixture()
 def gauss_table(grid64):
-    return eval_potential(PotentialSpec.gaussian_attractive(a=1.0, s=0.3), grid64)
+    return eval_potential(
+        PotentialSpec(kind="gaussian_attractive", a=1.0, s=0.3), grid64
+    )
 
 
 def test_power_kernel_value_at_zero(grid301):
     # hand value: 2.5 * (1e-4)^(-0.1), see oracles.py
     table = eval_potential(
-        PotentialSpec.power_repulsive(c=5.0, alpha=0.2, epsilon=1e-2), grid301
+        PotentialSpec(kind="power_repulsive", c=5.0, alpha=0.2, epsilon=1e-2), grid301
     )
     center = grid301.n_x - 1
     assert table.w[center] == pytest.approx(HAND_POWER_KERNEL_AT_ZERO, rel=1e-12)
@@ -53,14 +55,16 @@ def test_power_kernel_value_at_zero(grid301):
 
 
 def test_gaussian_kernel_value_at_zero(grid301):
-    table = eval_potential(PotentialSpec.gaussian_attractive(a=1.0, s=0.3), grid301)
+    table = eval_potential(
+        PotentialSpec(kind="gaussian_attractive", a=1.0, s=0.3), grid301
+    )
     center = grid301.n_x - 1
     assert table.w[center] == pytest.approx(-1.0, rel=1e-14)
     assert table.grad_w[center] == 0.0
 
 
 def test_zero_potential_tables_vanish(grid64):
-    table = eval_potential(PotentialSpec.zero(), grid64)
+    table = eval_potential(PotentialSpec(kind="zero"), grid64)
     assert not table.w.any()
     assert not table.grad_w.any()
 
@@ -68,8 +72,8 @@ def test_zero_potential_tables_vanish(grid64):
 @pytest.mark.parametrize(
     "spec",
     [
-        PotentialSpec.power_repulsive(c=5.0, alpha=0.2, epsilon=1e-2),
-        PotentialSpec.gaussian_attractive(a=0.7, s=0.4),
+        PotentialSpec(kind="power_repulsive", c=5.0, alpha=0.2, epsilon=1e-2),
+        PotentialSpec(kind="gaussian_attractive", a=0.7, s=0.4),
     ],
 )
 def test_table_parity(spec, grid64):
@@ -103,7 +107,9 @@ def test_tabulated_potential_roundtrip(tmp_path, grid64):
     np.savetxt(f, np.column_stack([r, vals]))
     spec = load_tabulated_potential(f)
     table = eval_potential(spec, grid64)
-    exact = eval_potential(PotentialSpec.gaussian_attractive(a=1.0, s=0.3), grid64)
+    exact = eval_potential(
+        PotentialSpec(kind="gaussian_attractive", a=1.0, s=0.3), grid64
+    )
     np.testing.assert_allclose(table.w, exact.w, atol=1e-8)
     np.testing.assert_allclose(table.grad_w, exact.grad_w, atol=1e-5)
 
@@ -119,8 +125,8 @@ def test_tabulated_potential_must_cover_domain(tmp_path, grid64):
 
 @pytest.mark.parametrize("column, value", [(1, np.nan), (0, np.inf)])
 def test_generic_tabulated_spec_rejects_non_finite_samples(column, value):
-    # the generic constructor round-trips configs; it must run the same check
-    # as PotentialSpec.tabulated and name the sample by its given index
+    # samples given as tuples or as arrays are checked alike, and the
+    # message names the sample by its given index
     r = np.linspace(-5.0, 5.0, 101)
     samples = [r, np.exp(-r * r)]
     samples[column][40] = value
@@ -128,7 +134,7 @@ def test_generic_tabulated_spec_rejects_non_finite_samples(column, value):
     with pytest.raises(DomainError, match=r"must be finite: \(r, W\)\[40\]"):
         PotentialSpec(kind="tabulated", table_r=r, table_w=w)
     with pytest.raises(DomainError, match=r"must be finite: \(r, W\)\[40\]"):
-        PotentialSpec.tabulated(r, w)
+        PotentialSpec(kind="tabulated", table_r=samples[0], table_w=samples[1])
 
 
 def test_generic_tabulated_spec_is_stored_sorted():
@@ -137,7 +143,7 @@ def test_generic_tabulated_spec_is_stored_sorted():
     spec = PotentialSpec(
         kind="tabulated", table_r=tuple(r[::-1]), table_w=tuple(w[::-1])
     )
-    assert spec == PotentialSpec.tabulated(r, w)
+    assert spec == PotentialSpec(kind="tabulated", table_r=r, table_w=w)
     assert spec.table_r == tuple(r)
 
 
@@ -273,7 +279,7 @@ def test_convolve_path_rejects_rows_of_another_shape(gauss_table, shape):
 
 
 def test_drift_zero_potential(grid64, rng):
-    table = eval_potential(PotentialSpec.zero(), grid64)
+    table = eval_potential(PotentialSpec(kind="zero"), grid64)
     p = positive_field(rng, grid64.n_x, spread=1.0)
     assert not mean_field_drift(table, p).any()
 
@@ -308,7 +314,7 @@ def test_reaction_constant_xi_is_zero(gauss_table, grid64, rng):
 
 
 def test_reaction_zero_potential_is_zero(grid64, rng):
-    table = eval_potential(PotentialSpec.zero(), grid64)
+    table = eval_potential(PotentialSpec(kind="zero"), grid64)
     xi = positive_field(rng, grid64.n_x)
     q = reaction_row(table, xi, np.ones(grid64.n_x))
     assert not q.any()
@@ -350,13 +356,13 @@ def test_reaction_invariant_under_xi_rescaling(gauss_table, grid64, rng):
 
 def test_spec_validation():
     with pytest.raises(DomainError):
-        PotentialSpec.power_repulsive(c=5.0, alpha=1.2, epsilon=1e-2)
+        PotentialSpec(kind="power_repulsive", c=5.0, alpha=1.2, epsilon=1e-2)
     with pytest.raises(DomainError):
-        PotentialSpec.power_repulsive(c=5.0, alpha=0.2, epsilon=0.0)
+        PotentialSpec(kind="power_repulsive", c=5.0, alpha=0.2, epsilon=0.0)
     with pytest.raises(DomainError):
-        PotentialSpec.gaussian_attractive(a=-1.0, s=0.3)
+        PotentialSpec(kind="gaussian_attractive", a=-1.0, s=0.3)
     with pytest.raises(DomainError):
-        PotentialSpec.gaussian_attractive(a=1.0, s=0.0)
+        PotentialSpec(kind="gaussian_attractive", a=1.0, s=0.0)
     # a nan or inf kernel parameter used to pass: s = inf gave a constant
     # kernel, epsilon = inf a zero one, and c = nan or a = inf a sweep's
     # PositivityError later; each is refused by name

@@ -35,7 +35,7 @@ def kernel_problem(table, p_in, p_fin, sigma, sgrid, tgrid):
 
 def classical_problem(p_in, p_fin, sigma, sgrid, tgrid):
     """Freeze a zero-interaction problem so only the sweeps and anchors act."""
-    table = eval_potential(PotentialSpec.zero(), sgrid)
+    table = eval_potential(PotentialSpec(kind="zero"), sgrid)
     return kernel_problem(table, p_in, p_fin, sigma, sgrid, tgrid)
 
 
@@ -61,7 +61,7 @@ def small_setup():
 @pytest.fixture
 def gauss_table(small_setup):
     return eval_potential(
-        PotentialSpec.gaussian_attractive(a=1.0, s=0.3), small_setup[0]
+        PotentialSpec(kind="gaussian_attractive", a=1.0, s=0.3), small_setup[0]
     )
 
 
@@ -145,7 +145,7 @@ def test_anchor_update_rejects_nonpositive_slice(small_setup):
     # a marginal with a zero, negative or NaN node would make its anchor
     # nonpositive; freezing refuses it and names the marginal
     sgrid, tgrid, p_in, p_fin = small_setup
-    table = eval_potential(PotentialSpec.zero(), sgrid)
+    table = eval_potential(PotentialSpec(kind="zero"), sgrid)
     start = flat_start(p_in, tgrid)
     p_path = np.tile(p_in, (tgrid.n_t + 1, 1))
     zero_in, negative_fin, nan_in = p_in.copy(), p_fin.copy(), p_in.copy()
@@ -162,7 +162,7 @@ def test_anchor_update_rejects_nonpositive_slice(small_setup):
 
 def test_freeze_problem_checks_path_shape(small_setup):
     sgrid, tgrid, p_in, p_fin = small_setup
-    table = eval_potential(PotentialSpec.zero(), sgrid)
+    table = eval_potential(PotentialSpec(kind="zero"), sgrid)
     pair = flat_start(p_in, tgrid)
     with pytest.raises(ShapeError):
         freeze_problem(
@@ -187,7 +187,9 @@ def test_freeze_problem_decay_factors_match_reaction(small_setup, rng):
     # quadrature of each leg at the frozen density
     sgrid, tgrid, p_in, p_fin = small_setup
     sigma = 0.5
-    table = eval_potential(PotentialSpec.gaussian_attractive(a=1.0, s=0.3), sgrid)
+    table = eval_potential(
+        PotentialSpec(kind="gaussian_attractive", a=1.0, s=0.3), sgrid
+    )
     shape = (tgrid.n_t + 1, sgrid.n_x)
     p_path = np.tile(p_in, (tgrid.n_t + 1, 1))
     pair = PairPath(

@@ -57,9 +57,13 @@ def small_config(**overrides) -> SolverConfig:
         sigma2=0.2,
         theta=1.0,
         tol=1e-9,
-        potential=PotentialSpec.zero(),
-        marginal_in=MarginalSpec.gaussian_mixture([1.0], [-0.3], [0.04]),
-        marginal_fin=MarginalSpec.gaussian_mixture([1.0], [0.4], [0.06]),
+        potential=PotentialSpec(kind="zero"),
+        marginal_in=MarginalSpec(
+            kind="gaussian_mixture", weights=[1.0], means=[-0.3], variances=[0.04]
+        ),
+        marginal_fin=MarginalSpec(
+            kind="gaussian_mixture", weights=[1.0], means=[0.4], variances=[0.06]
+        ),
         n_x=64,
         n_t=16,
         n1=10,
@@ -147,7 +151,7 @@ def test_counts_and_seeds_of_public_functions_are_checked(call, name, value):
     tgrid = TimeGrid(10)
     p = gaussian_density(sgrid.nodes, 0.0, 0.04)
     u = np.zeros((tgrid.n_t + 1, sgrid.n_x))
-    table = eval_potential(PotentialSpec.zero(), sgrid)
+    table = eval_potential(PotentialSpec(kind="zero"), sgrid)
     args = {"n": np.int64(200), "seed": np.int32(1)}
     assert simulate(u, table, p, 0.5, **args, sgrid=sgrid, tgrid=tgrid).size == 200
     args[name] = value
@@ -162,7 +166,7 @@ def test_counts_and_seeds_of_public_functions_are_checked(call, name, value):
 def test_density_refinement_matches_direct_computation(rng):
     sgrid = SpatialGrid(-2.0, 2.0, 48)
     tgrid = TimeGrid(6)
-    spec = PotentialSpec.gaussian_attractive(a=0.8, s=0.3)
+    spec = PotentialSpec(kind="gaussian_attractive", a=0.8, s=0.3)
     table = eval_potential(spec, sgrid)
     shape = (tgrid.n_t + 1, sgrid.n_x)
     p_path = normalize(np.exp(rng.normal(size=shape) * 0.3), sgrid)
@@ -180,7 +184,7 @@ def test_density_refinement_matches_direct_computation(rng):
 def warm_start_setup(rng, **overrides):
     """A Gaussian-kernel config, a random positive pair and the marginals."""
     cfg = small_config(
-        potential=PotentialSpec.gaussian_attractive(a=0.8, s=0.3), **overrides
+        potential=PotentialSpec(kind="gaussian_attractive", a=0.8, s=0.3), **overrides
     )
     shape = (cfg.n_t + 1, cfg.n_x)
     pair = PairPath(
@@ -338,7 +342,7 @@ def test_pair_update_without_interaction_is_start_independent(rng):
 
 def test_pair_update_is_a_fixed_point_map(rng):
     cfg = small_config(
-        potential=PotentialSpec.gaussian_attractive(a=0.5, s=0.3, beta=0.05),
+        potential=PotentialSpec(kind="gaussian_attractive", a=0.5, s=0.3, beta=0.05),
         tol=1e-11,
     )
     shape = (cfg.n_t + 1, cfg.n_x)
@@ -454,7 +458,7 @@ def test_solve_makes_one_sinkhorn_pass_per_evaluation(monkeypatch):
 
     monkeypatch.setattr(sinkhorn_module, "integrate_backward", counting)
     sol = solve(small_config(
-        potential=PotentialSpec.gaussian_attractive(a=0.5, s=0.3, beta=0.05),
+        potential=PotentialSpec(kind="gaussian_attractive", a=0.5, s=0.3, beta=0.05),
         n1=30,
     ))
     assert sol.trace.outer_iterations > 1
@@ -477,7 +481,7 @@ def assert_partial_solution(exc, cfg):
 
 def test_solve_exhausting_outer_budget_raises_with_partial():
     cfg = small_config(
-        potential=PotentialSpec.power_repulsive(c=5.0, alpha=0.2, epsilon=0.01),
+        potential=PotentialSpec(kind="power_repulsive", c=5.0, alpha=0.2, epsilon=0.01),
         theta=0.7,
         tol=1e-9,
         n1=1,
@@ -652,7 +656,7 @@ def test_a_mixed_state_out_of_exp_range_gives_way_to_the_plain_output(
 
     monkeypatch.setattr(_AndersonMixer, "step", overflowing)
     cfg = small_config(
-        potential=PotentialSpec.power_repulsive(c=5.0, alpha=0.2, epsilon=0.01),
+        potential=PotentialSpec(kind="power_repulsive", c=5.0, alpha=0.2, epsilon=0.01),
         theta=0.7,
         n1=60,
     )
@@ -797,3 +801,9 @@ def test_constants_require_complete_parameter_sets():
         contraction_constants(params)
     with pytest.raises(DomainError, match="m"):
         contraction_constants(base_constant_params(m1=0.1, m2=0.1))
+
+
+def test_constants_refuse_names_they_do_not_read():
+    # sorted, so the message does not depend on the dict's order
+    with pytest.raises(DomainError, match="^unknown parameters 'M1', 'zeta'$"):
+        contraction_constants(base_constant_params(zeta=1.0, M1=0.1))

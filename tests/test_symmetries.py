@@ -37,8 +37,9 @@ EPS = np.finfo(float).eps
 
 def mirrored(spec):
     """A Gaussian-mixture marginal reflected through x = 0."""
-    return MarginalSpec.gaussian_mixture(
-        spec.weights, [-m for m in spec.means], spec.variances
+    return MarginalSpec(
+        kind="gaussian_mixture", weights=spec.weights,
+        means=[-m for m in spec.means], variances=spec.variances,
     )
 
 
