@@ -108,12 +108,6 @@ def gradient(f: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     return np.gradient(f, grid.h, axis=-1, edge_order=2)
 
 
-def integrate(f: np.ndarray, grid: SpatialGrid) -> float:
-    """Trapezoid-rule integral of a field over the domain."""
-    f = check_field(f, grid)
-    return float(np.trapezoid(f, dx=grid.h))
-
-
 def normalize(f: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     """Rescale a nonnegative field, or every slice of a path, to unit
     trapezoid mass.

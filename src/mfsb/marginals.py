@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,9 @@ _READS = {"gaussian_mixture": ("weights", "means", "variances"), "tabulated": ("
 class MarginalSpec:
     """A boundary density: a Gaussian mixture, with its numbers stored as
     tuples of floats, or a tabulated curve read from ``path``, stored as a
-    str. An unknown kind, or a field the kind does not read that differs from
-    its default, is a ConfigError; :func:`build_marginals` checks the rest."""
+    str. An unknown kind, mixture numbers that are not a sequence of real
+    numbers, or a field the kind does not read that differs from its
+    default, is a ConfigError; :func:`build_marginals` checks the rest."""
 
     kind: str
     weights: tuple[float, ...] = ()
@@ -34,7 +36,13 @@ class MarginalSpec:
         if self.kind not in _READS:
             raise ConfigError(f"unknown marginal kind {self.kind!r}")
         for name in _READS["gaussian_mixture"]:
-            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+            value = getattr(self, name)
+            items = tuple(value) if np.iterable(value) else None
+            if items is None or not all(isinstance(v, numbers.Real) for v in items):
+                raise ConfigError(
+                    f"MarginalSpec {name} must be a sequence of numbers, got {value!r}"
+                )
+            object.__setattr__(self, name, tuple(float(v) for v in items))
         if self.path is not None:
             object.__setattr__(self, "path", str(self.path))
         _refuse_unread(self, _READS[self.kind], ConfigError)

@@ -197,19 +197,7 @@ def terminal_residual(
     positions: np.ndarray, p_target: np.ndarray, grid: SpatialGrid
 ) -> float:
     """L1 distance between the histogram of the terminal positions and a
-    target density. Its sampling noise alone is about
-    :func:`sampling_noise_l1` of the target at the same count."""
+    target density. Its sampling noise alone is about sqrt(2 / (pi n)) *
+    sum_i sqrt(p_i w_i) for n positions, cell widths w_i and target p."""
     return l1_distance(empirical_density(positions, grid), p_target, grid)
 
-
-def sampling_noise_l1(p: np.ndarray, grid: SpatialGrid, n: int) -> float:
-    """Expected L1 histogram noise when drawing n samples from density p.
-
-    Cell counts are near-Poisson, so E|phat_i - p_i| is about
-    sqrt(2 p_i / (pi n w_i)) per cell; summing with the cell widths gives
-    sqrt(2 / (pi n)) * sum_i sqrt(p_i w_i).
-    """
-    p = check_field(p, grid)
-    if n < 1:
-        raise DomainError(f"need a positive sample count, got {n}")
-    return float(np.sqrt(2.0 / (np.pi * n)) * np.sum(np.sqrt(p * grid.weights)))

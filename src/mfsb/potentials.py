@@ -16,6 +16,7 @@ Both tables carry the overall strength factor beta.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -54,9 +55,10 @@ class PotentialSpec:
     """Declarative description of an interaction kernel, e.g.
     ``PotentialSpec(kind="gaussian_attractive", a=1.0, s=0.3)``.
 
-    An unknown kind, a field the kind does not read that differs from its
-    default, a parameter out of range, or tabulated samples that are not two
-    equal 1-d sequences of at least 4 finite numbers are a DomainError.
+    An unknown kind, a scalar parameter that is not a real number, a field
+    the kind does not read that differs from its default, a parameter out of
+    range, or tabulated samples that are not two equal 1-d sequences of at
+    least 4 finite numbers are a DomainError.
     Tabulated samples are stored as tuples of floats sorted by displacement;
     the zero kernel reads no field and is stored with beta = 0.0."""
 
@@ -77,6 +79,10 @@ class PotentialSpec:
     def __post_init__(self):
         if self.kind not in _READS:
             raise DomainError(f"unknown potential kind {self.kind!r}")
+        for name in ("beta", "c", "alpha", "epsilon", "a", "s"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise DomainError(f"PotentialSpec {name} must be real, got {value!r}")
         # beta = 0.0 turns any kernel off, so the zero kernel may be given it
         reads = _READS[self.kind] + (("beta",) if self.beta == 0.0 else ())
         _refuse_unread(self, reads, DomainError)

@@ -1,9 +1,10 @@
 """Outer fixed-point loop over the interaction density, plus analysis helpers.
 
-Each evaluation of the outer map freezes drift and reaction once at the
-current density and pair (:func:`mfsb.sinkhorn.freeze_problem`), makes one
-Sinkhorn pass of :mod:`mfsb.sinkhorn` (backward sweep, t = 0 anchor, forward
-sweep, t = 1 anchor), refines the density from the new pair,
+Each evaluation of the outer map, :func:`_plain_map`, freezes drift and
+reaction once at the current density and pair
+(:func:`mfsb.sinkhorn.freeze_problem`), makes one Sinkhorn pass of
+:mod:`mfsb.sinkhorn` (backward sweep, t = 0 anchor, forward sweep, t = 1
+anchor), refines the density from the new pair,
 
     refined_t = normalize( e^{-2 (W * p_t)} phi_t phihat_t ),
 
@@ -313,28 +314,18 @@ def _warm_start_density(
     return p_path
 
 
-def _split_state(state: np.ndarray, n_s: int, n_x: int):
-    """(interior log p, gauged log phi, gauged log phihat) views of a state."""
-    k = (n_s - 2) * n_x
-    m = n_s * n_x
-    return (
-        state[:k].reshape(n_s - 2, n_x),
-        state[k:k + m].reshape(n_s, n_x),
-        state[k + m:].reshape(n_s, n_x),
-    )
-
-
 def _log_state(p_path: np.ndarray, pair: PairPath) -> np.ndarray:
-    """Joint log state of an outer iterate, the vector the mixing acts on.
+    """Joint log state of an outer iterate, the rows the mixing acts on.
 
     Interior log p slices, then log phi - c_t and log phihat + c_t with c_t
-    the slice mean of log phi. The gauge moves each slice's scale from phi to
-    phihat, which leaves phi phihat and d/dx log of either leg unchanged; the
-    endpoint slices of p are the fixed marginals and stay out.
+    the slice mean of log phi: (3 n_t + 1, n_x) rows. The gauge moves each
+    slice's scale from phi to phihat, which leaves phi phihat and d/dx log of
+    either leg unchanged; the endpoint slices of p are the fixed marginals
+    and stay out.
     """
     n_s, n_x = pair.phi.shape
-    state = np.empty((3 * n_s - 2) * n_x)
-    log_p, log_phi, log_phihat = _split_state(state, n_s, n_x)
+    state = np.empty((3 * n_s - 2, n_x))
+    log_p, log_phi, log_phihat = np.split(state, (n_s - 2, 2 * n_s - 2))
     np.log(p_path[1:-1], out=log_p)
     np.log(pair.phi, out=log_phi)
     gauge = log_phi.mean(axis=1, keepdims=True)
@@ -344,34 +335,56 @@ def _log_state(p_path: np.ndarray, pair: PairPath) -> np.ndarray:
     return state
 
 
-def _step_distances(f: np.ndarray, n_s: int, n_x: int) -> tuple[float, float]:
-    """(d_outer, d_pair) of a plain step with residual f = g - x of the log
-    states.
+def _plain_map(
+    cfg: SolverConfig,
+    p_in: np.ndarray,
+    p_fin: np.ndarray,
+    p_path: np.ndarray,
+    pair: PairPath,
+) -> tuple[np.ndarray, PairPath, np.ndarray, np.ndarray, float, float, float, float]:
+    """One evaluation of the plain outer map at the iterate (p_path, pair):
+    freeze, one Sinkhorn pass, refine, damp. It writes into neither input.
 
-    Each is the largest per-slice oscillation max - min of f, over the
-    density block and over the two pair blocks: the sup-over-time Hilbert
-    distances between the densities and between the legs, as the gauge
-    shifts a slice by a constant. The endpoint slices of p, the marginals
-    in both, add nothing.
+    Returns (p_next, new_pair, f, g, d_outer, d_pair, d_raw, mass_dev): the
+    output iterate, its joint log state g and the residual f = g - x of the
+    input's state x; the largest per-row oscillation max - min of f over the
+    density rows and over the pair rows, which are the sup-over-time Hilbert
+    distances the step moved the density and the legs, as the gauge shifts a
+    slice by a constant; that density distance before damping; and the
+    worst raw-slice mass deviation.
     """
-    osc = [
-        float((block.max(axis=1) - block.min(axis=1)).max())
-        for block in _split_state(f, n_s, n_x)
-    ]
-    return osc[0], max(osc[1], osc[2])
+    table = cfg.kernel_table
+    problem = freeze_problem(
+        p_path, pair, table, p_in, p_fin, cfg.sigma, cfg.sgrid, cfg.tgrid
+    )
+    new_pair = inner_sinkhorn(problem, pair)
+    del problem  # its bands go before the refinement allocates
+    p_next, mass_dev = _refined_density(p_path, new_pair.product, table, cfg.sgrid)
+    # also checks that both densities are finite and positive
+    d_raw = path_distance(p_next, p_path)
+    p_next *= cfg.theta
+    p_next += (1.0 - cfg.theta) * p_path
+    # the residual g - x, formed in the buffer of x
+    f = _log_state(p_path, pair)
+    g = _log_state(p_next, new_pair)
+    np.subtract(g, f, out=f)
+    osc = f.max(axis=1) - f.min(axis=1)
+    n_p = len(p_path) - 2
+    d_outer, d_pair = float(osc[:n_p].max()), float(osc[n_p:].max())
+    return p_next, new_pair, f, g, d_outer, d_pair, d_raw, mass_dev
 
 
 def _iterate_from_state(
     state: np.ndarray, p_in: np.ndarray, p_fin: np.ndarray, sgrid: SpatialGrid
 ) -> tuple[np.ndarray, PairPath] | None:
-    """Outer iterate of a joint log state: exponentiated, density slices
-    renormalized and endpoints pinned to the marginals. None when an entry
-    or a slice mass is not finite and positive."""
-    n_x = sgrid.n_x
-    n_s = (state.size // n_x + 2) // 3
-    log_p, log_phi, log_phihat = _split_state(state, n_s, n_x)
+    """Outer iterate of a flat joint log state: exponentiated, density
+    slices renormalized and endpoints pinned to the marginals. None when an
+    entry or a slice mass is not finite and positive."""
+    rows = state.reshape(-1, sgrid.n_x)
+    n_s = (len(rows) + 2) // 3
+    log_p, log_phi, log_phihat = np.split(rows, (n_s - 2, 2 * n_s - 2))
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        p_path = np.empty((n_s, n_x))
+        p_path = np.empty((n_s, sgrid.n_x))
         np.exp(log_p, out=p_path[1:-1])
         masses = np.trapezoid(p_path[1:-1], dx=sgrid.h, axis=1)
         phi = np.exp(log_phi)
@@ -451,11 +464,11 @@ class _AndersonMixer:
 def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
     """Run the outer iteration, Anderson-accelerated, to convergence.
 
-    Every outer step evaluates the plain map (freeze, one Sinkhorn pass,
-    refine, damp) once at the current iterate and counts against n1; the
-    stop test is on that plain step, whose output is returned. Its pair
-    distance, a supremum over slices, bounds the pass's anchor distance, so
-    the returned pair is stationary to tol under one more refreeze and pass.
+    Every outer step evaluates :func:`_plain_map` once at the current
+    iterate and counts against n1; the stop test is on that plain step,
+    whose output is returned. Its pair distance, a supremum over slices,
+    bounds the pass's anchor distance, so the returned iterate is stationary
+    to tol under one more refreeze and pass.
     Raises NoConvergence when the bridge start's BRIDGE_MAX_ITER passes or
     the n1 evaluations run out, with the trace and a Solution of the last
     iterate attached.
@@ -463,12 +476,10 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
     sgrid, tgrid = cfg.sgrid, cfg.tgrid
     p_in = build_marginals(cfg.marginal_in, sgrid, "marginal_in")
     p_fin = build_marginals(cfg.marginal_fin, sgrid, "marginal_fin")
-    table = cfg.kernel_table
-    sigma = cfg.sigma
     trace = ConvergenceTrace()
 
     def outcome(p_path: np.ndarray, pair: PairPath) -> Solution:
-        u = optimal_control(pair, sigma, sgrid)
+        u = optimal_control(pair, cfg.sigma, sgrid)
         return Solution(
             config=cfg, p=p_path, pair=pair, u=u,
             cost=control_energy(u, p_path, sgrid, tgrid), trace=trace,
@@ -477,7 +488,7 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
 
     if warm_pair is None:
         p_path, pair, trace.init_dh = classical_bridge_init(
-            p_in, p_fin, sigma, sgrid, tgrid, tol=cfg.tol
+            p_in, p_fin, cfg.sigma, sgrid, tgrid, tol=cfg.tol
         )
     else:
         check_path(warm_pair.phi, sgrid, tgrid)
@@ -504,22 +515,11 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
 
     for k in range(cfg.n1):
         tick = time.perf_counter()
-        problem = freeze_problem(p_path, pair, table, p_in, p_fin, sigma, sgrid, tgrid)
-        new_pair = inner_sinkhorn(problem, pair)
-        del problem  # its bands go before the next freeze builds new ones
+        p_next, new_pair, f, g, d_outer, d_pair, d_raw, mass_dev = _plain_map(
+            cfg, p_in, p_fin, p_path, pair
+        )
         trace.min_phi = min(trace.min_phi, float(new_pair.phi.min()))
         trace.min_phihat = min(trace.min_phihat, float(new_pair.phihat.min()))
-
-        refined, mass_dev = _refined_density(p_path, new_pair.product, table, sgrid)
-        # also checks that both densities are finite and positive
-        d_raw = path_distance(refined, p_path)
-        p_next = cfg.theta * refined + (1.0 - cfg.theta) * p_path
-        # the plain step's residual g - x, formed in the buffer of x
-        f = _log_state(p_path, pair)
-        g = _log_state(p_next, new_pair)
-        np.subtract(g, f, out=f)
-        d_outer, d_pair = _step_distances(f, tgrid.n_t + 1, sgrid.n_x)
-
         trace.middle_dh.append([d_pair])
         trace.inner_iterations.append([1])
         trace.outer_dh.append(d_outer)
@@ -533,10 +533,8 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
         evaluated = kind
         if not trace.converged and k < cfg.n1 - 1:
             if mixer is None:
-                mixer = _AndersonMixer(
-                    (3 * tgrid.n_t + 1) * sgrid.n_x, ANDERSON_MEMORY
-                )
-            state, kind = mixer.step(f, g, step_dh)
+                mixer = _AndersonMixer(f.size, ANDERSON_MEMORY)
+            state, kind = mixer.step(f.ravel(), g.ravel(), step_dh)
             nxt = None
             if state is not None:
                 nxt = _iterate_from_state(state, p_in, p_fin, sgrid)
@@ -548,11 +546,11 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
                 evaluated = "mixed, rejected"
             p_path, pair = nxt
             # only the next iterate stays alive through the next freeze. The
-            # step's arrays go together: freeing f, g or refined any earlier
-            # lets glibc's malloc trim the heap, and each step then faults
-            # its pages in again (10 700 to 12 400 minor page faults per
-            # example1 solve, against 3 800)
-            del p_next, new_pair, refined, f, g, state, nxt
+            # step's arrays go together: freeing f and g any earlier lets
+            # glibc's malloc trim the heap, and each step then faults its
+            # pages in again (5 900 to 6 600 minor page faults per example1
+            # solve at one BLAS thread, against 3 300 to 4 500)
+            del p_next, new_pair, f, g, state, nxt
         logger.debug(
             "outer %d (%s): d_outer=%.3e d_pair=%.3e restarts=%d dt=%.2fs",
             k, evaluated, d_outer, d_pair,

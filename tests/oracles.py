@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from mfsb.errors import DomainError
 from mfsb.sinkhorn import inner_sinkhorn
 
 
@@ -328,6 +329,24 @@ def ou_bridge_cost(sigma2: float, kappa: float, m0: float, s0: float,
         tau / v + s0 * (c / s0 - ea) ** 2 / v - 1.0 + math.log(v / tau)
     )
     return (m1 - m0) ** 2 / (2.0 * sigma2) + centred
+
+
+def integrate(f: np.ndarray, grid) -> float:
+    """Trapezoid-rule integral of a field over a grid's domain."""
+    return float(np.trapezoid(f, dx=grid.h))
+
+
+def sampling_noise_l1(p: np.ndarray, grid, n: int) -> float:
+    """Expected L1 histogram noise when drawing n samples from density p.
+
+    Cell counts are near-Poisson, so E|phat_i - p_i| is about
+    sqrt(2 p_i / (pi n w_i)) per cell; summing with the cell widths gives
+    sqrt(2 / (pi n)) * sum_i sqrt(p_i w_i).
+    """
+    if n < 1:
+        raise DomainError(f"need a positive sample count, got {n}")
+    w = trapezoid_weights(grid.n_x, grid.h)
+    return float(np.sqrt(2.0 / (np.pi * n)) * np.sum(np.sqrt(p * w)))
 
 
 def gaussian_density(x: np.ndarray, mean: float, variance: float) -> np.ndarray:

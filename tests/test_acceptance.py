@@ -18,7 +18,7 @@ from mfsb.errors import DomainError
 from mfsb.grid import SpatialGrid, TimeGrid, normalize
 from mfsb.kolmogorov import propagate_density
 from mfsb.metrics import hilbert_distance, l1_distance, path_distance
-from mfsb.particles import sampling_noise_l1, simulate, terminal_residual
+from mfsb.particles import simulate, terminal_residual
 from mfsb.potentials import (
     PotentialSpec,
     convolve,
@@ -47,6 +47,7 @@ from oracles import (
     direct_pair_density,
     direct_reaction,
     fit_geometric_rate,
+    sampling_noise_l1,
 )
 
 

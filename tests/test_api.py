@@ -36,7 +36,7 @@ PUBLIC = {
 
 # building blocks of the iteration: importable from their modules only
 INTERNAL = {
-    "mfsb.grid": ["gradient", "integrate", "normalize"],
+    "mfsb.grid": ["gradient", "normalize"],
     "mfsb.metrics": [
         "hilbert_distance", "l1_distance", "pair_distance", "path_distance",
     ],
@@ -52,7 +52,7 @@ INTERNAL = {
     "mfsb.solver": [
         "classical_bridge_init", "optimal_control", "control_energy",
     ],
-    "mfsb.particles": ["empirical_density", "sampling_noise_l1"],
+    "mfsb.particles": ["empirical_density"],
 }
 
 

@@ -519,6 +519,18 @@ def test_mixture_parameters_must_be_finite(field, values, bad):
         build_marginals(spec, SpatialGrid(-2.0, 2.0, 64))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("weights", 1.0), ("weights", ["a"]), ("weights", "1"), ("means", None),
+])
+def test_mixture_parameters_must_be_sequences_of_numbers(field, value):
+    # a wrong type from a library caller escaped as a bare TypeError or
+    # ValueError, and a string was read character by character
+    params = {"weights": [1.0], "means": [0.0], "variances": [1.0], field: value}
+    message = f"MarginalSpec {field} must be a sequence of numbers"
+    with pytest.raises(ConfigError, match=message):
+        MarginalSpec(kind="gaussian_mixture", **params)
+
+
 @pytest.mark.parametrize("field, values, bad", NON_FINITE_MIXTURES)
 def test_cli_non_finite_mixture_exits_one_by_name(
     tmp_path, capsys, field, values, bad

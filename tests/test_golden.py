@@ -22,12 +22,18 @@ result must lie within twice the stop distance of the accelerated one.
 
 import math
 
+import numpy as np
 import pytest
 
 from mfsb.kolmogorov import propagate_density
 from mfsb.metrics import l1_distance, pair_distance, path_distance
 from mfsb.sinkhorn import freeze_problem
-from mfsb.solver import BRIDGE_MAX_ITER, _refined_density, classical_bridge_init
+from mfsb.solver import (
+    BRIDGE_MAX_ITER,
+    _plain_map,
+    _refined_density,
+    classical_bridge_init,
+)
 
 from oracles import fit_geometric_rate, repeat_passes
 
@@ -115,3 +121,20 @@ def test_accelerated_solve_lands_at_the_plain_map_fixed_point(name, request):
     assert path_distance(p_plain, sol.p) <= 2.0 * cfg.tol * RATE_MAX / (
         1.0 - RATE_MAX
     )
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_a_stop_leaves_the_iterate_stationary_under_one_more_evaluation(
+    name, request
+):
+    # README: a stop leaves the returned iterate stationary to tol under one
+    # more refreeze and pass
+    sol, _ = request.getfixturevalue(f"{name}_run")
+    inputs = (sol.p_in, sol.p_fin, sol.p, sol.pair.phi, sol.pair.phihat)
+    before = [a.copy() for a in inputs]
+    d_outer, d_pair = _plain_map(sol.config, sol.p_in, sol.p_fin, sol.p, sol.pair)[4:6]
+    assert d_outer < sol.config.tol
+    assert d_pair < sol.config.tol
+    # the run fixtures are shared by every test: the map wrote into none of them
+    for a, b in zip(inputs, before):
+        np.testing.assert_array_equal(a, b)

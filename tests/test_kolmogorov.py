@@ -13,7 +13,6 @@ from mfsb import (
     propagate_density,
 )
 import mfsb.kolmogorov
-from mfsb.grid import integrate
 from mfsb.kolmogorov import (
     TransportOperators,
     build_generator,
@@ -21,7 +20,13 @@ from mfsb.kolmogorov import (
     integrate_forward,
 )
 from mfsb.potentials import eval_potential
-from oracles import direct_propagation, direct_sweep, field_variance, gaussian_density
+from oracles import (
+    direct_propagation,
+    direct_sweep,
+    field_variance,
+    gaussian_density,
+    integrate,
+)
 
 
 def dense_matrix(bands):

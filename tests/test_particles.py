@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from mfsb.errors import DomainError, ZeroMassError
-from mfsb.grid import SpatialGrid, TimeGrid, integrate
+from mfsb.grid import SpatialGrid, TimeGrid
 from mfsb.particles import (
     _reflect,
     empirical_density,
-    sampling_noise_l1,
     simulate,
     terminal_residual,
 )
@@ -19,10 +18,12 @@ from mfsb.potentials import PotentialSpec, eval_potential
 
 from oracles import (
     gaussian_density,
+    integrate,
     interp_particle_run,
     midpoint_histogram_density,
     mod_fold,
     per_step_particle_run,
+    sampling_noise_l1,
 )
 
 

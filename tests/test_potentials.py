@@ -375,3 +375,11 @@ def test_spec_validation():
             for value in (np.nan, np.inf, -np.inf):
                 with pytest.raises(DomainError, match=f"finite {name} > 0"):
                     PotentialSpec(kind=kind, **{**params, name: value})
+    # a value of the wrong type escaped as numpy's bare TypeError
+    for kind, params, name in (
+        ("gaussian_attractive", {"a": "1", "s": 0.3}, "a"),
+        ("gaussian_attractive", {"a": 1.0, "s": 0.3, "beta": "x"}, "beta"),
+        ("power_repulsive", {"c": 5.0, "alpha": 0.2, "epsilon": None}, "epsilon"),
+    ):
+        with pytest.raises(DomainError, match=f"PotentialSpec {name} must be real"):
+            PotentialSpec(kind=kind, **params)

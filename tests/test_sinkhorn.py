@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mfsb.errors import DomainError, PositivityError, ShapeError
-from mfsb.grid import SpatialGrid, TimeGrid, check_path, integrate, normalize
+from mfsb.grid import SpatialGrid, TimeGrid, check_path, normalize
 from mfsb.metrics import hilbert_distance, l1_distance, pair_distance
 from mfsb.potentials import PotentialSpec, eval_potential
 from mfsb import sinkhorn as sinkhorn_module
@@ -17,6 +17,7 @@ from oracles import (
     direct_convolution,
     direct_reaction,
     gaussian_density,
+    integrate,
     repeat_passes,
 )
 

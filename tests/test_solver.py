@@ -14,7 +14,7 @@ from mfsb.errors import (
     PositivityError,
     ShapeError,
 )
-from mfsb.grid import SpatialGrid, TimeGrid, integrate, normalize
+from mfsb.grid import SpatialGrid, TimeGrid, normalize
 from mfsb.marginals import MarginalSpec, build_marginals
 from mfsb.metrics import l1_distance, pair_distance, path_distance
 from mfsb.particles import simulate
@@ -28,6 +28,7 @@ from mfsb.solver import (
     SolverConfig,
     Solution,
     _AndersonMixer,
+    _plain_map,
     classical_bridge_init,
     _refined_density,
     _warm_start_density,
@@ -494,6 +495,18 @@ def test_solve_exhausting_outer_budget_raises_with_partial():
     assert_partial_solution(exc, cfg)
     assert exc.trace.outer_iterations == 1
     assert len(exc.trace.outer_dh) == 1
+    # that one evaluation is _plain_map at the bridge start, bit for bit
+    p_path, pair, _ = classical_bridge_init(
+        exc.partial.p_in, exc.partial.p_fin, cfg.sigma, cfg.sgrid, cfg.tgrid, cfg.tol
+    )
+    p_next, new_pair, _, _, d_outer, d_pair, _, _ = _plain_map(
+        cfg, exc.partial.p_in, exc.partial.p_fin, p_path, pair
+    )
+    np.testing.assert_array_equal(exc.partial.p, p_next)
+    np.testing.assert_array_equal(exc.partial.pair.phi, new_pair.phi)
+    np.testing.assert_array_equal(exc.partial.pair.phihat, new_pair.phihat)
+    assert exc.trace.outer_dh == [d_outer]
+    assert exc.trace.middle_dh == [[d_pair]]
 
 
 def test_solve_exhausting_bridge_budget_attaches_normalized_product(monkeypatch):
