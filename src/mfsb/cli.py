@@ -12,8 +12,10 @@ writes five artifacts into the output directory:
 
 All floats are written with 17 significant digits and \\n line endings, and
 nothing time-dependent goes into the four data files, so identical configs
-and seeds reproduce them byte for byte. Exit codes: 0 converged, 2 budget
-exhausted (NoConvergence), 1 bad input, usage errors included.
+and seeds reproduce them byte for byte on one numpy/BLAS build at one BLAS
+thread count; across thread counts they agree to round-off. Exit codes: 0
+converged, 2 budget exhausted (NoConvergence), 1 bad input, usage errors
+included.
 """
 
 from __future__ import annotations

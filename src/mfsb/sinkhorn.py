@@ -5,9 +5,8 @@ re-anchors the forward scaling at t = 0 so the initial marginal is matched
 exactly, sweeps forward, and re-anchors the terminal scaling so the final
 marginal is matched, with drift and reaction frozen. The solver makes one
 pass per freeze and measures how far it moved the pair itself. The classical
-bridge (:func:`mfsb.solver.classical_bridge_init`) makes none: with no drift
-and no reaction a pass only moves the two anchor slices, so the bridge
-iterates those alone and fills in the path once.
+bridge (:func:`mfsb.solver.classical_bridge_init`) repeats passes on one
+problem frozen at the zero kernel, whose decay and anchor factors are all 1.
 """
 
 from __future__ import annotations
@@ -56,10 +55,11 @@ class PairPath:
 class FrozenProblem:
     """Everything a Sinkhorn pass needs, with drift and reaction held fixed.
 
-    Built by :func:`freeze_problem`. ``ops`` carries the drift (as the bands
-    of the implicit transport step) and the grids; the reaction enters
-    through the per-slice decay factors exp(-dt sigma^2 q) of each sweep,
-    computed once per freeze.
+    Built by :func:`freeze_problem`, or directly with unit factors for the
+    classical bridge. ``ops`` carries the drift (as the LU factors of the
+    implicit transport step) and the grids; the reaction enters through the
+    per-slice decay factors exp(-dt sigma^2 q) of each sweep, computed once
+    per freeze.
     """
 
     ops: TransportOperators
@@ -96,10 +96,13 @@ def freeze_problem(
     for name, p in (("p_in", p_in), ("p_fin", p_fin)):
         if not (np.all(np.isfinite(p)) and p.min() > 0.0):
             raise PositivityError(f"{name} must be strictly positive and finite")
-    ops = TransportOperators(mean_field_drift_path(table, p_path), sigma, sgrid, tgrid)
-    rate = -tgrid.dt * ops.sigma**2
-    # a finite but huge kernel overflows these exponentials; the factors are
-    # checked below, so numpy's own overflow warning would only repeat that
+    if not (np.isfinite(sigma) and sigma > 0.0):
+        raise DomainError(f"sigma must be finite and positive, got {sigma}")
+    drift = mean_field_drift_path(table, p_path)
+    rate = -tgrid.dt * float(sigma) ** 2
+    # a finite but huge kernel overflows these exponentials. They are checked
+    # below, before its drift's bands can break the factorization, so numpy's
+    # own overflow warning would only repeat that
     with np.errstate(over="ignore"):
         factors = {
             "decay_phi": np.exp(rate * reaction_term_path(table, pair.phi, p_path)),
@@ -114,6 +117,7 @@ def freeze_problem(
         raise DomainError(
             f"the kernel is too large: exp overflows in {', '.join(overflowed)}"
         )
+    ops = TransportOperators(drift, sigma, sgrid, tgrid)
     return FrozenProblem(ops=ops, p_in=p_in, p_fin=p_fin, **factors)
 
 

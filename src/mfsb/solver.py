@@ -17,8 +17,8 @@ supremum over all slices, so it bounds the pass's own anchor distance too,
 and a stop leaves the returned pair stationary to tol under one more
 refreeze and pass. With the interaction switched off the map collapses to
 the classical bridge computed by :func:`classical_bridge_init`, which also
-provides the starting point in the general case and iterates only the two
-endpoint slices.
+provides the starting point in the general case: it repeats the same pass on
+one problem frozen at the zero kernel.
 
 That plain outer map contracts only linearly, so the loop feeds its outputs
 to type-II Anderson mixing (Anderson 1965; Walker & Ni 2011) on the joint
@@ -36,24 +36,17 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .errors import (
-    ConfigError,
-    DomainError,
-    NoConvergence,
-    PositivityError,
-    SolveError,
-)
+from .errors import ConfigError, DomainError, NoConvergence, PositivityError
 from .grid import SpatialGrid, TimeGrid, check_field, check_path, gradient, normalize
-from .kolmogorov import build_generator
+from .kolmogorov import TransportOperators
 from .marginals import MarginalSpec, build_marginals
 from .metrics import hilbert_distance, path_distance
 # not called here: perfbench/probe.py traces pair_distance where another
 # module holds it, and --trace 1 fails when none does
 from .metrics import pair_distance  # noqa: F401
 from .potentials import PotentialSpec, PotentialTable, convolve_path, eval_potential
-from .sinkhorn import PairPath, freeze_problem, inner_sinkhorn
+from .sinkhorn import FrozenProblem, PairPath, freeze_problem, inner_sinkhorn
 
 logger = logging.getLogger("mfsb")
 
@@ -146,7 +139,6 @@ class ConvergenceTrace:
 
     init_dh: list[float] = field(default_factory=list)
     outer_dh: list[float] = field(default_factory=list)
-    outer_dh_raw: list[float] = field(default_factory=list)
     middle_dh: list[list[float]] = field(default_factory=list)
     inner_iterations: list[list[int]] = field(default_factory=list)
     slice_mass_dev: list[float] = field(default_factory=list)
@@ -187,19 +179,19 @@ def classical_bridge_init(
 ) -> tuple[np.ndarray, PairPath, list[float]]:
     """Bridge between the marginals with the interaction switched off.
 
-    With no drift and no reaction a Sinkhorn pass only moves its two anchor
-    slices, by the static Schroedinger (Fortet) iteration: with K the
-    implicit heat step, phi_0 = K^{n_t} phi_1, phihat_0 = p_in / phi_0,
-    phihat_1 = K^{n_t} phihat_0 and phi_1 = p_fin / phihat_1. It runs from
-    the flat start (phi_1 = 1, phihat_0 = p_in) until a pass moves the
-    anchors less than tol in the Hilbert metric, where it contracts (Chen,
-    Georgiou & Pavon 2016), or for BRIDGE_MAX_ITER passes. The path is then
-    filled as the last pass would have: a backward sweep from that pass's
-    starting phi_1 with the terminal slice overwritten, and a forward sweep
-    from phihat_0. The density path is the normalized slice-wise product of
-    the two scalings. Returns (p_path, pair, boundary_dh), the anchor
-    distance of every pass. It does not raise when the budget runs out: a
-    last distance of at least tol says so, and :func:`solve` raises.
+    Repeats the Sinkhorn pass of :func:`mfsb.sinkhorn.inner_sinkhorn` on one
+    problem frozen at the zero kernel: zero drift, and decay and anchor
+    factors of exactly 1. That is the static Schroedinger (Fortet)
+    iteration, with K the implicit heat step: phi_0 = K^{n_t} phi_1,
+    phihat_0 = p_in / phi_0, phihat_1 = K^{n_t} phihat_0 and phi_1 =
+    p_fin / phihat_1. It runs from the flat start (phi_1 = 1, phihat_0 =
+    p_in) until a pass moves the anchors phi_1 and phihat_0 less than tol in
+    the Hilbert metric, where it contracts (Chen, Georgiou & Pavon 2016), or
+    for BRIDGE_MAX_ITER passes. The last pass's pair is the returned pair,
+    and the density path is the normalized slice-wise product of the two
+    scalings. Returns (p_path, pair, boundary_dh), the anchor distance of
+    every pass. It does not raise when the budget runs out: a last distance
+    of at least tol says so, and :func:`solve` raises.
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
@@ -208,44 +200,25 @@ def classical_bridge_init(
     for name, p in (("p_in", p_in), ("p_fin", p_fin)):
         if np.any(p <= 0.0) or not np.all(np.isfinite(p)):
             raise PositivityError(f"{name} must be strictly positive")
-    n_t, dt = tgrid.n_t, tgrid.dt
-    low, diag, up = build_generator(np.zeros(sgrid.n_x), sigma, sgrid)
-    # I - dt A_0 is factored once. It is diagonally dominant, so neither
-    # gttrf nor the gtsv of a pass pivots, and a gttrs step gives the bits of
-    # TransportOperators.solve at zero drift
-    *factors, info = dgttrf(-dt * low, 1.0 - dt * diag, -dt * up)
-    if info != 0:
-        raise SolveError(f"gttrf failed with info={info}")
-
-    def step(v: np.ndarray) -> np.ndarray:
-        return dgttrs(*factors, v)[0]
-
-    def propagate(v: np.ndarray) -> np.ndarray:
-        for _ in range(n_t):
-            v = step(v)
-        return v
-
-    phi1, phihat0 = np.ones(sgrid.n_x), p_in
+    ones = np.ones((tgrid.n_t + 1, sgrid.n_x))
+    problem = FrozenProblem(
+        ops=TransportOperators(np.zeros_like(ones), sigma, sgrid, tgrid),
+        decay_phi=ones, decay_phihat=ones, p_in=p_in, p_fin=p_fin,
+        exp_in_plus=ones[0], exp_fin_plus=ones[0],
+    )
+    # the flat start; a pass reads only its phi_1, and the first anchor
+    # distance compares phihat_0 with p_in
+    pair = PairPath(phi=ones, phihat=np.broadcast_to(p_in, ones.shape))
     boundary_dh: list[float] = []
     for _ in range(BRIDGE_MAX_ITER):
-        start_phi1, start_phihat0 = phi1, phihat0
-        phihat0 = p_in / propagate(start_phi1)
-        phi1 = p_fin / propagate(phihat0)
+        start, pair = pair, inner_sinkhorn(problem, pair)
         anchor_dh = max(
-            hilbert_distance(phi1, start_phi1),
-            hilbert_distance(phihat0, start_phihat0),
+            hilbert_distance(pair.phi[-1], start.phi[-1]),
+            hilbert_distance(pair.phihat[0], start.phihat[0]),
         )
         boundary_dh.append(anchor_dh)
         if anchor_dh < tol:
             break
-    phi = np.empty((n_t + 1, sgrid.n_x))
-    phihat = np.empty_like(phi)
-    phi[n_t], phihat[0] = start_phi1, phihat0
-    for l in range(n_t):
-        phi[n_t - 1 - l] = step(phi[n_t - l])
-        phihat[l + 1] = step(phihat[l])
-    phi[n_t] = phi1
-    pair = PairPath(phi=phi, phihat=phihat)
     return normalize(pair.product, sgrid), pair, boundary_dh
 
 
@@ -256,15 +229,16 @@ def _refined_density(
     sgrid: SpatialGrid,
 ) -> tuple[np.ndarray, float]:
     """Normalized e^{-2 W*p} phi phihat, given the pair's product phi phihat,
-    and the worst raw-slice mass deviation."""
+    and the worst raw-slice mass deviation. A value that is not finite and
+    positive is a PositivityError."""
     # in place on the fresh convolution: one path-sized array per call
     raw = convolve_path(table, p_path)
     raw *= -2.0
     np.exp(raw, out=raw)
     raw *= product
     masses = np.trapezoid(raw, dx=sgrid.h, axis=1)
-    if not np.all(np.isfinite(masses)) or np.any(masses <= 0.0):
-        raise PositivityError("density refinement produced a nonpositive slice")
+    if not (np.all(np.isfinite(masses)) and masses.min() > 0.0 and raw.min() > 0.0):
+        raise PositivityError("density refinement produced a nonpositive value")
     raw /= masses[:, None]
     return raw, float(np.abs(masses - 1.0).max())
 
@@ -341,27 +315,24 @@ def _plain_map(
     p_fin: np.ndarray,
     p_path: np.ndarray,
     pair: PairPath,
-) -> tuple[np.ndarray, PairPath, np.ndarray, np.ndarray, float, float, float, float]:
+) -> tuple[np.ndarray, PairPath, np.ndarray, np.ndarray, float, float, float]:
     """One evaluation of the plain outer map at the iterate (p_path, pair):
     freeze, one Sinkhorn pass, refine, damp. It writes into neither input.
 
-    Returns (p_next, new_pair, f, g, d_outer, d_pair, d_raw, mass_dev): the
-    output iterate, its joint log state g and the residual f = g - x of the
-    input's state x; the largest per-row oscillation max - min of f over the
-    density rows and over the pair rows, which are the sup-over-time Hilbert
+    Returns (p_next, new_pair, f, g, d_outer, d_pair, mass_dev): the output
+    iterate, its joint log state g and the residual f = g - x of the input's
+    state x; the largest per-row oscillation max - min of f over the density
+    rows and over the pair rows, which are the sup-over-time Hilbert
     distances the step moved the density and the legs, as the gauge shifts a
-    slice by a constant; that density distance before damping; and the
-    worst raw-slice mass deviation.
+    slice by a constant; and the worst raw-slice mass deviation.
     """
     table = cfg.kernel_table
     problem = freeze_problem(
         p_path, pair, table, p_in, p_fin, cfg.sigma, cfg.sgrid, cfg.tgrid
     )
     new_pair = inner_sinkhorn(problem, pair)
-    del problem  # its bands go before the refinement allocates
+    del problem  # its factors go before the refinement allocates
     p_next, mass_dev = _refined_density(p_path, new_pair.product, table, cfg.sgrid)
-    # also checks that both densities are finite and positive
-    d_raw = path_distance(p_next, p_path)
     p_next *= cfg.theta
     p_next += (1.0 - cfg.theta) * p_path
     # the residual g - x, formed in the buffer of x
@@ -371,7 +342,7 @@ def _plain_map(
     osc = f.max(axis=1) - f.min(axis=1)
     n_p = len(p_path) - 2
     d_outer, d_pair = float(osc[:n_p].max()), float(osc[n_p:].max())
-    return p_next, new_pair, f, g, d_outer, d_pair, d_raw, mass_dev
+    return p_next, new_pair, f, g, d_outer, d_pair, mass_dev
 
 
 def _iterate_from_state(
@@ -515,7 +486,7 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
 
     for k in range(cfg.n1):
         tick = time.perf_counter()
-        p_next, new_pair, f, g, d_outer, d_pair, d_raw, mass_dev = _plain_map(
+        p_next, new_pair, f, g, d_outer, d_pair, mass_dev = _plain_map(
             cfg, p_in, p_fin, p_path, pair
         )
         trace.min_phi = min(trace.min_phi, float(new_pair.phi.min()))
@@ -523,7 +494,6 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
         trace.middle_dh.append([d_pair])
         trace.inner_iterations.append([1])
         trace.outer_dh.append(d_outer)
-        trace.outer_dh_raw.append(d_raw)
         trace.slice_mass_dev.append(mass_dev)
         trace.min_density = min(trace.min_density, float(p_next.min()))
 

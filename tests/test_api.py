@@ -5,6 +5,8 @@ import copy
 import dataclasses
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -150,3 +152,48 @@ def test_array_holders_compare_and_hash_by_identity(array_holders, name):
     assert type(obj).__name__ == name
     assert obj == obj and hash(obj) == hash(obj)
     assert (obj == twin) is False and obj != twin
+
+
+def run_fresh(code: str, *args: str, **env: str) -> str:
+    """Run code in a new interpreter that imports this checkout's mfsb, with
+    env added to the environment; returns its stdout."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env={**os.environ, "PYTHONPATH": path, **env},
+        capture_output=True, text=True, check=True,
+    )
+    return result.stdout
+
+
+def test_importing_the_cli_loads_no_scipy_module_beyond_linalg():
+    # scipy.linalg is mfsb's route to LAPACK's tridiagonal solvers and most of
+    # every run's set-up time; each of these would add its own import cost
+    unwanted = [
+        "scipy.interpolate", "scipy.signal", "scipy.optimize",
+        "scipy.sparse.linalg", "scipy.stats",
+    ]
+    code = "import sys, mfsb.cli; print(*(m for m in sys.argv[1:] if m in sys.modules))"
+    assert run_fresh(code, *unwanted).split() == []
+
+
+def test_blas_thread_count_moves_a_solve_only_at_round_off(tmp_path):
+    # byte-for-byte reproduction holds at one BLAS thread count: the path
+    # products of the reaction convolutions give other bits on two threads.
+    # Across counts the answer agrees to round-off (a one-CPU machine may
+    # give equal bits, which passes too)
+    code = (
+        "import sys, numpy as np, mfsb\n"
+        "from mfsb.config import example_config_path\n"
+        "sol = mfsb.solve(mfsb.load_config(example_config_path('example1')))\n"
+        "np.savez(sys.argv[1], p=sol.p, phi=sol.pair.phi, "
+        "phihat=sol.pair.phihat, cost=sol.cost)\n"
+    )
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.npz"
+        run_fresh(code, str(out), OPENBLAS_NUM_THREADS=threads)
+        runs.append(np.load(out))
+    one, two = runs
+    for name in ("p", "phi", "phihat", "cost"):
+        np.testing.assert_allclose(two[name], one[name], rtol=1e-12, atol=0.0)

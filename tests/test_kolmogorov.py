@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgtsv
 
 from mfsb import (
     DomainError,
@@ -19,7 +20,8 @@ from mfsb.kolmogorov import (
     integrate_backward,
     integrate_forward,
 )
-from mfsb.potentials import eval_potential
+from mfsb.potentials import eval_potential, mean_field_drift_path
+from mfsb.sinkhorn import freeze_problem
 from oracles import (
     direct_propagation,
     direct_sweep,
@@ -176,6 +178,28 @@ def test_transport_operators_match_direct_solves(grid64, rng):
             start, b_path, q_path, sigma, grid64.h, tgrid.dt, backward
         )
         np.testing.assert_allclose(sweep(start, decay, ops), direct, rtol=1e-11)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_factored_solves_give_the_bits_of_gtsv(name, request):
+    # gttrf does not pivot on these M-matrices, so a gttrs with the kept
+    # factors gives the bits of one gtsv on the same bands; the data files
+    # rely on it. A band change that made LAPACK pivot would fail here
+    sol, _ = request.getfixturevalue(f"{name}_run")
+    cfg = sol.config
+    table, dt = cfg.kernel_table, cfg.tgrid.dt
+    ops = freeze_problem(
+        sol.p, sol.pair, table, sol.p_in, sol.p_fin, cfg.sigma, cfg.sgrid, cfg.tgrid
+    ).ops
+    low, diag, up = build_generator(
+        mean_field_drift_path(table, sol.p), cfg.sigma, cfg.sgrid
+    )
+    no_pivots = np.arange(1, cfg.n_x + 1)  # LAPACK counts rows from 1
+    for l in range(cfg.n_t + 1):
+        np.testing.assert_array_equal(ops._factors[l][4], no_pivots)
+        for rhs in (sol.pair.phi[l], sol.pair.phihat[l], sol.p[l]):
+            x = dgtsv(-dt * low[l], 1.0 - dt * diag[l], -dt * up[l], rhs)[3]
+            np.testing.assert_array_equal(ops.solve(l, rhs), x)
 
 
 def test_sweeps_raise_on_nonpositive_boundary(grid64):

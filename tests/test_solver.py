@@ -182,6 +182,20 @@ def test_density_refinement_matches_direct_computation(rng):
         assert mass == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+def test_density_refinement_refuses_a_value_not_finite_and_positive(rng, bad):
+    # the outer map takes the log of every refined value
+    sgrid = SpatialGrid(-2.0, 2.0, 48)
+    tgrid = TimeGrid(6)
+    table = eval_potential(PotentialSpec(kind="gaussian_attractive", a=0.8, s=0.3), sgrid)
+    shape = (tgrid.n_t + 1, sgrid.n_x)
+    p_path = normalize(np.exp(rng.normal(size=shape) * 0.3), sgrid)
+    product = np.exp(rng.normal(size=shape) * 0.5)
+    product[3, 10] = bad
+    with pytest.raises(PositivityError, match="refinement"):
+        _refined_density(p_path, product, table, sgrid)
+
+
 def warm_start_setup(rng, **overrides):
     """A Gaussian-kernel config, a random positive pair and the marginals."""
     cfg = small_config(
@@ -448,8 +462,8 @@ def test_returned_endpoints_are_the_marginals_to_round_off(request, run_fixture)
 
 
 def test_solve_makes_one_sinkhorn_pass_per_evaluation(monkeypatch):
-    # the bridge start sweeps on its own factored step and makes no pass;
-    # every outer evaluation sweeps backward exactly once
+    # each pass sweeps backward exactly once: one per pass of the bridge
+    # start, and one per outer evaluation
     sweeps = []
     real = sinkhorn_module.integrate_backward
 
@@ -463,7 +477,7 @@ def test_solve_makes_one_sinkhorn_pass_per_evaluation(monkeypatch):
         n1=30,
     ))
     assert sol.trace.outer_iterations > 1
-    assert len(sweeps) == sol.trace.outer_iterations
+    assert len(sweeps) == len(sol.trace.init_dh) + sol.trace.outer_iterations
     assert sol.trace.inner_iterations == [[1]] * sol.trace.outer_iterations
 
 
@@ -499,7 +513,7 @@ def test_solve_exhausting_outer_budget_raises_with_partial():
     p_path, pair, _ = classical_bridge_init(
         exc.partial.p_in, exc.partial.p_fin, cfg.sigma, cfg.sgrid, cfg.tgrid, cfg.tol
     )
-    p_next, new_pair, _, _, d_outer, d_pair, _, _ = _plain_map(
+    p_next, new_pair, _, _, d_outer, d_pair, _ = _plain_map(
         cfg, exc.partial.p_in, exc.partial.p_fin, p_path, pair
     )
     np.testing.assert_array_equal(exc.partial.p, p_next)
@@ -701,8 +715,7 @@ def test_solve_exhausting_outer_budget_under_mixing(example1_config):
     np.testing.assert_allclose(p[-1], p_fin, rtol=1e-10)
     trace = exc.trace
     assert trace.outer_iterations == 3
-    for name in ("outer_dh", "outer_dh_raw", "middle_dh", "inner_iterations",
-                 "slice_mass_dev"):
+    for name in ("outer_dh", "middle_dh", "inner_iterations", "slice_mass_dev"):
         assert len(getattr(trace, name)) == 3, name
 
 
