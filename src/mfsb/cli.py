@@ -8,7 +8,8 @@ writes five artifacts into the output directory:
 * control.csv    (t, x, u)      the feedback control field
 * pair.csv       (t, x, phi, phihat)  the scaling pair (warm-start input)
 * trace.json     convergence history, cost, verification residuals
-* manifest.json  config echo, digests and sizes of the data files, timings
+* manifest.json  config echo, digests and sizes of the data files, timings,
+                 the numpy/scipy/BLAS build and BLAS thread variables
 
 All floats are written with 17 significant digits and \\n line endings, and
 nothing time-dependent goes into the four data files, so identical configs
@@ -25,12 +26,14 @@ import dataclasses
 import hashlib
 import json
 import logging
+import os
 import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .config import load_config, read_key_values, resolve_config_path
@@ -102,6 +105,22 @@ def _dump_json(path: Path, obj) -> dict:
     return {"sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob)}
 
 
+def _provenance() -> dict:
+    """The numpy and scipy versions, numpy's BLAS and the thread variables in
+    force (None when unset): the data files repeat their bytes only where
+    all of these agree."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas["name"], "version": blas["version"]},
+        "threads": {
+            name: os.environ.get(name)
+            for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        },
+    }
+
+
 def _write_run(
     out: Path,
     sol: Solution,
@@ -141,6 +160,7 @@ def _write_run(
         "timings": timings,
         "verification": verification,
         "error": error,
+        "provenance": _provenance(),
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
     _dump_json(out / "manifest.json", manifest)

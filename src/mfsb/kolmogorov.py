@@ -6,11 +6,13 @@ The linear operator discretized here is
 
 with monotone (upwind) advection and a no-flux closure at the domain ends:
 off-diagonal entries of A are nonnegative and every row sums to zero, so
-I - dt * A is a strictly diagonally dominant M-matrix. Each step of the two
-sweeps splits the reaction off the transport: one LAPACK tridiagonal solve
-(gttrs) with the LU factors of I - dt A kept in :class:`TransportOperators`,
-then a multiplication by the slice's decay factor exp(-dt sigma^2 q). First
-order in dt, unconditionally stable, positivity preserving.
+I - dt * A is a strictly diagonally dominant M-matrix. The backward and the
+forward sweep are one loop run in opposite directions. Each step splits the
+reaction off the transport: one LAPACK tridiagonal solve (gttrs) with the LU
+factors of I - dt A_l of its target slice l, kept in
+:class:`TransportOperators`, then a multiplication by that slice's decay
+factor exp(-dt sigma^2 q_l). First order in dt, unconditionally stable,
+positivity preserving.
 
 Density propagation uses the conservative finite-volume form of the adjoint
 problem on node-centered cells, again implicit, so mass is conserved to
@@ -39,11 +41,12 @@ def build_generator(
     Returns its three bands ``(low, diag, up)``: ``low[i]`` is A[i+1, i] and
     ``up[i]`` is A[i, i+1], both of length n_x - 1. ``b`` is one drift field
     (n_x,) or a drift path (n_t + 1, n_x); a path gives one generator per
-    slice, stacked along the leading axis of each band. At the two
-    boundary rows the advection uses the inward difference with speed |v|
-    (even-reflection ghost), which keeps the off-diagonals nonnegative and
-    the row sums exactly zero for either drift sign. A sigma that is not
-    finite and positive is a DomainError.
+    slice, stacked along the leading axis of each band. With D = sigma^2 /
+    (2 h^2) and a = sigma^2 b / h, row i holds D - min(a_i, 0), -2D - |a_i|
+    and D + max(a_i, 0). The two boundary rows turn the advection inward
+    (even-reflection ghost): D + |a| beside -D - |a|. So the off-diagonals
+    are nonnegative and every row sums to zero for either drift sign. A
+    sigma that is not finite and positive is a DomainError.
     """
     if not (np.isfinite(sigma) and sigma > 0.0):
         raise DomainError(f"sigma must be finite and positive, got {sigma}")
@@ -52,21 +55,18 @@ def build_generator(
         raise ShapeError(
             f"expected drift of shape ({grid.n_x},) or (*, {grid.n_x}), got {b.shape}"
         )
-    h = grid.h
-    n = grid.n_x
-    lead = b.shape[:-1]
-    dcoef = 0.5 * sigma * sigma / (h * h)
-    v = sigma * sigma * b
-    vp = np.maximum(v, 0.0)
-    vm = np.minimum(v, 0.0)
-    vp[..., 0], vm[..., 0] = np.abs(v[..., 0]), 0.0
-    vp[..., -1], vm[..., -1] = 0.0, -np.abs(v[..., -1])
-
-    diag = np.full(lead + (n,), -2.0 * dcoef)
-    diag[..., 0] = diag[..., -1] = -dcoef
-    diag -= (vp - vm) / h
-    up = np.full(lead + (n - 1,), dcoef) + vp[..., :-1] / h
-    low = np.full(lead + (n - 1,), dcoef) - vm[..., 1:] / h
+    dcoef = 0.5 * sigma * sigma / (grid.h * grid.h)
+    a = sigma * sigma * b / grid.h
+    speed = np.abs(a)
+    up = np.maximum(a[..., :-1], 0.0)
+    up[..., 0] = speed[..., 0]
+    up += dcoef
+    low = np.minimum(a[..., 1:], 0.0)
+    low[..., -1] = -speed[..., -1]
+    np.subtract(dcoef, low, out=low)
+    diag = -2.0 * dcoef - speed
+    diag[..., 0] = -dcoef - speed[..., 0]
+    diag[..., -1] = -dcoef - speed[..., -1]
     return low, diag, up
 
 
@@ -90,13 +90,15 @@ class TransportOperators:
         tgrid: TimeGrid,
     ):
         low, diag, up = build_generator(check_path(b_path, sgrid, tgrid), sigma, sgrid)
-        self.sigma = float(sigma)
         self.sgrid = sgrid
         self.tgrid = tgrid
-        dt = tgrid.dt
+        # the fresh bands become those of I - dt A, and each slice is
+        # factored in place on their rows
+        for band in (low, diag, up):
+            band *= -tgrid.dt
+        diag += 1.0
         self._factors = []
-        # each slice is factored in place on rows of these fresh bands
-        for bands in zip(-dt * low, 1.0 - dt * diag, -dt * up):
+        for bands in zip(low, diag, up):
             *factors, info = dgttrf(*bands, 1, 1, 1)
             # the matrix is an M-matrix, but finite bands of huge magnitude
             # can still overflow in the elimination
@@ -109,13 +111,29 @@ class TransportOperators:
         return dgttrs(*self._factors[l], rhs)[0]
 
 
-def _check_sweep_inputs(
-    boundary: np.ndarray, decay: np.ndarray, ops: TransportOperators
-) -> tuple[np.ndarray, np.ndarray]:
-    boundary = check_field(boundary, ops.sgrid)
-    if np.any(boundary <= 0.0) or not np.all(np.isfinite(boundary)):
+def _sweep(
+    start: np.ndarray,
+    decay: np.ndarray,
+    ops: TransportOperators,
+    order: range,
+    name: str,
+) -> np.ndarray:
+    """Fill the slices of ``order`` from ``start`` at its first slice: each
+    later slice l is decay[l] times the operator of slice l applied to the
+    slice before it in ``order``."""
+    start = check_field(start, ops.sgrid)
+    if np.any(start <= 0.0) or not np.all(np.isfinite(start)):
         raise PositivityError("sweep boundary data must be strictly positive")
-    return boundary, check_path(decay, ops.sgrid, ops.tgrid)
+    decay = check_path(decay, ops.sgrid, ops.tgrid)
+    path = np.empty(decay.shape)
+    path[order[0]] = start
+    # a diverging outer loop can overflow a sweep; the check below raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        for prev, l in zip(order, order[1:]):
+            path[l] = decay[l] * ops.solve(l, path[prev])
+    if path.min() <= 0.0 or not np.all(np.isfinite(path)):
+        raise PositivityError(f"{name} sweep lost positivity")
+    return path
 
 
 def integrate_backward(
@@ -126,17 +144,7 @@ def integrate_backward(
     ``decay`` holds the per-slice reaction factors exp(-dt sigma^2 q). Returns
     the full (n_t + 1, n_x) path with path[n_t] = phi_terminal.
     """
-    phi_terminal, decay = _check_sweep_inputs(phi_terminal, decay, ops)
-    n_t = ops.tgrid.n_t
-    path = np.empty(decay.shape)
-    path[n_t] = phi_terminal
-    # a diverging outer loop can overflow a sweep; the check below raises
-    with np.errstate(over="ignore", invalid="ignore"):
-        for l in range(n_t - 1, -1, -1):
-            path[l] = decay[l] * ops.solve(l, path[l + 1])
-    if path.min() <= 0.0 or not np.all(np.isfinite(path)):
-        raise PositivityError("backward sweep lost positivity")
-    return path
+    return _sweep(phi_terminal, decay, ops, range(ops.tgrid.n_t, -1, -1), "backward")
 
 
 def integrate_forward(
@@ -144,15 +152,7 @@ def integrate_forward(
 ) -> np.ndarray:
     """Sweep the forward equation from t = 0 up to t = 1 (same split,
     mirrored direction: each step uses the operator of its target slice)."""
-    phihat_initial, decay = _check_sweep_inputs(phihat_initial, decay, ops)
-    path = np.empty(decay.shape)
-    path[0] = phihat_initial
-    with np.errstate(over="ignore", invalid="ignore"):
-        for l in range(ops.tgrid.n_t):
-            path[l + 1] = decay[l + 1] * ops.solve(l + 1, path[l])
-    if path.min() <= 0.0 or not np.all(np.isfinite(path)):
-        raise PositivityError("forward sweep lost positivity")
-    return path
+    return _sweep(phihat_initial, decay, ops, range(ops.tgrid.n_t + 1), "forward")
 
 
 def propagate_density(

@@ -130,8 +130,7 @@ def inner_sinkhorn(problem: FrozenProblem, start: PairPath) -> PairPath:
     the terminal phi slice is overwritten with the t = 1 anchor so the same
     identity holds at t = 1.
     """
-    phi1 = check_field(start.phi[-1], problem.ops.sgrid)
-    phi = integrate_backward(phi1, problem.decay_phi, problem.ops)
+    phi = integrate_backward(start.phi[-1], problem.decay_phi, problem.ops)
     # the generalized Hopf-Cole anchors: phihat_0 = (p_in / phi_0)
     # e^{2 W*p_in}, then phi_1 = (p_fin / phihat_1) e^{2 W*p_fin}
     phihat0 = (problem.p_in / phi[0]) * problem.exp_in_plus

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from mfsb import config, marginals, potentials
 from mfsb.cli import _format_floats, _write_columns, main, read_pair_csv, run
@@ -366,6 +367,9 @@ def test_the_kind_tables_match_the_builders(tmp_path):
         assert build_marginals(cfg.marginal_in, cfg.sgrid).shape == (cfg.n_x,)
     with pytest.raises(ConfigError, match="unknown marginal kind 'uniform'"):
         build_marginals(MarginalSpec(kind="uniform"), SpatialGrid(-2.0, 2.0, 64))
+    # a tabulated marginal built without its file
+    with pytest.raises(ConfigError, match="tabulated marginal needs a file path"):
+        build_marginals(MarginalSpec(kind="tabulated"), SpatialGrid(-2.0, 2.0, 64))
 
 
 # a valid spec of every kind
@@ -553,6 +557,73 @@ def test_cli_non_finite_mixture_exits_one_by_name(
         assert not out.exists()
 
 
+KERNEL_FILE = {"potential.kind": "tabulated", "potential.file": "{file}"}
+MARGINAL_FILE = {"marginal_in.kind": "tabulated", "marginal_in.file": "{file}"}
+R = np.linspace(-4.0, 4.0, 81)  # example1's displacement grid is [-4, 4]
+X = np.linspace(-2.5, 2.5, 101)
+REPEATED_R = np.insert(R, 40, R[40])
+INVALID_VALUES = [
+    # example1's keys set, the rows of the sample file {file}, the one error
+    pytest.param({"N1": 0}, None, "n1 must be at least 1", id="zero-N1"),
+    pytest.param(
+        {"marginal_in.means": "0.5"}, None,
+        "gaussian_mixture needs equal-length nonempty "
+        "marginal_in.weights/means/variances",
+        id="one-mean-two-weights",
+    ),
+    pytest.param(
+        {"marginal_in.weights": "1.5 -0.5"}, None,
+        "mixture marginal_in.weights must be strictly positive", id="negative-weight",
+    ),
+    pytest.param(
+        {"marginal_in.variances": "0.04 0"}, None,
+        "mixture marginal_in.variances must be strictly positive", id="zero-variance",
+    ),
+    pytest.param(
+        MARGINAL_FILE, X[:, None], "{file}: expected two columns (x, p)",
+        id="one-column-marginal",
+    ),
+    pytest.param(
+        MARGINAL_FILE, np.column_stack([X, 0.0 * X]),
+        "marginal_in is identically zero on the grid", id="zero-marginal",
+    ),
+    pytest.param(
+        KERNEL_FILE, R[:, None], "{file}: expected two columns (r, W)",
+        id="one-column-kernel",
+    ),
+    pytest.param(
+        KERNEL_FILE, np.column_stack([R[:3], np.exp(-R[:3] ** 2)]),
+        "tabulated potential needs >= 4 (r, W) samples", id="three-row-kernel",
+    ),
+    pytest.param(
+        KERNEL_FILE, np.column_stack([REPEATED_R, np.exp(-REPEATED_R ** 2)]),
+        "tabulated displacements must be strictly increasing",
+        id="repeated-displacement",
+    ),
+]
+
+
+@pytest.mark.parametrize("keys, rows, message", INVALID_VALUES)
+def test_cli_invalid_value_exits_one_with_one_error_line(
+    tmp_path, capsys, keys, rows, message
+):
+    table = tmp_path / "samples.txt"
+    if rows is not None:
+        np.savetxt(table, rows)
+    # a kind switched to tabulated drops the keys of the example's kind
+    drop = tuple(key.replace("kind", "") for key in keys if key.endswith(".kind"))
+    path = tmp_path / "bad.cfg"
+    path.write_text(example_with(
+        "example1", {k: str(v).format(file=table) for k, v in keys.items()}, drop
+    ))
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {message.format(file=table)}"
+    ]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # run artifacts
 
@@ -582,6 +653,29 @@ def test_run_writes_the_full_artifact_set(mini_run):
     assert pde > 0.0 and particles > 0.0
     assert pde + particles <= timings["verify_seconds"]
     assert "seconds" not in (out / "trace.json").read_text()
+
+
+def test_manifest_records_the_numerical_stack(mini_config_path, tmp_path, monkeypatch):
+    # the data files repeat their bytes only on one numpy/BLAS build at one
+    # thread count, so the manifest names them; a variable that is not set
+    # reads None. The library only reads the variables
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / "o"
+    assert main(["run", str(mini_config_path), "--no-verify", "--out", str(out)]) == 0
+    provenance = json.loads((out / "manifest.json").read_text())["provenance"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert provenance == {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas["name"], "version": blas["version"]},
+        "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2",
+                    "MKL_NUM_THREADS": None},
+    }
+    for name in ("densities.csv", "control.csv", "pair.csv", "trace.json"):
+        text = (out / name).read_text()
+        assert "provenance" not in text and np.__version__ not in text
 
 
 def test_verified_run_is_silent_and_reports_three_pde_numbers(tmp_path, capsys):
@@ -1176,6 +1270,15 @@ def test_cli_constants_subcommand(tmp_path, capsys):
         path.write_text(base.replace(old, new))
         assert main(["constants", str(path)]) == 1
         assert "finite" in capsys.readouterr().err
+
+    # so is a variance or kernel strength out of its range
+    for old, new, message in (
+        ("sigma2 = 0.2", "sigma2 = -1", "sigma2 must be positive"),
+        ("beta = 0.01", "beta = -1", "beta must be nonnegative"),
+    ):
+        path.write_text(base.replace(old, new))
+        assert main(["constants", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
     # so is a value that is not a number, by file and key
     path.write_text(base.replace("beta = 0.01", "beta = strong"))

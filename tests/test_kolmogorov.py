@@ -6,6 +6,7 @@ from scipy.linalg.lapack import dgtsv
 
 from mfsb import (
     DomainError,
+    PairPath,
     PositivityError,
     PotentialSpec,
     ShapeError,
@@ -23,6 +24,7 @@ from mfsb.kolmogorov import (
 from mfsb.potentials import eval_potential, mean_field_drift_path
 from mfsb.sinkhorn import freeze_problem
 from oracles import (
+    dense_generator,
     direct_propagation,
     direct_sweep,
     field_variance,
@@ -63,14 +65,36 @@ def test_generator_of_a_drift_path_stacks_its_slices(grid64, rng):
         build_generator(np.zeros((2, 3, grid64.n_x)), 0.7, grid64)
 
 
+@pytest.mark.parametrize("drift", ["positive", "negative", "sign change"])
+def test_generator_bands_match_the_dense_oracle(grid64, drift):
+    # the off-diagonals bit for bit, both boundary rows included, where the
+    # advection turns inward whatever the drift's sign; the oracle sums each
+    # diagonal entry from its row in another order
+    x = grid64.nodes
+    b = {"positive": 2.0 + np.sin(x), "negative": -2.0 - np.sin(x),
+         "sign change": 3.0 * x}[drift]
+    low, diag, up = build_generator(b, 0.7, grid64)
+    dense = dense_generator(b, 0.7, grid64.h)
+    np.testing.assert_array_equal(up, np.diag(dense, 1))
+    np.testing.assert_array_equal(low, np.diag(dense, -1))
+    np.testing.assert_allclose(diag, np.diag(dense), rtol=1e-15, atol=0.0)
+
+
 @pytest.mark.parametrize("sigma", [0.0, -0.7, np.nan, np.inf])
 def test_generator_rejects_bad_sigma(grid64, sigma):
     # a nan sigma used to give nan bands, and a sweep's PositivityError later
     tgrid = TimeGrid(4)
     with pytest.raises(DomainError, match="sigma"):
         build_generator(np.zeros(grid64.n_x), sigma, grid64)
+    ones = np.ones((tgrid.n_t + 1, grid64.n_x))
     with pytest.raises(DomainError, match="sigma"):
-        TransportOperators(np.zeros((tgrid.n_t + 1, grid64.n_x)), sigma, grid64, tgrid)
+        TransportOperators(0.0 * ones, sigma, grid64, tgrid)
+    # the freeze checks sigma itself, before its decay factors use it
+    no_kernel = eval_potential(PotentialSpec(kind="zero"), grid64)
+    with pytest.raises(DomainError, match="sigma"):
+        freeze_problem(
+            ones, PairPath(ones, ones), no_kernel, ones[0], ones[0], sigma, grid64, tgrid
+        )
 
 
 def test_implicit_matrix_is_diagonally_dominant_m_matrix(grid64, rng):
@@ -337,6 +361,9 @@ def test_propagate_rejects_negative_initial_density(grid64):
     no_kernel = eval_potential(PotentialSpec(kind="zero"), grid64)
     with pytest.raises(PositivityError):
         propagate_density(p0, u, no_kernel, 0.5, grid64, tgrid)
+    # a density with no mass cannot be normalized
+    with pytest.raises(PositivityError, match="nonpositive mass"):
+        propagate_density(0.0 * p0, u, no_kernel, 0.5, grid64, tgrid)
 
 
 @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])

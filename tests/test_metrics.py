@@ -41,6 +41,17 @@ def test_nonpositive_entry_rejected():
         hilbert_distance(np.ones(8), f)
 
 
+@pytest.mark.parametrize("f, g, error, message", [
+    (np.ones(3), np.ones(4), ShapeError, "shape mismatch"),
+    (np.ones(0), np.ones(0), ShapeError, "empty input"),
+    (np.array([1.0, np.inf]), np.ones(2), PositivityError, "must be finite"),
+    (np.ones(2), np.array([np.nan, 1.0]), PositivityError, "must be finite"),
+], ids=["mismatched", "empty", "inf", "nan"])
+def test_hilbert_distance_rejects_malformed_input(f, g, error, message):
+    with pytest.raises(error, match=message):
+        hilbert_distance(f, g)
+
+
 def test_huge_dynamic_range_stays_finite():
     # log-space evaluation; plain ratios would overflow
     f = np.exp(np.linspace(-600.0, 600.0, 32))

@@ -383,3 +383,12 @@ def test_spec_validation():
     ):
         with pytest.raises(DomainError, match=f"PotentialSpec {name} must be real"):
             PotentialSpec(kind=kind, **params)
+    # an unknown kind, a kernel strength that is not finite, and tabulated
+    # samples of unequal lengths
+    with pytest.raises(DomainError, match="unknown potential kind 'bogus'"):
+        PotentialSpec(kind="bogus")
+    for beta in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="beta must be finite"):
+            PotentialSpec(kind="gaussian_attractive", a=1.0, s=0.3, beta=beta)
+    with pytest.raises(DomainError, match="two equal 1-d arrays"):
+        PotentialSpec(kind="tabulated", table_r=np.arange(5.0), table_w=np.ones(4))
