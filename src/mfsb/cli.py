@@ -93,8 +93,6 @@ def _jsonify(obj):
         return v if np.isfinite(v) else None
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist())
     return obj
 
 

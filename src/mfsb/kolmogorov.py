@@ -195,8 +195,6 @@ def propagate_density(
     w_dt = weights / dt
     dcoef = 0.5 * sigma * sigma / h
     sigma2 = sigma * sigma
-    # sigma times the control of every step, sampled at its midpoint
-    control = sigma * (0.5 * (u_path[:-1] + u_path[1:]))
 
     path = np.empty((tgrid.n_t + 1, sgrid.n_x))
     mass = float(np.trapezoid(p_init, dx=h))
@@ -206,37 +204,42 @@ def propagate_density(
 
     speed_max = 0.0
     drift_max = 0.0
-    for l in range(tgrid.n_t):
-        p = path[l]
-        v = control[l] + sigma2 * mean_field_drift(table, p)
-        v_if = 0.5 * (v[:-1] + v[1:])
-        speed = np.abs(v_if)
-        speed_max = max(speed_max, float(speed.max()))
-        # interface flux F_k = a_k p_k - c_k p_{k+1}, exponentially fitted:
-        # a_k = (D/h) B(-z_k), c_k = (D/h) B(z_k), z_k = v_k h / D and
-        # B(z) = z / (e^z - 1). One evaluation at |z_k| gives both sides, as
-        # B(-|z|) = B(|z|) + |z| adds two nonnegative terms.
-        # (D/h) B(|z_k|) = |v_k| / (e^|z_k| - 1) is 0 where e^|z_k| overflows,
-        # the upwind limit; fmin caps it at (D/h) B(0) = D/h, which B never
-        # exceeds, and so also stands in for the 0/0 at v_k = 0
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    # a control near the float range overflows: the positivity check reports it
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # sigma times the control of every step, sampled at its midpoint
+        control = sigma * (0.5 * (u_path[:-1] + u_path[1:]))
+        for l in range(tgrid.n_t):
+            p = path[l]
+            v = control[l] + sigma2 * mean_field_drift(table, p)
+            v_if = 0.5 * (v[:-1] + v[1:])
+            speed = np.abs(v_if)
+            speed_max = max(speed_max, float(speed.max()))
+            # interface flux F_k = a_k p_k - c_k p_{k+1}, exponentially fitted:
+            # a_k = (D/h) B(-z_k), c_k = (D/h) B(z_k), z_k = v_k h / D and
+            # B(z) = z / (e^z - 1). One evaluation at |z_k| gives both sides, as
+            # B(-|z|) = B(|z|) + |z| adds two nonnegative terms.
+            # (D/h) B(|z_k|) = |v_k| / (e^|z_k| - 1) is 0 where e^|z_k| overflows,
+            # the upwind limit; fmin caps it at (D/h) B(0) = D/h, which B never
+            # exceeds, and so also stands in for the 0/0 at v_k = 0
             fitted = np.fmin(speed / np.expm1(speed / dcoef), dcoef)
-        low = -fitted  # the sub-diagonal, -a_k
-        low -= np.maximum(v_if, 0.0)
-        up = np.minimum(v_if, 0.0)  # the super-diagonal, -c_k
-        up -= fitted
-        diag = w_dt.copy()
-        diag[:-1] -= low
-        diag[1:] -= up
-        # the four arguments are temporaries, so gtsv may overwrite them
-        _, _, _, p_new, info = dgtsv(low, diag, up, w_dt * p, 1, 1, 1, 1)
-        if info != 0:  # pragma: no cover - the matrix is an M-matrix
-            raise SolveError(f"gtsv failed with info={info}")
-        mass = float(weights @ p_new)
-        if not (p_new.min() >= 0.0 and math.isfinite(mass)):
-            raise PositivityError(f"density propagation lost positivity at step {l}")
-        drift_max = max(drift_max, abs(mass - 1.0))
-        np.divide(p_new, mass, out=path[l + 1])
+            low = -fitted  # the sub-diagonal, -a_k
+            low -= np.maximum(v_if, 0.0)
+            up = np.minimum(v_if, 0.0)  # the super-diagonal, -c_k
+            up -= fitted
+            diag = w_dt.copy()
+            diag[:-1] -= low
+            diag[1:] -= up
+            # the four arguments are temporaries, so gtsv may overwrite them
+            _, _, _, p_new, info = dgtsv(low, diag, up, w_dt * p, 1, 1, 1, 1)
+            if info != 0:  # pragma: no cover - the matrix is an M-matrix
+                raise SolveError(f"gtsv failed with info={info}")
+            mass = float(weights @ p_new)
+            if not (p_new.min() >= 0.0 and math.isfinite(mass)):
+                raise PositivityError(
+                    f"density propagation lost positivity at step {l}"
+                )
+            drift_max = max(drift_max, abs(mass - 1.0))
+            np.divide(p_new, mass, out=path[l + 1])
 
     return path, {
         "cfl_max": speed_max * dt / h,

@@ -139,8 +139,6 @@ def simulate(
     s, frac, scratch = np.empty(n), np.empty(n), np.empty(n)
     i, near = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
     k = max(1, _NOISE_BLOCK // n)
-    # sigma times the control of every step, sampled at its midpoint
-    control = sigma * (0.5 * (u_path[:-1] + u_path[1:]))
 
     def draw(l: int) -> np.ndarray:
         """Scaled noise of steps l, ..., l + k - 1 (fewer at the end)."""
@@ -149,8 +147,14 @@ def simulate(
         return block
 
     # the worker starts on the first submit, so a run of one block starts none;
-    # an exception leaves the `with` only after the draw in flight has finished
-    with ThreadPoolExecutor(max_workers=1) as worker:
+    # an exception leaves the `with` only after the draw in flight has finished.
+    # A control near the float range overflows: _reflect reports the cloud
+    with (
+        np.errstate(over="ignore", invalid="ignore"),
+        ThreadPoolExecutor(max_workers=1) as worker,
+    ):
+        # sigma times the control of every step, sampled at its midpoint
+        control = sigma * (0.5 * (u_path[:-1] + u_path[1:]))
         noise, pending = draw(0), None
         for l in range(n_t):
             if l % k == 0:

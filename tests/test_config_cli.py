@@ -600,6 +600,9 @@ INVALID_VALUES = [
         "tabulated displacements must be strictly increasing",
         id="repeated-displacement",
     ),
+    pytest.param(
+        {"domain": "nan 2"}, None, "grid endpoints must be finite", id="nan-domain"
+    ),
 ]
 
 
@@ -1009,9 +1012,9 @@ def test_cli_bad_input_exits_one(tmp_path, capsys):
         path = tmp_path / f"{name}.cfg"
         path.write_text(text)
         assert main(["run", str(path), "--out", str(tmp_path / name)]) == 1
-        assert capsys.readouterr().err.startswith(
-            f"error: cannot read {name} file {table}"
-        )
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: cannot read {name} file {table}")
         assert not (tmp_path / name).exists()
     # a kernel table short of the displacement grid [-4, 4] is found inside
     # the solve, still before anything is written
@@ -1039,6 +1042,7 @@ def test_cli_bad_input_exits_one(tmp_path, capsys):
         )
         assert main(["run", str(path), "--out", str(tmp_path / name)]) == 1
         err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
         assert err.startswith("error: tabulated potential samples must be finite")
         assert "[40] = " in err and name in err
         assert not (tmp_path / name).exists()
@@ -1078,6 +1082,7 @@ def test_cli_bad_input_exits_one(tmp_path, capsys):
         out = tmp_path / f"marginal-{name}"
         assert main(["run", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
         assert err.startswith(f"error: {table}: samples must be finite: (x, p)[40] = ")
         assert name in err and "Traceback" not in err
         assert not out.exists()

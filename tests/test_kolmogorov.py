@@ -385,3 +385,10 @@ def test_propagate_rejects_non_finite_control(grid64):
     no_kernel = eval_potential(PotentialSpec(kind="zero"), grid64)
     with pytest.raises(DomainError, match="control"):
         propagate_density(p0, u, no_kernel, 0.5, grid64, tgrid)
+    # a finite control near the float range overflows in the step's midpoint
+    # (sigma = 0.447) or interface (sigma = 2) sums: the positivity check
+    # reports it, and no numpy overflow warning comes first
+    for sigma, value in ((0.447, 1e308), (2.0, 8e307)):
+        with pytest.raises(PositivityError, match="lost positivity at step 0"):
+            propagate_density(p0, np.full_like(u, value), no_kernel, sigma,
+                              grid64, tgrid)

@@ -361,6 +361,11 @@ def test_non_finite_inputs_are_rejected(sim_grids):
     u[3, 140:160] = np.nan
     with pytest.raises(DomainError, match="control"):
         simulate(u, no_kernel(sgrid), p0, 0.447, 2_000, 0, sgrid, tgrid)
+    # a finite control near the float range overflows in the step: the fold
+    # check reports the cloud, and no numpy warning comes first
+    with pytest.raises(DomainError, match="out of the finite numbers"):
+        simulate(np.full_like(u, 1e308), no_kernel(sgrid), p0, 0.447, 2_000, 0,
+                 sgrid, tgrid)
     bad_p0 = p0.copy()
     bad_p0[150] = np.inf
     with pytest.raises(DomainError, match="initial density"):
