@@ -6,10 +6,13 @@ writes five artifacts into the output directory:
 
 * densities.csv  (t, x, p)      the solved density path
 * control.csv    (t, x, u)      the feedback control field
-* pair.csv       (t, x, phi, phihat)  the scaling pair (warm-start input)
+* pair.csv       (t, x, phi, phihat)  the scaling pair
 * trace.json     convergence history, cost, verification residuals
 * manifest.json  config echo, digests and sizes of the data files, timings,
                  the numpy/scipy/BLAS build and BLAS thread variables
+
+densities.csv and pair.csv together are the warm-start input: ``--warm-start
+DIR/pair.csv`` reads both, and a pair.csv alone does not resume.
 
 All floats are written with 17 significant digits and \\n line endings, and
 nothing time-dependent goes into the four data files, so identical configs
@@ -37,7 +40,7 @@ import scipy
 
 from . import __version__
 from .config import load_config, read_key_values, resolve_config_path
-from .errors import ConfigError, MfsbError, NoConvergence, PositivityError
+from .errors import ConfigError, MfsbError, NoConvergence
 from .grid import SpatialGrid, TimeGrid
 from .kolmogorov import propagate_density
 from .metrics import l1_distance
@@ -207,20 +210,24 @@ def run(
 ) -> dict:
     """Solve a configured problem and write the artifact set.
 
-    Returns the manifest dict written to manifest.json; NoConvergence is
-    captured into the artifacts and reflected in manifest["status"] rather
-    than raised.
+    A warm start reads the pair.csv at ``warm_start_path`` and the
+    densities.csv beside it. Returns the manifest dict written to
+    manifest.json; NoConvergence is captured into the artifacts and
+    reflected in manifest["status"] rather than raised.
     """
     cfg = load_config(resolve_config_path(config_path))
-    warm_pair = None
+    warm_start = None
     if warm_start_path is not None:
-        warm_pair = read_pair_csv(warm_start_path, cfg.sgrid, cfg.tgrid)
+        pair = read_pair_csv(warm_start_path, cfg.sgrid, cfg.tgrid)
+        densities = Path(warm_start_path).with_name("densities.csv")
+        (p_path,) = _read_columns(densities, "density", ("p",), cfg.sgrid, cfg.tgrid)
+        warm_start = (p_path, pair)
     status = "converged"
     error = None
     verification = None
     t0 = time.perf_counter()
     try:
-        sol = solve(cfg, warm_pair=warm_pair)
+        sol = solve(cfg, warm_start=warm_start)
     except NoConvergence as exc:
         sol = exc.partial
         status = "no_convergence"
@@ -241,36 +248,41 @@ def run(
     return _write_run(Path(out_dir), sol, status, timings, verification, error)
 
 
-def read_pair_csv(path, sgrid: SpatialGrid, tgrid: TimeGrid) -> PairPath:
-    """Load a pair.csv back into a PairPath matching the given grids.
-
+def _read_columns(
+    path, what: str, names: tuple[str, ...], sgrid: SpatialGrid, tgrid: TimeGrid
+) -> np.ndarray:
+    """The value columns of a (t, x, *names) file, copied into one
+    (len(names), n_t + 1, n_x) array so that the parsed table dies here.
     Every row's t and x must be the config grids' time and node of that row,
-    and every phi and phihat entry positive and finite; ConfigError names the
-    file otherwise."""
+    and every value positive and finite; ConfigError names the file otherwise."""
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read warm-start pair from {path}: {exc}") from exc
+        raise ConfigError(f"cannot read warm-start {what} from {path}: {exc}") from exc
     rows = (tgrid.n_t + 1) * sgrid.n_x
-    if data.ndim != 2 or data.shape != (rows, 4):
+    if data.shape != (rows, 2 + len(names)):
         raise ConfigError(
-            f"{path}: expected {rows} rows of (t, x, phi, phihat), "
+            f"{path}: expected {rows} rows of (t, x, {', '.join(names)}), "
             f"got array of shape {data.shape}"
         )
-    data = data.reshape(tgrid.n_t + 1, sgrid.n_x, 4)
+    data = data.reshape(tgrid.n_t + 1, sgrid.n_x, -1)
     atol = 1e-12 * max(1.0, sgrid.h)
-    for column, name, coords in (
-        (0, "time", tgrid.times[:, None]),
-        (1, "node", sgrid.nodes),
-    ):
-        if not np.allclose(data[..., column], coords, rtol=0, atol=atol):
+    for name, j, want in (("time", 0, tgrid.times[:, None]), ("node", 1, sgrid.nodes)):
+        if not np.allclose(data[..., j], want, rtol=0, atol=atol):
             raise ConfigError(
                 f"{path}: {name} coordinates do not match the config grid"
             )
-    try:
-        return PairPath(phi=data[..., 2], phihat=data[..., 3])
-    except PositivityError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    values = np.moveaxis(data[..., 2:], -1, 0).copy()
+    for name, column in zip(names, values):
+        if not (np.all(np.isfinite(column)) and column.min() > 0.0):
+            raise ConfigError(f"{path}: {name} must be strictly positive and finite")
+    return values
+
+
+def read_pair_csv(path, sgrid: SpatialGrid, tgrid: TimeGrid) -> PairPath:
+    """Load a pair.csv back into a PairPath on the given grids."""
+    phi, phihat = _read_columns(path, "pair", ("phi", "phihat"), sgrid, tgrid)
+    return PairPath(phi=phi, phihat=phihat)
 
 
 def _cmd_constants(path) -> int:
@@ -318,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--warm-start", metavar="PAIR_CSV", default=None,
-        help="pair.csv from a previous run to start from",
+        help="pair.csv of a previous run, with its densities.csv beside it",
     )
 
     p_const = sub.add_parser(

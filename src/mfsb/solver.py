@@ -41,10 +41,10 @@ from .errors import ConfigError, DomainError, NoConvergence, PositivityError
 from .grid import SpatialGrid, TimeGrid, check_field, check_path, gradient, normalize
 from .kolmogorov import TransportOperators
 from .marginals import MarginalSpec, build_marginals
-from .metrics import hilbert_distance, path_distance
-# not called here: perfbench/probe.py traces pair_distance where another
-# module holds it, and --trace 1 fails when none does
-from .metrics import pair_distance  # noqa: F401
+from .metrics import hilbert_distance
+# not called here: perfbench/probe.py traces pair_distance and path_distance
+# where another module holds them, and --trace 1 fails when none does
+from .metrics import pair_distance, path_distance  # noqa: F401
 from .potentials import PotentialSpec, PotentialTable, convolve_path, eval_potential
 from .sinkhorn import FrozenProblem, PairPath, freeze_problem, inner_sinkhorn
 
@@ -261,33 +261,6 @@ def control_energy(
     return 0.5 * float(np.trapezoid(per_slice, dx=tgrid.dt))
 
 
-def _warm_start_density(
-    cfg: SolverConfig,
-    pair: PairPath,
-    p_in: np.ndarray,
-    p_fin: np.ndarray,
-) -> np.ndarray:
-    """Density iterate matching a restored pair: the solver's damped density
-    map at that pair, endpoints pinned to the exact marginals, iterated from
-    the normalized product until a step is below tol (at most n1 passes)."""
-    product = pair.product
-    p_path = normalize(product, cfg.sgrid)
-    for passes in range(1, cfg.n1 + 1):
-        refined = _refined_density(p_path, product, cfg.kernel_table, cfg.sgrid)[0]
-        p_next = cfg.theta * refined + (1.0 - cfg.theta) * p_path
-        p_next[0] = p_in
-        p_next[-1] = p_fin
-        step = path_distance(p_next, p_path)
-        p_path = p_next
-        if step < cfg.tol:
-            break
-    logger.debug(
-        "warm-start density: %d passes, last step %.3e, tol %s",
-        passes, step, "reached" if step < cfg.tol else "not reached",
-    )
-    return p_path
-
-
 def _log_state(p_path: np.ndarray, pair: PairPath) -> np.ndarray:
     """Joint log state of an outer iterate, the rows the mixing acts on.
 
@@ -348,24 +321,30 @@ def _plain_map(
 def _iterate_from_state(
     state: np.ndarray, p_in: np.ndarray, p_fin: np.ndarray, sgrid: SpatialGrid
 ) -> tuple[np.ndarray, PairPath] | None:
-    """Outer iterate of a flat joint log state: exponentiated, density
-    slices renormalized and endpoints pinned to the marginals. None when an
-    entry or a slice mass is not finite and positive."""
+    """:func:`_pinned_iterate` of a flat joint log state, exponentiated."""
     rows = state.reshape(-1, sgrid.n_x)
     n_s = (len(rows) + 2) // 3
-    log_p, log_phi, log_phihat = np.split(rows, (n_s - 2, 2 * n_s - 2))
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         p_path = np.empty((n_s, sgrid.n_x))
-        np.exp(log_p, out=p_path[1:-1])
+        np.exp(rows[:n_s - 2], out=p_path[1:-1])
+        phi, phihat = np.exp(rows[n_s - 2:]).reshape(2, n_s, sgrid.n_x)
+    return _pinned_iterate(p_path, phi, phihat, p_in, p_fin, sgrid)
+
+
+def _pinned_iterate(
+    p_path: np.ndarray, phi: np.ndarray, phihat: np.ndarray,
+    p_in: np.ndarray, p_fin: np.ndarray, sgrid: SpatialGrid,
+) -> tuple[np.ndarray, PairPath] | None:
+    """Outer iterate of a density path and legs: the interior density slices
+    renormalized and the end slices pinned to the marginals, in place. None
+    when a density entry, a slice mass or a leg entry is not finite and > 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
         masses = np.trapezoid(p_path[1:-1], dx=sgrid.h, axis=1)
-        phi = np.exp(log_phi)
-        phihat = np.exp(log_phihat)
     for arr in (p_path[1:-1], masses, phi, phihat):
         if not (np.all(np.isfinite(arr)) and arr.min() > 0.0):
             return None
     p_path[1:-1] /= masses[:, None]
-    p_path[0] = p_in
-    p_path[-1] = p_fin
+    p_path[0], p_path[-1] = p_in, p_fin
     return p_path, PairPath(phi=phi, phihat=phihat)
 
 
@@ -432,9 +411,13 @@ class _AndersonMixer:
         return np.subtract(g, mixed, out=mixed), "mixed"
 
 
-def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
+def solve(
+    cfg: SolverConfig, warm_start: tuple[np.ndarray, PairPath] | None = None
+) -> Solution:
     """Run the outer iteration, Anderson-accelerated, to convergence.
 
+    It starts from the classical bridge, or from the (p_path, pair) of
+    ``warm_start``, with a copy of p_path renormalized and pinned at its ends.
     Every outer step evaluates :func:`_plain_map` once at the current
     iterate and counts against n1; the stop test is on that plain step,
     whose output is returned. Its pair distance, a supremum over slices,
@@ -457,14 +440,17 @@ def solve(cfg: SolverConfig, warm_pair: PairPath | None = None) -> Solution:
             p_in=p_in, p_fin=p_fin,
         )
 
-    if warm_pair is None:
+    if warm_start is None:
         p_path, pair, trace.init_dh = classical_bridge_init(
             p_in, p_fin, cfg.sigma, sgrid, tgrid, tol=cfg.tol
         )
     else:
-        check_path(warm_pair.phi, sgrid, tgrid)
-        pair = warm_pair
-        p_path = _warm_start_density(cfg, pair, p_in, p_fin)
+        p_path, pair = check_path(warm_start[0], sgrid, tgrid).copy(), warm_start[1]
+        check_path(pair.phi, sgrid, tgrid)
+        start = _pinned_iterate(p_path, pair.phi, pair.phihat, p_in, p_fin, sgrid)
+        if start is None:
+            raise PositivityError("warm-start density must be positive and finite")
+        p_path, pair = start
 
     # set before the start's budget check, so its partial's trace has them
     trace.min_phi = float(pair.phi.min())

@@ -866,6 +866,54 @@ def test_cli_refuses_a_bad_warm_start_file_by_name(
     assert not (tmp_path / "o").exists()
 
 
+def other_grid_density(rows, cfg):
+    # a unit density on a coarser grid over the same domain
+    sgrid = SpatialGrid(cfg.x_min, cfg.x_max, cfg.n_x // 2)
+    return [f"{t!r},{x!r},0.25\n"
+            for t in cfg.tgrid.times.tolist() for x in sgrid.nodes.tolist()]
+
+
+def zero_one_density(rows, cfg):
+    t, x, _ = rows[5].split(",")
+    return rows[:5] + [f"{t},{x},0\n"] + rows[6:]
+
+
+def shift_x_column(rows, cfg):
+    shifted = []
+    for row in rows:
+        t, x, p = row.split(",")
+        shifted.append(f"{t},{float(x) + 0.5!r},{p}")
+    return shifted
+
+
+@pytest.mark.parametrize("damage, message", [
+    (None, "cannot read warm-start density from {path}: "),
+    (other_grid_density, "{path}: expected 1088 rows of (t, x, p), "
+                         "got array of shape (544, 3)"),
+    (zero_one_density, "{path}: p must be strictly positive and finite"),
+    (shift_x_column, "{path}: node coordinates do not match the config grid"),
+], ids=["pair-alone", "other-grid", "zero-entry", "shifted-x"])
+def test_cli_refuses_a_bad_warm_start_density_by_name(
+    mini_run, tmp_path, capsys, damage, message
+):
+    # a resume reads the densities.csv beside the pair, and refuses it as
+    # bad input by name; without it, the pair alone does not resume
+    cfg_path, out, _ = mini_run
+    warm = tmp_path / "warm"
+    warm.mkdir()
+    (warm / "pair.csv").write_bytes((out / "pair.csv").read_bytes())
+    path = warm / "densities.csv"
+    if damage is not None:
+        head, *rows = (out / "densities.csv").read_text().splitlines(keepends=True)
+        path.write_text(head + "".join(damage(rows, load_config(cfg_path))))
+    code = main(["run", str(cfg_path), "--no-verify", "--out", str(tmp_path / "o"),
+                 "--warm-start", str(warm / "pair.csv")])
+    assert code == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: " + message.format(path=path))
+    assert not (tmp_path / "o").exists()
+
+
 def test_zero_kernel_run_writes_bridge_artifacts(tmp_path):
     # the classical bridge is the zero kernel's run: the bridge start plus
     # one outer step that confirms it
